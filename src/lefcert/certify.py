@@ -4,7 +4,8 @@ intersections of semi-positive (1,1)-forms with constant coefficients.
 Two independent routes are exposed for the HL property:
 
 * criterion_hl - the combinatorial subset rank criterion
-  rank(A_I) >= |I| + p + q for every nonempty subset I;
+  rank(A_I) >= |I| + p + q for every nonempty subset I, decided by the
+  subset-sum walk and rank-deficit scan owned by `discriminant`;
 * direct_hl - bijectivity of the wedge-multiplication matrix, decided by
   an exact determinant, with a kernel witness extracted on failure.
 
@@ -14,10 +15,10 @@ this equivalence exhaustively at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, factorial
 
-from .discriminant import mixed_discriminant, subsets_size_lex
+from .discriminant import mixed_discriminant, rank_deficient_subset
 from .exterior import (
     PQForm,
     basis_indices,
@@ -38,7 +39,7 @@ from .linalg import (
     mat_det,
     mat_rank,
 )
-from .rationals import GR, I, ONE, ZERO, cpq_constant
+from .rationals import GR, I, ZERO, cpq_constant
 
 __all__ = [
     "HLInstance",
@@ -121,32 +122,13 @@ class PrimitiveSpace:
     gram: HermitianFormOnSpace
 
 
-def _subset_ranks(forms):
-    """Rank of A_I for every bitmask I, sums built along the subset lattice."""
-    m = len(forms)
-    if m == 0:
-        return {}
-    sums = {0: HermitianMatrix.zero(forms[0].n)}
-    ranks = {}
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + forms[low.bit_length() - 1]
-        ranks[mask] = sums[mask].rank()
-    return ranks
-
-
 def criterion_hl(inst: HLInstance) -> Certificate:
     """Subset numerical-dimension criterion: rank(A_I) >= |I| + p + q for all I."""
-    m = len(inst.forms)
-    bound_shift = inst.p + inst.q
-    ranks = _subset_ranks(inst.forms)
-    for subset in subsets_size_lex(m):
-        mask = sum(1 << (i - 1) for i in subset)
-        r = ranks[mask]
-        need = len(subset) + bound_shift
-        if r < need:
-            return Certificate("fails", failing_subset=subset, rank_deficit=need - r)
-    return Certificate("holds")
+    failing = rank_deficient_subset(inst.forms, inst.p + inst.q)
+    if failing is None:
+        return Certificate("holds")
+    subset, deficit = failing
+    return Certificate("fails", failing_subset=subset, rank_deficit=deficit)
 
 
 def _witness_from_kernel(inst, matrix, ncols):

@@ -12,7 +12,6 @@ import sys
 
 from . import certify, discriminant, polymatroid
 from .generate import GeneratorSpec, generate_psd
-from .linalg import HermitianMatrix
 from .serialize import (
     certificate_to_json,
     matrix_from_json,
@@ -29,8 +28,27 @@ class TaskError(ValueError):
     pass
 
 
+def _integer(value, what):
+    """Only a genuine int passes: a bool or float is refused, never truncated."""
+    if type(value) is not int:
+        raise TaskError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _n(ctx):
+    if ctx["n"] is None:
+        raise TaskError("task needs the document's n")
+    return ctx["n"]
+
+
+def _names(names):
+    if not isinstance(names, list) or not all(isinstance(nm, str) for nm in names):
+        raise TaskError(f"matrix names must be a list of strings, got {names!r}")
+    return names
+
+
 def _matrices(ctx, names):
-    missing = [name for name in names if name not in ctx["matrices"]]
+    missing = [name for name in _names(names) if name not in ctx["matrices"]]
     if missing:
         raise TaskError(f"undefined matrix name(s): {', '.join(missing)}")
     return [ctx["matrices"][name] for name in names]
@@ -65,7 +83,7 @@ def _instance(ctx, task, need_eta=False):
         (eta,) = _matrices(ctx, [task["eta"]])
     if need_eta and eta is None:
         raise TaskError("task requires an eta matrix")
-    return certify.HLInstance(ctx["n"], int(task["p"]), int(task["q"]),
+    return certify.HLInstance(_n(ctx), _integer(task["p"], "p"), _integer(task["q"], "q"),
                               tuple(forms), eta=eta)
 
 
@@ -94,7 +112,7 @@ def _task_hr_certify(ctx, task):
 
 def _task_signature(ctx, task):
     forms = _matrices(ctx, task.get("forms", []))
-    sig = certify.lorentzian_signature(forms, n=ctx["n"])
+    sig = certify.lorentzian_signature(forms, n=_n(ctx))
     return {"signature": list(sig)}
 
 
@@ -109,7 +127,8 @@ def _task_polymatroid_axioms(ctx, task):
         rank = rank_function_from_json(task["table"])
     else:
         mats = _matrices(ctx, task["matrices"])
-        rank = polymatroid.rank_from_matrices(mats, offset=int(task.get("offset", 0)))
+        offset = _integer(task.get("offset", 0), "offset")
+        rank = polymatroid.rank_from_matrices(mats, offset=offset)
     report = polymatroid.check_axioms(rank)
     return {
         "submodular": report.submodular,
@@ -123,13 +142,13 @@ def _task_polymatroid_axioms(ctx, task):
 
 def _task_enumerate_support(ctx, task):
     rank = rank_function_from_json(task["table"])
-    points = polymatroid.multidegree_support(rank, int(task["dim"]))
+    points = polymatroid.multidegree_support(rank, _integer(task["dim"], "dim"))
     return {"points": sorted(list(p) for p in points)}
 
 
 def _task_hl_support(ctx, task):
     mats = _matrices(ctx, task["matrices"])
-    points = polymatroid.hl_support(mats, ctx["n"])
+    points = polymatroid.hl_support(mats, _n(ctx))
     return {"points": sorted(list(p) for p in points)}
 
 
@@ -137,14 +156,17 @@ def _task_generate_psd(ctx, task):
     seed = task.get("seed", ctx["seed"])
     if seed is None:
         raise TaskError("generate-psd needs a seed (task field or --seed)")
+    profile = task["rank_profile"]
+    if not isinstance(profile, list):
+        raise TaskError(f"rank_profile must be a list, got {profile!r}")
     spec = GeneratorSpec(
-        seed=int(seed),
-        n=ctx["n"],
-        rank_profile=tuple(task["rank_profile"]),
-        entry_bound=int(task.get("entry_bound", 2)),
+        seed=_integer(seed, "seed"),
+        n=_n(ctx),
+        rank_profile=tuple(_integer(r, "rank_profile entry") for r in profile),
+        entry_bound=_integer(task.get("entry_bound", 2), "entry_bound"),
     )
     mats = generate_psd(spec)
-    names = task.get("names", [f"gen{i}" for i in range(len(mats))])
+    names = _names(task.get("names", [f"gen{i}" for i in range(len(mats))]))
     if len(names) != len(mats):
         raise TaskError("names length does not match rank_profile length")
     for name, mat in zip(names, mats):
@@ -171,20 +193,31 @@ _TASKS = {
 
 def run_instance(doc, seed=None):
     """Execute the task list; returns (report_dict, all_ok)."""
+    if not isinstance(doc, dict):
+        raise ValueError("the instance must be a JSON object")
     if doc.get("schema", 1) != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {doc.get('schema')}")
-    n = int(doc["n"]) if "n" in doc else None
+    n = _integer(doc["n"], "n") if "n" in doc else None
+    declared = doc.get("matrices", {})
+    if not isinstance(declared, dict):
+        raise ValueError("matrices must be a JSON object")
+    tasks = doc.get("tasks", [])
+    if not isinstance(tasks, list):
+        raise ValueError("tasks must be a JSON list")
     matrices = {}
-    for name, obj in doc.get("matrices", {}).items():
-        mat = matrix_from_json(obj)
+    for name, obj in declared.items():
+        try:
+            mat = matrix_from_json(obj)
+        except TypeError as exc:
+            raise ValueError(f"matrix {name!r}: {exc}") from None
         if n is not None and mat.n != n:
             raise ValueError(f"matrix {name!r} is not {n}x{n}")
         matrices[name] = mat
     ctx = {"n": n, "matrices": matrices, "seed": seed}
     results = {}
     ok = True
-    for idx, task in enumerate(doc.get("tasks", [])):
-        kind = task.get("kind")
+    for idx, task in enumerate(tasks):
+        kind = task.get("kind") if isinstance(task, dict) else None
         handler = _TASKS.get(kind)
         if handler is None:
             results[str(idx)] = {"error": f"unknown task kind {kind!r}"}

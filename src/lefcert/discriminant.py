@@ -8,6 +8,7 @@ top power of the standard form is n! times the volume element).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb, factorial
 
 from .exterior import form_from_matrix, volume_scalar, wedge_many
@@ -20,7 +21,9 @@ __all__ = [
     "panov_positivity",
     "reverse_kt_check",
     "PositivityCertificate",
+    "subset_sums",
     "subsets_size_lex",
+    "rank_deficient_subset",
 ]
 
 
@@ -37,13 +40,31 @@ def _check_tuple(mats):
 
 
 def subset_sums(mats):
-    """Sum over every bitmask of the tuple, built incrementally."""
-    n = len(mats)
+    """A_I for every bitmask I, built incrementally; {} for an empty family.
+
+    The package's one subset-lattice walk.
+    """
+    if not mats:
+        return {}
     sums = {0: HermitianMatrix.zero(mats[0].n)}
-    for mask in range(1, 1 << n):
+    for mask in range(1, 1 << len(mats)):
         low = mask & -mask
         sums[mask] = sums[mask ^ low] + mats[low.bit_length() - 1]
     return sums
+
+
+def rank_deficient_subset(mats, shift=0):
+    """First I in size-then-lex order with rank(A_I) < |I| + shift.
+
+    Returns (I, deficit) or None; no rank is computed past the first failure.
+    """
+    sums = subset_sums(mats)
+    for subset in subsets_size_lex(len(mats)):
+        r = sums[sum(1 << (i - 1) for i in subset)].rank()
+        need = len(subset) + shift
+        if r < need:
+            return subset, need - r
+    return None
 
 
 def mixed_discriminant(mats):
@@ -75,8 +96,6 @@ def intersection_number(mats):
 
 def subsets_size_lex(m):
     """Nonempty subsets of [m] (1-based), smallest size first, then lexicographic."""
-    from itertools import combinations
-
     for size in range(1, m + 1):
         yield from combinations(range(1, m + 1), size)
 
@@ -96,18 +115,15 @@ def panov_positivity(mats) -> PositivityCertificate:
     On failure returns the first failing subset in size-then-lex order;
     on success the mixed discriminant is cross-checked to be positive.
     """
-    mats, n = _check_tuple(mats)
+    mats, _ = _check_tuple(mats)
     for a in mats:
         if not a.is_psd():
             raise ValueError("panov_positivity requires PSD matrices")
-    sums = subset_sums(mats)
-    for subset in subsets_size_lex(n):
-        mask = sum(1 << (i - 1) for i in subset)
-        r = sums[mask].rank()
-        if r < len(subset):
-            if mixed_discriminant(mats) != 0:
-                raise InternalCheckError("rank criterion failed but D != 0")
-            return PositivityCertificate(False, subset, len(subset) - r)
+    failing = rank_deficient_subset(mats)
+    if failing is not None:
+        if mixed_discriminant(mats) != 0:
+            raise InternalCheckError("rank criterion failed but D != 0")
+        return PositivityCertificate(False, *failing)
     d = mixed_discriminant(mats)
     if d <= 0:
         raise InternalCheckError("rank criterion held but D <= 0")

@@ -114,11 +114,6 @@ class PQForm:
     def coefficient(self, i, j):
         return self.coeffs.get((tuple(i), tuple(j)), ZERO)
 
-    def space_dimension(self):
-        from math import comb
-
-        return comb(self.n, self.p) * comb(self.n, self.q)
-
     def __add__(self, other):
         self._compat(other)
         out = dict(self.coeffs)

@@ -10,7 +10,7 @@ replicate instances bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .linalg import HermitianMatrix, mat_rank
 from .rationals import GaussianRational

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .rationals import GR, ONE, ZERO, GaussianRational, Rat, as_rat
+from .rationals import GR, ONE, ZERO, GaussianRational, as_rat
 
 __all__ = [
     "HermitianMatrix",

@@ -7,11 +7,12 @@ checking needs every value anyway, and m stays small at desk scale.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .certify import HLInstance, criterion_hl
-from .linalg import HermitianMatrix
+from .discriminant import subset_sums, subsets_size_lex
+from .linalg import InternalCheckError
 
 __all__ = [
     "RankFunction",
@@ -26,10 +27,7 @@ __all__ = [
 
 
 def _all_subsets(m):
-    out = [frozenset()]
-    for size in range(1, m + 1):
-        out.extend(frozenset(c) for c in combinations(range(1, m + 1), size))
-    return out
+    return [frozenset()] + [frozenset(c) for c in subsets_size_lex(m)]
 
 
 @dataclass(frozen=True)
@@ -97,13 +95,12 @@ def rank_from_matrices(mats, offset: int = 0) -> RankFunction:
         if not a.is_psd():
             raise ValueError("rank_from_matrices requires PSD matrices")
     m = len(mats)
-    sums = {0: HermitianMatrix.zero(n)}
     values = {frozenset(): 0}
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + mats[low.bit_length() - 1]
+    for mask, s in subset_sums(mats).items():
+        if not mask:
+            continue
         subset = frozenset(i + 1 for i in range(m) if mask >> i & 1)
-        r = sums[mask].rank() - offset
+        r = s.rank() - offset
         if r < 0:
             raise ValueError(
                 f"rank(A_I) - offset is negative for I={tuple(sorted(subset))}"
@@ -238,8 +235,6 @@ def hl_support(mats, n: int):
             )
         }
         if expected != support:
-            from .linalg import InternalCheckError
-
             raise InternalCheckError("HL support and rank-table inequalities disagree")
         # the shifted table is not always submodular; the polymatroid
         # enumeration only applies when it is
@@ -248,12 +243,8 @@ def hl_support(mats, n: int):
                 warnings.simplefilter("ignore")
                 enumerated = set(enumerate_points(table).points)
             if enumerated != support:
-                from .linalg import InternalCheckError
-
                 raise InternalCheckError("HL support and polymatroid enumeration disagree")
     elif table is not None and support:
-        from .linalg import InternalCheckError
-
         raise InternalCheckError("deficient full rank must give empty HL support")
     return support
 

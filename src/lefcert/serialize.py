@@ -51,7 +51,7 @@ def complex_to_json(c: GaussianRational) -> dict:
 
 
 def complex_from_json(obj) -> GaussianRational:
-    if isinstance(obj, (int, str)):
+    if not isinstance(obj, dict):
         return GaussianRational(rat_from_str(obj))
     return GaussianRational(rat_from_str(obj.get("re", 0)), rat_from_str(obj.get("im", 0)))
 
@@ -64,6 +64,8 @@ def matrix_to_json(m: HermitianMatrix) -> dict:
 
 
 def matrix_from_json(obj) -> HermitianMatrix:
+    if not isinstance(obj, dict) or "entries" not in obj:
+        raise ValueError("a matrix must be a JSON object with 'entries'")
     entries = [[complex_from_json(x) for x in row] for row in obj["entries"]]
     mat = HermitianMatrix(entries)
     if mat.n != obj.get("n", mat.n):

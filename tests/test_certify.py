@@ -1,3 +1,7 @@
+from functools import reduce
+from itertools import combinations
+from operator import add
+
 import pytest
 
 from lefcert.certify import (
@@ -13,8 +17,9 @@ from lefcert.certify import (
     lorentzian_signature,
     products_preserve_hl,
 )
+from lefcert.discriminant import panov_positivity
 from lefcert.exterior import PQForm, conjugate_form, form_from_matrix, wedge
-from lefcert.linalg import HermitianMatrix, InternalCheckError
+from lefcert.linalg import HermitianMatrix, InternalCheckError, mat_rank
 from lefcert.rationals import GR, I, ONE
 
 from conftest import random_psd_family
@@ -74,6 +79,52 @@ def test_criterion_depends_only_on_total_degree():
                 for p in range(total + 1)
             }
             assert len(verdicts) == 1
+
+
+def brute_force_failures(forms, shift):
+    """Every (I, deficit) with rank(A_I) < |I| + shift, each A_I summed afresh."""
+    out = []
+    for size in range(1, len(forms) + 1):
+        for subset in combinations(range(1, len(forms) + 1), size):
+            total = reduce(add, (forms[i - 1] for i in subset))
+            r = mat_rank(total.rows)
+            if r < size + shift:
+                out.append((subset, size + shift - r))
+    return sorted(out, key=lambda f: (len(f[0]), f[0]))
+
+
+def test_first_failing_subset_order_contract():
+    """With several failing subsets, both criteria report the size-then-lex first.
+
+    Slot 2 repeats slot 1, so {1,2} often fails alongside a later
+    singleton; there bitmask order and size-then-lex order disagree.
+    """
+    several = order_sensitive = 0
+    for seed in range(30):
+        n = 3 + seed % 2
+        forms = random_psd_family(700 + seed, n, n, max_rank=2)
+        forms[1] = forms[0]
+        forms = tuple(forms)
+        failures = brute_force_failures(forms, 0)
+        positivity = panov_positivity(list(forms))
+        assert positivity.positive == (not failures)
+        if failures:
+            assert (positivity.failing_subset, positivity.rank_deficit) == failures[0]
+        crit = criterion_hl(HLInstance(n, 0, 0, forms))
+        assert (crit.holds, crit.failing_subset, crit.rank_deficit) == (
+            positivity.positive, positivity.failing_subset, positivity.rank_deficit
+        )
+        for pq in range(3):
+            inst = HLInstance(n, pq // 2, pq - pq // 2, forms[: n - pq])
+            cert = criterion_hl(inst)
+            failures = brute_force_failures(inst.forms, pq)
+            assert cert.holds == (not failures)
+            if failures:
+                assert (cert.failing_subset, cert.rank_deficit) == failures[0]
+                first_by_mask = min(failures, key=lambda f: sum(1 << (i - 1) for i in f[0]))
+                order_sensitive += first_by_mask != failures[0]
+            several += len(failures) >= 2
+    assert several >= 40 and order_sensitive >= 5
 
 
 # ---- direct_hl ----

@@ -184,3 +184,116 @@ def test_pretty_output_same_content(tmp_path):
     code2, pretty = run_file(tmp_path, doc, extra_args=["--pretty"])
     assert code1 == code2 == 0
     assert plain == pretty
+
+
+# ---- malformed input: exit 2 for the document, 1 for a task, never a traceback ----
+
+def run_raw(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["--input", str(path)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def assert_document_error(tmp_path, capsys, doc, needle):
+    code, out, err = run_raw(tmp_path, capsys, doc)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and needle in err
+
+
+def assert_task_error(tmp_path, capsys, doc, needle):
+    code, out, err = run_raw(tmp_path, capsys, doc)
+    assert code == 1
+    assert err == ""
+    assert needle in json.loads(out)["results"]["0"]["error"]
+
+
+def test_float_matrix_entry_is_a_document_error(tmp_path, capsys):
+    doc = {"schema": 1, "n": 1, "matrices": {"a": {"entries": [[0.5]]}}, "tasks": []}
+    assert_document_error(tmp_path, capsys, doc, "floating-point")
+
+
+def test_float_n_is_a_document_error(tmp_path, capsys):
+    doc = {
+        "schema": 1,
+        "n": 2.9,
+        "matrices": {"a": diag_json([1, 1])},
+        "tasks": [{"kind": "hl-certify", "p": 0.7, "q": 0, "forms": ["a", "a"]}],
+    }
+    assert_document_error(tmp_path, capsys, doc, "n must be an integer")
+
+
+def test_matrices_not_an_object_is_a_document_error(tmp_path, capsys):
+    doc = {"schema": 1, "n": 2, "matrices": [diag_json([1, 1])], "tasks": []}
+    assert_document_error(tmp_path, capsys, doc, "matrices")
+
+
+def test_non_string_matrix_name_is_a_task_error(tmp_path, capsys):
+    doc = {
+        "schema": 1,
+        "n": 2,
+        "matrices": {"a": diag_json([1, 1])},
+        "tasks": [{"kind": "nd", "matrix": 3}],
+    }
+    assert_task_error(tmp_path, capsys, doc, "matrix names")
+
+
+@pytest.mark.parametrize("p", [0.7, 0.0, True])
+def test_non_int_bidegree_is_a_task_error(tmp_path, capsys, p):
+    doc = {
+        "schema": 1,
+        "n": 2,
+        "matrices": {"a": diag_json([1, 1])},
+        "tasks": [{"kind": "hl-certify", "p": p, "q": 0, "forms": ["a", "a"]}],
+    }
+    assert_task_error(tmp_path, capsys, doc, "p must be an integer")
+
+
+def test_float_offset_is_a_task_error(tmp_path, capsys):
+    doc = {
+        "schema": 1,
+        "n": 2,
+        "matrices": {"a": diag_json([1, 1])},
+        "tasks": [{"kind": "polymatroid-axioms", "matrices": ["a"], "offset": 1.0}],
+    }
+    assert_task_error(tmp_path, capsys, doc, "offset must be an integer")
+
+
+def test_float_dim_is_a_task_error(tmp_path, capsys):
+    table = {"m": 1, "values": {"[]": 0, "[1]": 1}}
+    doc = {"schema": 1, "tasks": [{"kind": "enumerate-support", "table": table, "dim": 1.0}]}
+    assert_task_error(tmp_path, capsys, doc, "dim must be an integer")
+
+
+@pytest.mark.parametrize("field, value", [("seed", 3.0), ("seed", False), ("entry_bound", 2.5)])
+def test_non_int_generator_field_is_a_task_error(tmp_path, capsys, field, value):
+    task = {"kind": "generate-psd", "seed": 3, "rank_profile": [1], field: value}
+    doc = {"schema": 1, "n": 2, "tasks": [task]}
+    assert_task_error(tmp_path, capsys, doc, f"{field} must be an integer")
+
+
+def test_task_needing_n_without_one_is_a_task_error(tmp_path, capsys):
+    doc = {
+        "schema": 1,
+        "matrices": {"a": diag_json([1, 1])},
+        "tasks": [{"kind": "hl-certify", "p": 0, "q": 0, "forms": ["a", "a"]}],
+    }
+    assert_task_error(tmp_path, capsys, doc, "needs the document's n")
+
+
+def test_tasks_not_a_list_is_a_document_error(tmp_path, capsys):
+    doc = {"schema": 1, "n": 2, "tasks": {"kind": "nd", "matrix": "a"}}
+    assert_document_error(tmp_path, capsys, doc, "tasks")
+
+
+def test_non_object_task_is_a_task_error(tmp_path, capsys):
+    doc = {"schema": 1, "n": 2, "tasks": [7]}
+    assert_task_error(tmp_path, capsys, doc, "unknown task kind")
+
+
+def test_float_rank_profile_entry_is_a_task_error(tmp_path, capsys):
+    task = {"kind": "generate-psd", "seed": 3, "rank_profile": [1.5]}
+    doc = {"schema": 1, "n": 2, "tasks": [task]}
+    assert_task_error(tmp_path, capsys, doc, "rank_profile entry must be an integer")
