@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb, factorial
 
 from .exterior import form_from_matrix, volume_scalar, wedge_many
-from .linalg import HermitianMatrix, InternalCheckError, mat_det
+from .linalg import InternalCheckError, mat_det
 from .rationals import GR, ZERO
 
 __all__ = [
@@ -40,27 +40,29 @@ def _check_tuple(mats):
 
 
 def subset_sums(mats):
-    """A_I for every bitmask I, built incrementally; {} for an empty family.
+    """Yield (I, A_I) for every nonempty I in size-then-lex order, lazily.
 
-    The package's one subset-lattice walk.
+    The package's one subset-lattice walk.  A_I is built only when the
+    walk reaches it, as A_{I minus max I} + A_{max I}; the smaller sum
+    came earlier in the walk and is memoised.  A singleton's sum is the
+    matrix itself, and an empty family yields nothing.
     """
-    if not mats:
-        return {}
-    sums = {0: HermitianMatrix.zero(mats[0].n)}
-    for mask in range(1, 1 << len(mats)):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + mats[low.bit_length() - 1]
-    return sums
+    built = {}
+    for subset in subsets_size_lex(len(mats)):
+        *head, last = subset
+        s = built[tuple(head)] + mats[last - 1] if head else mats[last - 1]
+        built[subset] = s
+        yield subset, s
 
 
 def rank_deficient_subset(mats, shift=0):
     """First I in size-then-lex order with rank(A_I) < |I| + shift.
 
-    Returns (I, deficit) or None; no rank is computed past the first failure.
+    Returns (I, deficit) or None; no sum is built and no rank computed
+    past the first failure.
     """
-    sums = subset_sums(mats)
-    for subset in subsets_size_lex(len(mats)):
-        r = sums[sum(1 << (i - 1) for i in subset)].rank()
+    for subset, s in subset_sums(mats):
+        r = s.rank()
         need = len(subset) + shift
         if r < need:
             return subset, need - r
@@ -70,11 +72,10 @@ def rank_deficient_subset(mats, shift=0):
 def mixed_discriminant(mats):
     """D(A_1,...,A_n) by inclusion-exclusion over subset determinants."""
     mats, n = _check_tuple(mats)
-    sums = subset_sums(mats)
-    total = ZERO
-    for mask, s in sums.items():
+    total = ZERO  # the empty subset adds det(0) = 0
+    for subset, s in subset_sums(mats):
         d = mat_det(s.rows)
-        if (n - bin(mask).count("1")) % 2:
+        if (n - len(subset)) % 2:
             total = total - d
         else:
             total = total + d

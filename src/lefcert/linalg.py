@@ -1,15 +1,32 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Dense matrices are plain lists of lists of GaussianRational.  Rank and
-determinant use fraction-free (Bareiss) elimination to control
-coefficient growth; kernels use reduced row echelon form; signatures use
-conjugate-congruence diagonalization, so no eigenvalues are ever
-computed.
+Dense matrices are plain lists of lists of GaussianRational.  Rank,
+determinant, kernel and the PSD test share one integer kernel: a matrix
+is scaled by the lcm L of its entries' denominators and stored as rows
+of Gaussian integers, one list of real and one of imaginary int parts,
+and eliminated fraction-free (Bareiss 1968).  Every step divides exactly
+in Z[i] by the previous pivot; a nonzero remainder raises
+InternalCheckError.  Values become GaussianRational again only on the
+way out:
+
+* mat_det is the last Bareiss pivot over L^n, signed by the row swaps;
+* mat_rank counts the pivots;
+* kernel_basis runs the fraction-free Gauss-Jordan form (Nakos, Turner
+  and Williams 1997), which leaves every pivot equal to the last one, d,
+  so the reduced row echelon form is M / d;
+* HermitianMatrix.is_psd eliminates symmetrically on diagonal pivots: a
+  negative pivot, or a zero pivot with a nonzero remaining row, means
+  not PSD.
+
+Characteristic polynomials use the Faddeev-LeVerrier recursion; the
+relative m-positivity test and signatures use conjugate congruence over
+Q(i), so no eigenvalues are ever computed.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from fractions import Fraction
+from math import lcm
 
 from .rationals import GR, ONE, ZERO, GaussianRational, as_rat
 
@@ -66,92 +83,143 @@ def mat_mul(a, b):
     return out
 
 
-def mat_rank(rows) -> int:
-    """Exact rank via fraction-free Gaussian elimination."""
-    m = mat_copy(rows)
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    prev = ONE
-    r = 0
+# ---- the integer kernel over Z[i] ----
+
+def _gaussian_integer_rows(rows):
+    """(re, im, L): int rows with re + i*im = L * rows, L the lcm of all denominators."""
+    entries = [[_entry(x) for x in row] for row in rows]
+    den = lcm(*{int(x.re.denominator) for row in entries for x in row},
+              *{int(x.im.denominator) for row in entries for x in row})
+    re = [[int(x.re.numerator) * (den // int(x.re.denominator)) for x in row]
+          for row in entries]
+    im = [[int(x.im.numerator) * (den // int(x.im.denominator)) for x in row]
+          for row in entries]
+    return re, im, den
+
+
+def _inexact():
+    return InternalCheckError("fraction-free elimination step is not exact in Z[i]")
+
+
+def _eliminate(re, im, ncols, jordan=False):
+    """Fraction-free elimination over Z[i], in place on the (re, im) rows.
+
+    Bareiss form by default: rows below each pivot are reduced.  With
+    jordan=True rows above are reduced too, and every pivot ends equal to
+    the last one.  Returns (pivot columns, sign of the row permutation,
+    last pivot as an (re, im) pair, or (1, 0) when there is none).
+    """
+    nrows = len(re)
+    pivots = []
+    sign = 1
+    dr, di = 1, 0
     for col in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if m[i][col]), None)
+        piv = next((i for i in range(r, nrows) if re[i][col] or im[i][col]), None)
         if piv is None:
             continue
         if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        p = m[r][col]
-        for i in range(r + 1, nrows):
-            mic = m[i][col]
-            for j in range(col + 1, ncols):
-                m[i][j] = (p * m[i][j] - mic * m[r][j]) / prev
-            m[i][col] = ZERO
+            re[r], re[piv] = re[piv], re[r]
+            im[r], im[piv] = im[piv], im[r]
+            sign = -sign
+        rr, ri = re[r], im[r]
+        pr, pi = rr[col], ri[col]
+        # new entry = (p * a_ij - a_i,col * a_r,j) / d; with d complex the
+        # division is by |d|^2 after multiplying by conj(d)
+        divisor = dr * dr + di * di if di else dr
+        for i in range(0 if jordan else r + 1, nrows):
+            if i == r:
+                continue
+            xr_row, xi_row = re[i], im[i]
+            ar, ai = xr_row[col], xi_row[col]
+            for j in range(col + 1 if i > r else 0, ncols):
+                a, b, c, e = xr_row[j], xi_row[j], rr[j], ri[j]
+                tr = pr * a - pi * b - ar * c + ai * e
+                ti = pr * b + pi * a - ar * e - ai * c
+                if di:
+                    tr, ti = tr * dr + ti * di, ti * dr - tr * di
+                qr, rem_r = divmod(tr, divisor)
+                qi, rem_i = divmod(ti, divisor)
+                if rem_r or rem_i:
+                    raise _inexact()
+                xr_row[j] = qr
+                xi_row[j] = qi
+            xr_row[col] = xi_row[col] = 0
+        dr, di = pr, pi
+        pivots.append(col)
+    return pivots, sign, (dr, di)
+
+
+def _is_psd(rows):
+    """Symmetric fraction-free elimination of a Hermitian matrix on its diagonal.
+
+    Only the upper triangle is kept; entry (i, k) below it is the conjugate
+    of (k, i).  Pivots stay real and, while all are positive, each step is
+    a congruence up to a positive factor.
+    """
+    re, im, _ = _gaussian_integer_rows(rows)
+    n = len(re)
+    prev = 1
+    for k in range(n):
+        rk, ik = re[k], im[k]
+        p = rk[k]
+        if ik[k]:
+            raise InternalCheckError("non-real diagonal in Hermitian elimination")
+        if p < 0:
+            return False
+        if not p:
+            if any(rk[j] or ik[j] for j in range(k + 1, n)):
+                return False
+            continue
+        for i in range(k + 1, n):
+            xr_row, xi_row = re[i], im[i]
+            ar, ai = rk[i], -ik[i]
+            for j in range(i, n):
+                c, e = rk[j], ik[j]
+                qr, rem_r = divmod(p * xr_row[j] - ar * c + ai * e, prev)
+                qi, rem_i = divmod(p * xi_row[j] - ar * e - ai * c, prev)
+                if rem_r or rem_i:
+                    raise _inexact()
+                xr_row[j] = qr
+                xi_row[j] = qi
         prev = p
-        r += 1
-    return r
+    return True
+
+
+def mat_rank(rows) -> int:
+    """Exact rank: the number of fraction-free pivots."""
+    re, im, _ = _gaussian_integer_rows(rows)
+    return len(_eliminate(re, im, len(re[0]) if re else 0)[0])
 
 
 def mat_det(rows) -> GaussianRational:
-    """Exact determinant by fraction-free elimination with row pivoting."""
+    """Exact determinant: the last Bareiss pivot of L * rows over L^n."""
     n = len(rows)
-    if n == 0:
-        return ONE
-    m = mat_copy(rows)
-    prev = ONE
-    sign = 1
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            return ZERO
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        p = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            for j in range(k + 1, n):
-                m[i][j] = (p * m[i][j] - mik * m[k][j]) / prev
-        prev = p
-    d = m[n - 1][n - 1]
-    return d if sign > 0 else -d
-
-
-def _rref(m, ncols):
-    """In-place reduced row echelon form; returns pivot column list."""
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][col]
-        m[r] = [x / p for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    return pivots
+    re, im, den = _gaussian_integer_rows(rows)
+    pivots, sign, (dr, di) = _eliminate(re, im, n)
+    if len(pivots) < n:
+        return ZERO
+    scale = sign * den ** n
+    return GaussianRational(Fraction(dr, scale), Fraction(di, scale))
 
 
 def kernel_basis(rows, ncols=None):
     """Exact basis of the right kernel of a rectangular matrix.
 
-    `ncols` must be given when `rows` is empty (the zero map), in which
-    case the kernel is the whole source.
+    One vector per non-pivot column of the reduced row echelon form, in
+    column order.  `ncols` must be given when `rows` is empty (the zero
+    map), in which case the kernel is the whole source.
     """
     if ncols is None:
         if not rows:
             raise ValueError("ncols required for a matrix with no rows")
         ncols = len(rows[0])
-    m = mat_copy(rows)
-    pivots = _rref(m, ncols)
+    re, im, _ = _gaussian_integer_rows(rows)
+    pivots, _, (dr, di) = _eliminate(re, im, ncols, jordan=True)
+    # RREF = M / d: entry -(a + b i) / (dr + di i) of the kernel vector
+    norm = dr * dr + di * di
     pivset = set(pivots)
     basis = []
     for free in range(ncols):
@@ -160,7 +228,10 @@ def kernel_basis(rows, ncols=None):
         v = [ZERO] * ncols
         v[free] = ONE
         for r, pc in enumerate(pivots):
-            v[pc] = -m[r][free]
+            a, b = re[r][free], im[r][free]
+            if a or b:
+                v[pc] = GaussianRational(Fraction(-(a * dr + b * di), norm),
+                                         Fraction(a * di - b * dr, norm))
         basis.append(v)
     return basis
 
@@ -189,23 +260,10 @@ def char_poly_elementary(rows):
     return es
 
 
-def _principal_minor_sums(rows):
-    """Brute-force e_k as sums of principal minors (test oracle)."""
-    n = len(rows)
-    out = []
-    for k in range(1, n + 1):
-        s = ZERO
-        for idx in combinations(range(n), k):
-            sub = [[rows[i][j] for j in idx] for i in idx]
-            s = s + mat_det(sub)
-        out.append(s)
-    return out
-
-
 class HermitianMatrix:
     """Exact n x n Hermitian matrix, the coordinate form of a real (1,1)-form."""
 
-    __slots__ = ("n", "rows", "_rank", "_charpoly")
+    __slots__ = ("n", "rows", "_rank", "_psd", "_charpoly")
 
     def __init__(self, entries):
         rows = [[_entry(x) for x in row] for row in entries]
@@ -219,6 +277,7 @@ class HermitianMatrix:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
         object.__setattr__(self, "_rank", None)
+        object.__setattr__(self, "_psd", None)
         object.__setattr__(self, "_charpoly", None)
 
     def __setattr__(self, name, value):
@@ -293,9 +352,9 @@ class HermitianMatrix:
         return self._charpoly
 
     def is_psd(self) -> bool:
-        # For Hermitian matrices all eigenvalues are real, so nonnegative
-        # e_k for all k rules out any negative eigenvalue.
-        return all(e >= 0 for e in self.char_poly_coefficients())
+        if self._psd is None:
+            object.__setattr__(self, "_psd", _is_psd(self.rows))
+        return self._psd
 
     def det(self) -> GaussianRational:
         return mat_det(self.rows)

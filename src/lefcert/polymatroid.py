@@ -39,7 +39,14 @@ class RankFunction:
     provenance: str = "user-table"
 
     def __post_init__(self):
-        table = {frozenset(k): int(v) for k, v in self.values.items()}
+        # only a genuine int passes: a bool or float is refused, never truncated
+        if type(self.m) is not int:
+            raise TypeError(f"rank table m must be an integer, got {self.m!r}")
+        table = {}
+        for k, v in self.values.items():
+            if type(v) is not int:
+                raise TypeError(f"rank of {sorted(k)} must be an integer, got {v!r}")
+            table[frozenset(k)] = v
         expected = set(_all_subsets(self.m))
         if set(table) != expected:
             raise ValueError("rank table must contain every subset of [m]")
@@ -94,19 +101,13 @@ def rank_from_matrices(mats, offset: int = 0) -> RankFunction:
             raise ValueError("matrices have mismatched dimensions")
         if not a.is_psd():
             raise ValueError("rank_from_matrices requires PSD matrices")
-    m = len(mats)
     values = {frozenset(): 0}
-    for mask, s in subset_sums(mats).items():
-        if not mask:
-            continue
-        subset = frozenset(i + 1 for i in range(m) if mask >> i & 1)
+    for subset, s in subset_sums(mats):
         r = s.rank() - offset
         if r < 0:
-            raise ValueError(
-                f"rank(A_I) - offset is negative for I={tuple(sorted(subset))}"
-            )
-        values[subset] = r
-    return RankFunction(m, values, provenance="matrix-family")
+            raise ValueError(f"rank(A_I) - offset is negative for I={subset}")
+        values[frozenset(subset)] = r
+    return RankFunction(len(mats), values, provenance="matrix-family")
 
 
 def check_axioms(r: RankFunction) -> AxiomReport:

@@ -101,8 +101,13 @@ def rank_function_to_json(r: RankFunction) -> dict:
 
 
 def rank_function_from_json(obj) -> RankFunction:
-    values = {frozenset(json.loads(k)): int(v) for k, v in obj["values"].items()}
-    return RankFunction(int(obj["m"]), values, obj.get("provenance", "user-table"))
+    if not isinstance(obj, dict) or not isinstance(obj.get("values"), dict):
+        raise ValueError("a rank table must be a JSON object with 'm' and 'values'")
+    try:
+        values = {frozenset(json.loads(k)): v for k, v in obj["values"].items()}
+        return RankFunction(obj["m"], values, obj.get("provenance", "user-table"))
+    except TypeError as exc:
+        raise ValueError(f"rank table: {exc}") from None
 
 
 def certificate_to_json(cert: Certificate) -> dict:

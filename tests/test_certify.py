@@ -390,3 +390,78 @@ def test_products_random_filtered():
             continue
         checked += 1
     assert checked >= 25
+
+
+# ---- laziness of the subset walk and independence of the two routes ----
+
+def _recording(monkeypatch):
+    """Record every sum HermitianMatrix.__add__ builds and every matrix ranked."""
+    built, ranked = [], []
+    add, rank = HermitianMatrix.__add__, HermitianMatrix.rank
+
+    def recording_add(self, other):
+        built.append(add(self, other))
+        return built[-1]
+
+    def recording_rank(self):
+        ranked.append(self)
+        return rank(self)
+
+    monkeypatch.setattr(HermitianMatrix, "__add__", recording_add)
+    monkeypatch.setattr(HermitianMatrix, "rank", recording_rank)
+    return built, ranked
+
+
+def test_criterion_builds_no_sum_beyond_the_ranked_subsets(monkeypatch):
+    # ten 10x10 forms whose first is zero: the scan stops at I = (1,)
+    forms = (HermitianMatrix.zero(10),) + psd_tuple(11, 10, 9)
+    inst = HLInstance(10, 0, 0, forms)
+    built, ranked = _recording(monkeypatch)
+    cert = criterion_hl(inst)
+    assert (cert.failing_subset, cert.rank_deficit) == ((1,), 1)
+    assert built == [] and ranked == [forms[0]]
+
+
+def test_criterion_builds_only_the_sums_it_ranks(monkeypatch):
+    # singletons pass, I = (1, 2) is the first failure; A_{1,2} is the one sum built
+    line = HermitianMatrix([[1, I, 0, 0], [-I, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    forms = (line, line, Id(4), Id(4))
+    built, ranked = _recording(monkeypatch)
+    cert = criterion_hl(HLInstance(4, 0, 0, forms))
+    assert (cert.failing_subset, cert.rank_deficit) == ((1, 2), 1)
+    assert ranked[:4] == list(forms) and len(ranked) == 5
+    assert len(built) == 1 and built[0] is ranked[4]
+
+
+def test_determinant_route_never_reads_the_rank_code(monkeypatch):
+    import lefcert.certify as certify_mod
+    import lefcert.linalg as linalg_mod
+    from lefcert.exterior import multiplication_matrix
+    from lefcert.linalg import kernel_basis, mat_det
+
+    instances = [
+        HLInstance(2, 0, 0, (D([1, 0]), D([0, 1]))),
+        HLInstance(2, 0, 0, (D([1, 0]), D([1, 0]))),
+        HLInstance(3, 1, 1, (D([1, 1, 0]),)),
+    ]
+    for seed in range(12):
+        n, p = 3 + seed % 2, seed % 2
+        instances.append(HLInstance(n, p, 0, psd_tuple(seed + 600, n, n - p)))
+
+    def routes():
+        out = []
+        for inst in instances:
+            matrix = multiplication_matrix(inst.omega(), inst.p, inst.q)
+            out.append((mat_det(matrix), kernel_basis(matrix, len(matrix)), direct_hl(inst)))
+        return out
+
+    expected = routes()
+    assert {cert.verdict for _, _, cert in expected} == {"holds", "fails"}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the determinant route read the rank code")
+
+    monkeypatch.setattr(linalg_mod, "mat_rank", forbidden)
+    monkeypatch.setattr(certify_mod, "mat_rank", forbidden)
+    monkeypatch.setattr(HermitianMatrix, "rank", forbidden)
+    assert routes() == expected

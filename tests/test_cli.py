@@ -267,6 +267,24 @@ def test_float_dim_is_a_task_error(tmp_path, capsys):
     assert_task_error(tmp_path, capsys, doc, "dim must be an integer")
 
 
+@pytest.mark.parametrize("kind", ["polymatroid-axioms", "enumerate-support"])
+@pytest.mark.parametrize("m, value, message", [
+    (1.9, 1, "m must be an integer"),
+    (1, 1.7, "rank of [1] must be an integer"),
+    (1, True, "rank of [1] must be an integer"),
+    (False, 0, "m must be an integer"),
+])
+def test_non_int_rank_table_is_a_task_error(tmp_path, capsys, kind, m, value, message):
+    table = {"m": m, "values": {"[]": 0, "[1]": value}}
+    doc = {"schema": 1, "tasks": [{"kind": kind, "table": table, "dim": 1}]}
+    assert_task_error(tmp_path, capsys, doc, message)
+
+
+def test_non_object_rank_table_is_a_task_error(tmp_path, capsys):
+    doc = {"schema": 1, "tasks": [{"kind": "polymatroid-axioms", "table": [1, 2]}]}
+    assert_task_error(tmp_path, capsys, doc, "rank table must be a JSON object")
+
+
 @pytest.mark.parametrize("field, value", [("seed", 3.0), ("seed", False), ("entry_bound", 2.5)])
 def test_non_int_generator_field_is_a_task_error(tmp_path, capsys, field, value):
     task = {"kind": "generate-psd", "seed": 3, "rank_profile": [1], field: value}

@@ -86,10 +86,13 @@ def test_multilinearity():
 
 def test_subset_sums_bookkeeping():
     mats = [D([1, 0]), D([0, 1])]
-    sums = subset_sums(mats)
-    assert sums[0b00] == HermitianMatrix.zero(2)
-    assert sums[0b01] == mats[0]
-    assert sums[0b11] == Id(2)
+    assert list(subset_sums(mats)) == [((1,), mats[0]), ((2,), mats[1]), ((1, 2), Id(2))]
+    assert list(subset_sums([])) == []
+    sums = dict(subset_sums(random_psd_family(7, 3, 4)))
+    assert list(sums) == list(subsets_size_lex(4))
+    for subset, s in sums.items():
+        if len(subset) > 1:
+            assert s == sums[subset[:-1]] + sums[subset[-1:]]
 
 
 # ---- intersection numbers ----

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -14,7 +15,8 @@ from lefcert.linalg import (
     mat_mul,
     mat_rank,
 )
-from lefcert.rationals import GR, I, ONE, ZERO, as_rat
+from lefcert.generate import SplitMix64
+from lefcert.rationals import GR, I, ONE, ZERO, GaussianRational, as_rat
 
 from conftest import random_hermitian, random_psd_family
 
@@ -24,6 +26,110 @@ Id = HermitianMatrix.identity
 
 def gr_rows(entries):
     return [[x if hasattr(x, "re") else GR(x) for x in row] for row in entries]
+
+
+# ---- Q(i) elimination oracles: one GaussianRational object per scalar step ----
+
+def oracle_rank(rows):
+    """Rank by fraction-free elimination over Q(i) objects."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    prev = ONE
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+        p = m[r][col]
+        for i in range(r + 1, nrows):
+            mic = m[i][col]
+            for j in range(col + 1, ncols):
+                m[i][j] = (p * m[i][j] - mic * m[r][j]) / prev
+            m[i][col] = ZERO
+        prev = p
+        r += 1
+    return r
+
+
+def oracle_det(rows):
+    """Determinant by fraction-free elimination over Q(i) objects."""
+    n = len(rows)
+    if n == 0:
+        return ONE
+    m = [list(r) for r in rows]
+    prev = ONE
+    sign = 1
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return ZERO
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        p = m[k][k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            for j in range(k + 1, n):
+                m[i][j] = (p * m[i][j] - mik * m[k][j]) / prev
+        prev = p
+    d = m[n - 1][n - 1]
+    return d if sign > 0 else -d
+
+
+def oracle_rref(m, ncols):
+    """In-place reduced row echelon form over Q(i) objects; returns pivot columns."""
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        p = m[r][col]
+        m[r] = [x / p for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+    return pivots
+
+
+def oracle_kernel(rows, ncols):
+    """Kernel basis read off the oracle RREF, one vector per free column."""
+    m = [list(r) for r in rows]
+    pivots = oracle_rref(m, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [ZERO] * ncols
+        v[free] = ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][free]
+        basis.append(v)
+    return basis
+
+
+def principal_minor_sums(rows):
+    """Brute-force e_k as sums of principal minors."""
+    n = len(rows)
+    out = []
+    for k in range(1, n + 1):
+        s = ZERO
+        for idx in combinations(range(n), k):
+            s = s + oracle_det([[rows[i][j] for j in idx] for i in idx])
+        out.append(s)
+    return out
 
 
 # ---- construction ----
@@ -80,11 +186,9 @@ def test_charpoly_matches_symmetric_polynomial_oracle():
 
 
 def test_charpoly_matches_principal_minor_sums():
-    from lefcert.linalg import _principal_minor_sums
-
     for seed in range(15):
         m = random_hermitian(seed + 100, 2 + seed % 4)
-        assert list(char_poly_elementary(m.rows)) == _principal_minor_sums(m.rows)
+        assert list(char_poly_elementary(m.rows)) == principal_minor_sums(m.rows)
 
 
 # ---- PSD and m-positivity ----
@@ -250,3 +354,132 @@ def test_definiteness_on_subspace():
     assert not lorentz.is_positive_definite_on([[ONE, ONE]])  # isotropic vector
     with pytest.raises(ValueError):
         lorentz.is_positive_definite_on([[ONE, ZERO], [ONE, ZERO]])
+
+
+# ---- the Z[i] kernel against the Q(i) oracles ----
+
+_SCALE = GaussianRational(Fraction(1, 3), Fraction(1, 7))
+
+
+def _random_matrix(rng, nrows, ncols, rank, scale=None):
+    """Seeded complex nrows x ncols matrix of rank at most `rank`, as X Y."""
+    def block(a, b):
+        return [[GaussianRational(rng.integer(-3, 3), rng.integer(-3, 3)) for _ in range(b)]
+                for _ in range(a)]
+
+    if rank >= min(nrows, ncols):
+        rows = block(nrows, ncols)
+    else:
+        rows = mat_mul(block(nrows, rank), block(rank, ncols)) if rank else \
+            [[ZERO] * ncols for _ in range(nrows)]
+    if scale is not None:
+        rows = [[x * scale for x in row] for row in rows]
+    return rows
+
+
+def _oracle_cases():
+    rng = SplitMix64(20221227)
+    for seed in range(240):
+        nrows, ncols = rng.integer(1, 6), rng.integer(1, 6)
+        if seed % 3 == 0:
+            ncols = nrows  # square
+        rank = rng.integer(0, min(nrows, ncols))
+        scale = None
+        if seed % 4 == 1:
+            scale = _SCALE
+        elif seed % 4 == 2:  # a different denominator in every entry
+            scale = GaussianRational(Fraction(1, rng.integer(1, 12)), Fraction(1, rng.integer(1, 12)))
+        rows = _random_matrix(rng, nrows, ncols, rank, scale)
+        if seed % 4 == 3:
+            rows = [[x / GR(rng.integer(1, 9)) for x in row] for row in rows]
+        if seed % 5 == 4:  # dependent columns between pivot columns
+            for j in range(1, ncols):
+                if rng.integer(0, 1):
+                    c = GaussianRational(rng.integer(-2, 2), rng.integer(-2, 2))
+                    for row in rows:
+                        row[j] = c * row[j - 1] + row[0]
+        yield rows
+    yield [[ZERO] * 4 for _ in range(3)]  # zero, wide
+    yield [[ZERO] * 2 for _ in range(5)]  # zero, tall
+    yield [[ZERO]]
+    yield gr_rows([[0, 0, 1], [0, 0, 2], [1, 0, 0]])  # a column with no pivot
+
+
+def test_rank_matches_qi_oracle():
+    for rows in _oracle_cases():
+        assert mat_rank(rows) == oracle_rank(rows)
+
+
+def test_det_matches_qi_oracle():
+    for rows in _oracle_cases():
+        n = min(len(rows), len(rows[0]))
+        square = [row[:n] for row in rows[:n]]
+        assert mat_det(square) == oracle_det(square)
+
+
+def test_kernel_matches_qi_oracle_vector_for_vector():
+    for rows in _oracle_cases():
+        ncols = len(rows[0])
+        assert kernel_basis(rows, ncols) == oracle_kernel(rows, ncols)
+        assert kernel_basis(rows) == oracle_kernel(rows, ncols)
+
+
+def test_empty_matrices_match_qi_oracle():
+    assert mat_det([]) == oracle_det([]) == ONE
+    assert mat_rank([]) == oracle_rank([]) == 0
+    assert mat_rank([[], []]) == 0
+    assert kernel_basis([], ncols=3) == oracle_kernel([], 3)
+    assert kernel_basis([[], []], ncols=0) == []
+
+
+def test_det_sign_from_row_swaps():
+    # a permutation matrix of each parity, scaled by a non-integral Gaussian rational
+    for perm, sign in (((1, 0, 2), -1), ((1, 2, 0), 1), ((2, 1, 0), -1)):
+        rows = [[_SCALE if j == perm[i] else ZERO for j in range(3)] for i in range(3)]
+        assert mat_det(rows) == _SCALE ** 3 * GR(sign) == oracle_det(rows)
+
+
+def _psd_cases():
+    rng = SplitMix64(424242)
+    count = 0
+    while count < 1200:
+        n = rng.integer(1, 5)
+        kind = count % 4
+        if kind == 0:  # B B*, often rank-deficient
+            b = _random_matrix(rng, n, rng.integer(1, n), rng.integer(0, n))
+            m = HermitianMatrix.from_generator(b)
+        elif kind == 1:  # B B* with zero rows, scaled by a positive rational
+            b = _random_matrix(rng, n, n, rng.integer(0, n))
+            for i in range(n):
+                if rng.integer(0, 2) == 0:
+                    b[i] = [ZERO] * n
+            m = HermitianMatrix.from_generator(b).scale(Fraction(1, rng.integer(1, 6)))
+        elif kind == 2:  # dense Hermitian with rational entries, usually indefinite
+            m = random_hermitian(count, n).scale(Fraction(rng.integer(1, 5), rng.integer(1, 7)))
+        else:  # a zero diagonal entry with a nonzero off-diagonal entry
+            rows = [list(r) for r in random_hermitian(count, max(n, 2)).rows]
+            k = rng.integer(0, len(rows) - 1)
+            other = (k + 1) % len(rows)
+            rows[k][k] = ZERO
+            rows[k][other] = GaussianRational(1, rng.integer(-2, 2))
+            rows[other][k] = rows[k][other].conjugate()
+            m = HermitianMatrix(rows)
+        yield m
+        count += 1
+
+
+def test_is_psd_matches_char_poly_oracle():
+    seen = {True: 0, False: 0}
+    for m in _psd_cases():
+        expected = all(e >= 0 for e in m.char_poly_coefficients())
+        assert m.is_psd() == expected
+        seen[expected] += 1
+    assert min(seen.values()) >= 200
+
+
+def test_is_psd_zero_pivot_cases():
+    assert not HermitianMatrix([[0, 1], [1, 0]]).is_psd()
+    assert not HermitianMatrix([[1, 0, 0], [0, 0, I], [0, -I, 5]]).is_psd()
+    assert HermitianMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 0]]).is_psd()  # zero Schur pivot
+    assert not HermitianMatrix([[1, 1, 1], [1, 1, 0], [1, 0, 1]]).is_psd()
+    assert HermitianMatrix.zero(3).is_psd() and HermitianMatrix.zero(0).is_psd()

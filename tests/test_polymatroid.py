@@ -39,6 +39,12 @@ def test_rank_table_must_be_complete():
         RankFunction(1, bad)
 
 
+@pytest.mark.parametrize("m, value", [(1.9, 1), (True, 1), (1, 1.7), (1, True), (1, "1")])
+def test_rank_table_refuses_non_int_entries(m, value):
+    with pytest.raises(TypeError, match="must be an integer"):
+        RankFunction(m, {frozenset(): 0, frozenset({1}): value})
+
+
 def test_rank_from_matrices_examples():
     r = rank_from_matrices([D([1, 0]), D([0, 1])])
     assert (r({1}), r({2}), r({1, 2})) == (1, 1, 2)
