@@ -131,14 +131,14 @@ def criterion_hl(inst: HLInstance) -> Certificate:
     return Certificate("fails", failing_subset=subset, rank_deficit=deficit)
 
 
-def _witness_from_kernel(inst, matrix, ncols):
+def _witness_from_kernel(inst, omega, matrix, ncols):
     basis = kernel_basis(matrix, ncols)
     if not basis:
         raise InternalCheckError("singular multiplication matrix with empty kernel")
     witness = PQForm.from_coefficient_vector(inst.n, inst.p, inst.q, basis[0])
     if witness.is_zero():
         raise InternalCheckError("zero kernel witness")
-    if not wedge(inst.omega(), witness).is_zero():
+    if not wedge(omega, witness).is_zero():
         raise InternalCheckError("kernel witness is not annihilated by Omega")
     return witness
 
@@ -150,7 +150,7 @@ def direct_hl(inst: HLInstance) -> Certificate:
     if mat_det(matrix):
         return Certificate("holds")
     return Certificate(
-        "fails", kernel_witness=_witness_from_kernel(inst, matrix, len(matrix))
+        "fails", kernel_witness=_witness_from_kernel(inst, omega, matrix, len(matrix))
     )
 
 

@@ -1,32 +1,32 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Dense matrices are plain lists of lists of GaussianRational.  Rank,
-determinant, kernel and the PSD test share one integer kernel: a matrix
-is scaled by the lcm L of its entries' denominators and stored as rows
-of Gaussian integers, one list of real and one of imaginary int parts,
-and eliminated fraction-free (Bareiss 1968).  Every step divides exactly
-in Z[i] by the previous pivot; a nonzero remainder raises
-InternalCheckError.  Values become GaussianRational again only on the
-way out:
+Dense matrices are plain lists of lists of GaussianRational.  Every
+elimination runs on one integer kernel: a matrix is scaled by the lcm L
+of its entries' denominators and stored as rows of Gaussian integers,
+one list of real and one of imaginary int parts, and eliminated
+fraction-free (Bareiss 1968).  Every step divides exactly in Z[i] by the
+previous pivot; a nonzero remainder raises InternalCheckError.  Values
+become GaussianRational again only on the way out:
 
 * mat_det is the last Bareiss pivot over L^n, signed by the row swaps;
 * mat_rank counts the pivots;
 * kernel_basis runs the fraction-free Gauss-Jordan form (Nakos, Turner
   and Williams 1997), which leaves every pivot equal to the last one, d,
   so the reduced row echelon form is M / d;
-* HermitianMatrix.is_psd eliminates symmetrically on diagonal pivots: a
-  negative pivot, or a zero pivot with a nonzero remaining row, means
-  not PSD.
+* hermitian_signature, HermitianMatrix.is_psd and
+  HermitianFormOnSpace.is_positive_definite_on read one inertia from a
+  symmetric elimination on diagonal pivots, in which the k-th LDL*
+  diagonal is p_k / p_(k-1);
+* char_poly_elementary and is_m_positive read the coefficients of
+  det(a + t b), interpolated exactly from n + 1 Bareiss determinants.
 
-Characteristic polynomials use the Faddeev-LeVerrier recursion; the
-relative m-positivity test and signatures use conjugate congruence over
-Q(i), so no eigenvalues are ever computed.
+No eigenvalue is ever computed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 from .rationals import GR, ONE, ZERO, GaussianRational, as_rat
 
@@ -35,7 +35,6 @@ __all__ = [
     "HermitianFormOnSpace",
     "NotPositiveDefiniteError",
     "InternalCheckError",
-    "mat_copy",
     "mat_mul",
     "mat_rank",
     "mat_det",
@@ -60,10 +59,6 @@ def _entry(x) -> GaussianRational:
     if isinstance(x, dict):
         return GaussianRational(x.get("re", 0), x.get("im", 0))
     return GR(as_rat(x))
-
-
-def mat_copy(rows):
-    return [list(r) for r in rows]
 
 
 def mat_mul(a, b):
@@ -152,27 +147,46 @@ def _eliminate(re, im, ncols, jordan=False):
     return pivots, sign, (dr, di)
 
 
-def _is_psd(rows):
-    """Symmetric fraction-free elimination of a Hermitian matrix on its diagonal.
+def _inertia(rows):
+    """(npos, nneg, nzero) of a Hermitian matrix by symmetric fraction-free elimination.
 
     Only the upper triangle is kept; entry (i, k) below it is the conjugate
-    of (k, i).  Pivots stay real and, while all are positive, each step is
-    a congruence up to a positive factor.
+    of (k, i).  Pivots are the diagonal entries in order and stay real; the
+    k-th LDL* diagonal is p_k / p_prev, so its sign is sign(p_k) * sign(p_prev).
+    A zero pivot whose remaining row is zero adds to nzero.  One whose row
+    has a nonzero entry c at column l is made nonzero by the unimodular
+    congruence row_k += t row_l, col_k += conj(t) col_l: the new diagonal
+    is a_ll + 2 Re(conj(t) c), nonzero for one of t = 1, -1, i, -i, and
+    every later division stays exact.
     """
     re, im, _ = _gaussian_integer_rows(rows)
     n = len(re)
+    npos = nneg = nzero = 0
     prev = 1
     for k in range(n):
         rk, ik = re[k], im[k]
-        p = rk[k]
         if ik[k]:
             raise InternalCheckError("non-real diagonal in Hermitian elimination")
-        if p < 0:
-            return False
-        if not p:
-            if any(rk[j] or ik[j] for j in range(k + 1, n)):
-                return False
-            continue
+        if not rk[k]:
+            col = next((j for j in range(k + 1, n) if rk[j] or ik[j]), None)
+            if col is None:
+                nzero += 1
+                continue
+            cr, ci, diag = rk[col], ik[col], re[col][col]
+            for tr, ti in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                pivot = diag + 2 * (tr * cr + ti * ci)
+                if pivot:
+                    break
+            for j in range(k + 1, n):
+                x, y = (re[col][j], im[col][j]) if j >= col else (re[j][col], -im[j][col])
+                rk[j] += tr * x - ti * y
+                ik[j] += tr * y + ti * x
+            rk[k] = pivot
+        p = rk[k]
+        if (p > 0) == (prev > 0):
+            npos += 1
+        else:
+            nneg += 1
         for i in range(k + 1, n):
             xr_row, xi_row = re[i], im[i]
             ar, ai = rk[i], -ik[i]
@@ -185,7 +199,39 @@ def _is_psd(rows):
                 xr_row[j] = qr
                 xi_row[j] = qi
         prev = p
-    return True
+    return npos, nneg, nzero
+
+
+def _det_pencil(a, b):
+    """Coefficients (c_0, ..., c_n) of det(a + t b) for n x n matrices a and b.
+
+    One lcm L clears both; v_t = det(L a + t L b) is a Bareiss determinant
+    for t = 0..n, and Newton's forward differences interpolate it exactly:
+    n! L^n det(a + t b) = sum_k (n! / k!) D^k v_0 t (t - 1) ... (t - k + 1).
+    """
+    n = len(a)
+    re, im, den = _gaussian_integer_rows([*a, *b])
+    values = []
+    for t in range(n + 1):
+        mr = [[x + t * y for x, y in zip(re[i], re[n + i])] for i in range(n)]
+        mi = [[x + t * y for x, y in zip(im[i], im[n + i])] for i in range(n)]
+        pivots, sign, (dr, di) = _eliminate(mr, mi, n)
+        values.append((sign * dr, sign * di) if len(pivots) == n else (0, 0))
+    num_re = [0] * (n + 1)
+    num_im = [0] * (n + 1)
+    falling = [1]  # t (t - 1) ... (t - k + 1), lowest power first
+    for k in range(n + 1):
+        dr, di = values[0]
+        weight = factorial(n) // factorial(k)
+        for j, f in enumerate(falling):
+            num_re[j] += weight * dr * f
+            num_im[j] += weight * di * f
+        values = [(xr - wr, xi - wi) for (wr, wi), (xr, xi) in zip(values, values[1:])]
+        falling = [(falling[j - 1] if j else 0) - (k * falling[j] if j <= k else 0)
+                   for j in range(k + 2)]
+    scale = factorial(n) * den ** n
+    return [GaussianRational(Fraction(x, scale), Fraction(y, scale))
+            for x, y in zip(num_re, num_im)]
 
 
 def mat_rank(rows) -> int:
@@ -240,24 +286,12 @@ def char_poly_elementary(rows):
     """Signed characteristic-polynomial coefficients (e_1, ..., e_n).
 
     e_k is the k-th elementary symmetric function of the eigenvalues,
-    i.e. the sum of the k x k principal minors, computed exactly via the
-    Faddeev-LeVerrier recursion.  Works for any square matrix.
+    i.e. the sum of the k x k principal minors: the coefficient of t^k in
+    det(I + t M).  Works for any square matrix.
     """
     n = len(rows)
-    m = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    es = []
-    for k in range(1, n + 1):
-        am = mat_mul(rows, m)
-        tr = ZERO
-        for i in range(n):
-            tr = tr + am[i][i]
-        ck = -(tr / GR(k))
-        es.append(-ck if k % 2 else ck)
-        if k < n:
-            for i in range(n):
-                am[i][i] = am[i][i] + ck
-            m = am
-    return es
+    identity = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    return _det_pencil(identity, rows)[1:]
 
 
 class HermitianMatrix:
@@ -353,154 +387,38 @@ class HermitianMatrix:
 
     def is_psd(self) -> bool:
         if self._psd is None:
-            object.__setattr__(self, "_psd", _is_psd(self.rows))
+            object.__setattr__(self, "_psd", _inertia(self.rows)[1] == 0)
         return self._psd
 
     def det(self) -> GaussianRational:
         return mat_det(self.rows)
 
 
-def _ldl_positive(rows):
-    """LDL* of a positive definite Hermitian matrix.
-
-    Returns (L, d) with L unit lower triangular and d positive rationals.
-    Raises NotPositiveDefiniteError otherwise.
-    """
-    n = len(rows)
-    a = mat_copy(rows)
-    lmat = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    d = []
-    for k in range(n):
-        dk = a[k][k]
-        if dk.im or dk.re <= 0:
-            raise NotPositiveDefiniteError("matrix is not positive definite")
-        d.append(dk.re)
-        for i in range(k + 1, n):
-            lmat[i][k] = a[i][k] / dk
-        for i in range(k + 1, n):
-            for j in range(k + 1, i + 1):
-                a[i][j] = a[i][j] - lmat[i][k] * a[k][j]
-                a[j][i] = a[i][j].conjugate()
-            a[i][k] = ZERO
-            a[k][i] = ZERO
-    return lmat, d
-
-
-def _forward_solve(lmat, b):
-    """Solve L X = B with L unit lower triangular."""
-    n = len(lmat)
-    ncols = len(b[0])
-    x = [[ZERO] * ncols for _ in range(n)]
-    for j in range(ncols):
-        for i in range(n):
-            s = b[i][j]
-            for k in range(i):
-                if lmat[i][k]:
-                    s = s - lmat[i][k] * x[k][j]
-            x[i][j] = s
-    return x
-
-
 def is_m_positive(mat: HermitianMatrix, omega: HermitianMatrix, m: int) -> bool:
     """alpha^k wedge omega^(n-k) > 0 for all 1 <= k <= m, exactly.
 
-    omega must be positive definite; the check happens in omega-adapted
-    coordinates via the exact congruence omega = L D L*: the relative
-    elementary symmetric functions are those of D^{-1} L^{-1} A L^{-*}.
+    omega must be positive definite.  The relative elementary symmetric
+    functions e_k(omega^-1 A) then carry the signs of the coefficients of
+    det(omega + t A) = det(omega) * sum_k e_k(omega^-1 A) t^k.
     """
     n = mat.n
     if omega.n != n:
         raise ValueError("dimension mismatch")
     if not 1 <= m <= n:
         raise ValueError("m must satisfy 1 <= m <= n")
-    lmat, d = _ldl_positive(omega.rows)
-    x = _forward_solve(lmat, mat_copy(mat.rows))
-    # N = X L^{-*}: solve L N* = X*
-    xstar = [[x[j][i].conjugate() for j in range(n)] for i in range(n)]
-    nstar = _forward_solve(lmat, xstar)
-    nmat = [[nstar[j][i].conjugate() for j in range(n)] for i in range(n)]
-    b = [[nmat[i][j] / GR(d[i]) for j in range(n)] for i in range(n)]
-    es = char_poly_elementary(b)
-    for k in range(m):
-        e = es[k]
-        if e.im:
+    if _inertia(omega.rows) != (n, 0, 0):
+        raise NotPositiveDefiniteError("matrix is not positive definite")
+    for c in _det_pencil(omega.rows, mat.rows)[1:m + 1]:
+        if c.im:
             raise InternalCheckError("relative char-poly coefficient not real")
-        if e.re <= 0:
+        if c.re <= 0:
             return False
     return True
 
 
 def hermitian_signature(gram):
-    """Exact inertia (n_plus, n_minus, n_zero) by conjugate congruence.
-
-    Symmetric pivoting on nonzero diagonal entries; when the remaining
-    diagonal vanishes but the block does not, a 2x2 hyperbolic pair
-    contributes (+1, -1).
-    """
-    n = len(gram)
-    g = mat_copy(gram)
-    npos = nneg = nzero = 0
-
-    def swap(i, j):
-        g[i], g[j] = g[j], g[i]
-        for row in g:
-            row[i], row[j] = row[j], row[i]
-
-    k = 0
-    while k < n:
-        piv = next((i for i in range(k, n) if g[i][i]), None)
-        if piv is not None:
-            if piv != k:
-                swap(k, piv)
-            dk = g[k][k]
-            if dk.im:
-                raise InternalCheckError("non-real diagonal in Hermitian form")
-            if dk.re > 0:
-                npos += 1
-            else:
-                nneg += 1
-            for i in range(k + 1, n):
-                if g[i][k]:
-                    f = g[i][k] / dk
-                    for j in range(k + 1, n):
-                        g[i][j] = g[i][j] - f * g[k][j]
-                    g[i][k] = ZERO
-            for j in range(k + 1, n):
-                g[k][j] = ZERO
-            k += 1
-            continue
-        # all diagonal pivots vanish; look for an off-diagonal coupling
-        pair = None
-        for i in range(k, n):
-            for j in range(i + 1, n):
-                if g[i][j]:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
-            nzero += n - k
-            break
-        i, j = pair
-        if i != k:
-            swap(k, i)
-        if j != k + 1:
-            swap(k + 1, j)
-        c = g[k][k + 1]
-        cbar = c.conjugate()
-        npos += 1
-        nneg += 1
-        # block-eliminate rows below the hyperbolic pair:
-        # G'[r][s] -= G[r][k+1] G[k][s] / c + G[r][k] G[k+1][s] / cbar
-        for r in range(k + 2, n):
-            bk, bk1 = g[r][k], g[r][k + 1]
-            if bk or bk1:
-                for s in range(k + 2, n):
-                    g[r][s] = g[r][s] - bk1 * g[k][s] / c - bk * g[k + 1][s] / cbar
-                g[r][k] = ZERO
-                g[r][k + 1] = ZERO
-        k += 2
-    return (npos, nneg, nzero)
+    """Exact inertia (n_plus, n_minus, n_zero) of a Hermitian matrix by congruence."""
+    return _inertia(gram)
 
 
 class HermitianFormOnSpace:
@@ -549,15 +467,8 @@ class HermitianFormOnSpace:
         return out
 
     def is_positive_definite_on(self, basis) -> bool:
-        """Sylvester criterion on the restriction to span(basis)."""
-        r = self.restrict(basis)
-        for k in range(1, len(basis) + 1):
-            minor = mat_det([row[:k] for row in r[:k]])
-            if minor.im:
-                raise InternalCheckError("leading minor of Hermitian form not real")
-            if minor.re <= 0:
-                return False
-        return True
+        """Whether the restriction to span(basis) has inertia (len(basis), 0, 0)."""
+        return _inertia(self.restrict(basis)) == (len(basis), 0, 0)
 
     def is_positive_definite(self) -> bool:
         return self.signature() == (self.dim, 0, 0)

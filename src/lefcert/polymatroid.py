@@ -204,6 +204,8 @@ def hl_support(mats, n: int):
     and has full rank m (Theorem A makes the two agree).
     """
     mats = list(mats)
+    if not mats:
+        raise ValueError("empty matrix family")
     m = len(mats)
     if m > n:
         raise ValueError("more factors than the ambient dimension")

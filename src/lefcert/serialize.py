@@ -42,7 +42,10 @@ def rat_from_str(s):
         raise TypeError("floating-point input rejected")
     if isinstance(s, int):
         return as_rat(s)
-    frac = Fraction(s)
+    try:
+        frac = Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
     return as_rat(frac)
 
 

@@ -8,6 +8,7 @@ from lefcert.certify import (
     Certificate,
     HLInstance,
     PreconditionError,
+    _witness_from_kernel,
     criterion_hl,
     direct_hl,
     hermitian_real_basis,
@@ -18,7 +19,7 @@ from lefcert.certify import (
     products_preserve_hl,
 )
 from lefcert.discriminant import panov_positivity
-from lefcert.exterior import PQForm, conjugate_form, form_from_matrix, wedge
+from lefcert.exterior import PQForm, conjugate_form, form_from_matrix, multiplication_matrix, wedge
 from lefcert.linalg import HermitianMatrix, InternalCheckError, mat_rank
 from lefcert.rationals import GR, I, ONE
 
@@ -156,6 +157,31 @@ def test_direct_degenerate_kernel_location():
     dz3 = PQForm.basis_element(3, (3,), ())
     assert not wedge(omega, dz3).is_zero()
     assert wedge(omega, w).is_zero()
+
+
+def test_direct_builds_omega_once_on_a_failing_instance(monkeypatch):
+    calls = []
+    build = HLInstance.omega
+
+    def counted(inst):
+        calls.append(inst)
+        return build(inst)
+
+    monkeypatch.setattr(HLInstance, "omega", counted)
+    a = D([1, 1, 0])
+    cert = direct_hl(HLInstance(3, 1, 0, (a, a)))
+    assert not cert.holds and cert.kernel_witness is not None
+    assert len(calls) == 1
+
+
+def test_witness_recheck_uses_the_given_omega():
+    # the kernel of the degenerate Omega, re-checked against the Omega of
+    # (Id, Id), which annihilates no nonzero (1,0)-form
+    a = D([1, 1, 0])
+    inst = HLInstance(3, 1, 0, (a, a))
+    matrix = multiplication_matrix(inst.omega(), 1, 0)
+    with pytest.raises(InternalCheckError, match="not annihilated"):
+        _witness_from_kernel(inst, HLInstance(3, 1, 0, (Id(3), Id(3))).omega(), matrix, len(matrix))
 
 
 def test_witnesses_annihilate_omega():
@@ -436,7 +462,6 @@ def test_criterion_builds_only_the_sums_it_ranks(monkeypatch):
 def test_determinant_route_never_reads_the_rank_code(monkeypatch):
     import lefcert.certify as certify_mod
     import lefcert.linalg as linalg_mod
-    from lefcert.exterior import multiplication_matrix
     from lefcert.linalg import kernel_basis, mat_det
 
     instances = [

@@ -315,3 +315,13 @@ def test_float_rank_profile_entry_is_a_task_error(tmp_path, capsys):
     task = {"kind": "generate-psd", "seed": 3, "rank_profile": [1.5]}
     doc = {"schema": 1, "n": 2, "tasks": [task]}
     assert_task_error(tmp_path, capsys, doc, "rank_profile entry must be an integer")
+
+
+def test_zero_denominator_is_a_document_error(tmp_path, capsys):
+    doc = {"schema": 1, "n": 1, "matrices": {"a": {"entries": [[{"re": "1/0"}]]}}, "tasks": []}
+    assert_document_error(tmp_path, capsys, doc, "zero denominator")
+
+
+def test_empty_hl_support_family_is_a_task_error(tmp_path, capsys):
+    doc = {"schema": 1, "n": 2, "tasks": [{"kind": "hl-support", "matrices": []}]}
+    assert_task_error(tmp_path, capsys, doc, "empty matrix family")

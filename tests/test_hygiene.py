@@ -1,8 +1,9 @@
-"""Source hygiene: every module-level import in the package is used.
+"""Source hygiene: every module-level import in the package is used, and
+every module-level private function or class is referenced.
 
 Stdlib only (`ast`), so it runs wherever the test suite runs.  Package
-`__init__.py` files are skipped (their imports are re-exports), as are
-`from __future__` imports.
+`__init__.py` files are skipped by the import check (their imports are
+re-exports), as are `from __future__` imports.
 """
 
 import ast
@@ -36,3 +37,42 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_private_defs(sources):
+    """(module, line, name) of each module-level `_private` function or class
+    that no code in `sources` (module name -> source text) references, not
+    counting references inside its own body."""
+    defs = {}
+    owners = {}  # name -> top-level statements that reference it, as (module, def name)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            owner = (module, getattr(node, "name", None))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and node.name.startswith("_") and not node.name.startswith("__"):
+                defs[owner] = node.lineno
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    owners.setdefault(sub.id, set()).add(owner)
+                elif isinstance(sub, ast.Attribute):
+                    owners.setdefault(sub.attr, set()).add(owner)
+                elif isinstance(sub, ast.alias):
+                    owners.setdefault(sub.asname or sub.name, set()).add(owner)
+    return sorted((module, line, name) for (module, name), line in defs.items()
+                  if not owners.get(name, set()) - {(module, name)})
+
+
+def test_detector_flags_a_dead_private_def():
+    a = ("def _used():\n    pass\n\n"
+         "def _dead():\n    pass\n\n"
+         "def _recursive():\n    return _recursive()\n\n"
+         "class _Imported:\n    pass\n\n"
+         "def __dunder__():\n    pass\n\n"
+         "_used()\n")
+    b = "from .a import _Imported\n"
+    assert dead_private_defs({"a": a, "b": b}) == [("a", 4, "_dead"), ("a", 7, "_recursive")]
+
+
+def test_no_dead_private_defs():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert dead_private_defs(sources) == []

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -132,6 +132,136 @@ def principal_minor_sums(rows):
     return out
 
 
+def oracle_char_poly(rows):
+    """(e_1, ..., e_n) by the Faddeev-LeVerrier recursion over Q(i) objects."""
+    n = len(rows)
+    m = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    es = []
+    for k in range(1, n + 1):
+        am = mat_mul(rows, m)
+        tr = ZERO
+        for i in range(n):
+            tr = tr + am[i][i]
+        ck = -(tr / GR(k))
+        es.append(-ck if k % 2 else ck)
+        if k < n:
+            for i in range(n):
+                am[i][i] = am[i][i] + ck
+            m = am
+    return es
+
+
+def oracle_signature(gram):
+    """Inertia by conjugate congruence over Q(i) objects, with 2x2 hyperbolic blocks."""
+    n = len(gram)
+    g = [list(r) for r in gram]
+    npos = nneg = nzero = 0
+
+    def swap(i, j):
+        g[i], g[j] = g[j], g[i]
+        for row in g:
+            row[i], row[j] = row[j], row[i]
+
+    k = 0
+    while k < n:
+        piv = next((i for i in range(k, n) if g[i][i]), None)
+        if piv is not None:
+            if piv != k:
+                swap(k, piv)
+            dk = g[k][k]
+            assert not dk.im
+            if dk.re > 0:
+                npos += 1
+            else:
+                nneg += 1
+            for i in range(k + 1, n):
+                if g[i][k]:
+                    f = g[i][k] / dk
+                    for j in range(k + 1, n):
+                        g[i][j] = g[i][j] - f * g[k][j]
+                    g[i][k] = ZERO
+            for j in range(k + 1, n):
+                g[k][j] = ZERO
+            k += 1
+            continue
+        # all diagonal pivots vanish; look for an off-diagonal coupling
+        pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if g[i][j]), None)
+        if pair is None:
+            nzero += n - k
+            break
+        i, j = pair
+        if i != k:
+            swap(k, i)
+        if j != k + 1:
+            swap(k + 1, j)
+        c = g[k][k + 1]
+        cbar = c.conjugate()
+        npos += 1
+        nneg += 1
+        for r in range(k + 2, n):
+            bk, bk1 = g[r][k], g[r][k + 1]
+            if bk or bk1:
+                for s in range(k + 2, n):
+                    g[r][s] = g[r][s] - bk1 * g[k][s] / c - bk * g[k + 1][s] / cbar
+                g[r][k] = ZERO
+                g[r][k + 1] = ZERO
+        k += 2
+    return (npos, nneg, nzero)
+
+
+def oracle_ldl_positive(rows):
+    """LDL* over Q(i) objects of a positive definite matrix: (L, d).
+
+    Row k is left in place after its step: the Schur update of every
+    later (i, j) still reads a[k][j].
+    """
+    n = len(rows)
+    a = [list(r) for r in rows]
+    lmat = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    d = []
+    for k in range(n):
+        dk = a[k][k]
+        if dk.im or dk.re <= 0:
+            raise NotPositiveDefiniteError("matrix is not positive definite")
+        d.append(dk.re)
+        for i in range(k + 1, n):
+            lmat[i][k] = a[i][k] / dk
+        for i in range(k + 1, n):
+            for j in range(k + 1, i + 1):
+                a[i][j] = a[i][j] - lmat[i][k] * a[k][j]
+                a[j][i] = a[i][j].conjugate()
+    return lmat, d
+
+
+def oracle_forward_solve(lmat, b):
+    """Solve L X = B with L unit lower triangular."""
+    n = len(lmat)
+    ncols = len(b[0])
+    x = [[ZERO] * ncols for _ in range(n)]
+    for j in range(ncols):
+        for i in range(n):
+            s = b[i][j]
+            for k in range(i):
+                if lmat[i][k]:
+                    s = s - lmat[i][k] * x[k][j]
+            x[i][j] = s
+    return x
+
+
+def oracle_is_m_positive(mat, omega, m):
+    """Relative m-positivity in omega-adapted coordinates: e_k(D^-1 L^-1 A L^-*) > 0."""
+    n = mat.n
+    lmat, d = oracle_ldl_positive(omega.rows)
+    x = oracle_forward_solve(lmat, [list(r) for r in mat.rows])
+    xstar = [[x[j][i].conjugate() for j in range(n)] for i in range(n)]
+    nstar = oracle_forward_solve(lmat, xstar)
+    nmat = [[nstar[j][i].conjugate() for j in range(n)] for i in range(n)]
+    b = [[nmat[i][j] / GR(d[i]) for j in range(n)] for i in range(n)]
+    es = oracle_char_poly(b)
+    assert not any(e.im for e in es[:m])
+    return all(e.re > 0 for e in es[:m])
+
+
 # ---- construction ----
 
 def test_non_hermitian_rejected():
@@ -229,6 +359,10 @@ def test_is_m_positive_examples():
     assert is_m_positive(D([1, 1, 0]), Id(3), 2)
     assert not is_m_positive(D([1, 1, 0]), Id(3), 3)
     assert is_m_positive(D([2, 0, 0]), D([1, 1, 2]), 1)
+    # positive definite and not diagonal: det(omega + t A) = 74 - 62 t + 2 t^2 + 2 t^3
+    omega = HermitianMatrix([[6, 6, 2], [6, 10, 5], [2, 5, 6]])
+    assert not is_m_positive(D([-2, 1, -1]), omega, 1)
+    assert is_m_positive(D([1, 1, 1]), omega, 3)
 
 
 def test_is_m_positive_requires_pd_omega():
@@ -483,3 +617,109 @@ def test_is_psd_zero_pivot_cases():
     assert HermitianMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 0]]).is_psd()  # zero Schur pivot
     assert not HermitianMatrix([[1, 1, 1], [1, 1, 0], [1, 0, 1]]).is_psd()
     assert HermitianMatrix.zero(3).is_psd() and HermitianMatrix.zero(0).is_psd()
+
+
+def _hermitian(n, entry):
+    """Hermitian rows from entry(i, j) on and above the diagonal, real on it."""
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = entry(i, j)
+            rows[j][i] = rows[i][j].conjugate()
+    return rows
+
+
+_HYPERBOLIC = (
+    gr_rows([[0, 1], [1, 0]]),
+    [[ZERO, I], [-I, ZERO]],
+    gr_rows([[0, 0, 1, 0], [0, 0, 0, 2], [1, 0, 0, 0], [0, 2, 0, 0]]),
+)
+
+
+def _hermitian_cases():
+    rng = SplitMix64(31415)
+
+    def gauss(bound=3, real=False):
+        return GaussianRational(rng.integer(-bound, bound), 0 if real else rng.integer(-bound, bound))
+
+    for count in range(600):
+        n = rng.integer(1, 6)
+        kind = count % 5
+        if kind == 0:  # dense and complex, usually indefinite
+            rows = _hermitian(n, lambda i, j: gauss(real=i == j))
+        elif kind == 1:  # a different denominator in every entry
+            rows = _hermitian(n, lambda i, j: GaussianRational(
+                Fraction(rng.integer(-3, 3), rng.integer(1, 9)),
+                0 if i == j else Fraction(rng.integer(-3, 3), rng.integer(1, 9))))
+        elif kind == 2:  # zero diagonal, sparse coupling: congruence steps and zero rows
+            rows = _hermitian(n, lambda i, j: ZERO if i == j or rng.integer(0, 1) else gauss())
+        elif kind == 3:  # B D B* with D a sign pattern: rank-deficient and indefinite
+            b = _random_matrix(rng, n, n, rng.integer(0, n), scale=GR(Fraction(1, rng.integer(1, 5))))
+            d = [GR(rng.integer(-1, 1)) for _ in range(n)]
+            rows = mat_mul([[b[i][j] * d[j] for j in range(n)] for i in range(n)],
+                           [[b[j][i].conjugate() for j in range(n)] for i in range(n)])
+        else:  # sparse with some zero diagonal entries
+            rows = _hermitian(n, lambda i, j: gauss(real=i == j) if rng.integer(0, 2) == 0 else ZERO)
+        yield rows
+    yield from _HYPERBOLIC
+    yield [[ZERO] * 3 for _ in range(3)]
+
+
+def test_signature_matches_qi_oracle():
+    seen = set()
+    for rows in _hermitian_cases():
+        sig = oracle_signature(rows)
+        assert hermitian_signature(rows) == sig
+        assert HermitianMatrix(rows).is_psd() == (sig[1] == 0)
+        n = len(rows)
+        basis = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+        assert HermitianFormOnSpace(rows).is_positive_definite_on(basis) == (sig == (n, 0, 0))
+        seen.add(tuple(min(x, 1) for x in sig))
+    assert seen == {(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)} - {(0, 0, 0)}
+
+
+def test_char_poly_matches_faddeev_oracle():
+    for rows in _oracle_cases():
+        n = min(len(rows), len(rows[0]))
+        square = [row[:n] for row in rows[:n]]
+        assert char_poly_elementary(square) == oracle_char_poly(square)
+    for rows in islice(_hermitian_cases(), 0, None, 4):
+        assert char_poly_elementary(rows) == oracle_char_poly(rows)
+    assert char_poly_elementary([]) == oracle_char_poly([]) == []
+
+
+def _omega_cases():
+    """Seeded Hermitian omega with n <= 6: positive definite and not diagonal, or not PD."""
+    rng = SplitMix64(2718)
+    for count in range(72):
+        n = rng.integer(1, 6)
+        b = _random_matrix(rng, n, n, n if count % 3 else rng.integer(0, n - 1))
+        omega = HermitianMatrix.from_generator(b)
+        if count % 3 == 0:  # singular PSD, or indefinite
+            yield omega if count % 2 else omega + random_hermitian(count, n)
+        else:
+            yield omega + HermitianMatrix.diagonal([Fraction(1, rng.integer(1, 4))] * n)
+
+
+def test_m_positivity_matches_qi_oracle():
+    rng = SplitMix64(1618)
+    outcomes = {True: 0, False: 0, "not PD": 0}
+    for count, omega in enumerate(_omega_cases()):
+        n = omega.n
+        if count % 2:
+            (mat,) = random_psd_family(count + 600, n, 1)
+        else:
+            mat = random_hermitian(count + 700, n).scale(Fraction(1, rng.integer(1, 5)))
+        try:
+            oracle_ldl_positive(omega.rows)
+        except NotPositiveDefiniteError:
+            with pytest.raises(NotPositiveDefiniteError):
+                is_m_positive(mat, omega, 1)
+            outcomes["not PD"] += 1
+            continue
+        assert any(omega.entry(i, j) for i in range(n) for j in range(n) if i != j) or n == 1
+        for m in range(1, n + 1):
+            expected = oracle_is_m_positive(mat, omega, m)
+            assert is_m_positive(mat, omega, m) == expected
+            outcomes[expected] += 1
+    assert min(outcomes.values()) >= 20

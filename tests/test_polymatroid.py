@@ -176,6 +176,11 @@ def test_hl_support_empty_when_too_degenerate():
     assert hl_support([D([1, 0]), D([1, 0])], 2) == set()
 
 
+def test_hl_support_refuses_an_empty_family():
+    with pytest.raises(ValueError, match="empty matrix family"):
+        hl_support([], 2)
+
+
 def test_hl_support_points_are_compositions():
     for seed in range(15):
         n = 3 + seed % 2
