@@ -21,7 +21,6 @@ from math import comb, factorial
 from .discriminant import mixed_discriminant, rank_deficient_subset
 from .exterior import (
     PQForm,
-    basis_indices,
     conjugate_form,
     form_from_matrix,
     multiplication_matrix,
@@ -237,10 +236,10 @@ def lefschetz_decomposition(inst: HLInstance):
     if p == 0 or q == 0:
         image_basis = ()
     else:
-        eta_form = form_from_matrix(inst.eta)
+        rows, ncols = wedge_operator_matrix(form_from_matrix(inst.eta), p - 1, q - 1)
         image_basis = tuple(
-            wedge(eta_form, PQForm.basis_element(n, i, j))
-            for (i, j) in basis_indices(n, p - 1, q - 1)
+            PQForm.from_coefficient_vector(n, p, q, [row[col] for row in rows])
+            for col in range(ncols)
         )
     dim_pq = comb(n, p) * comb(n, q)
     dim_lower = comb(n, p - 1) * comb(n, q - 1) if (p >= 1 and q >= 1) else 0

@@ -226,7 +226,8 @@ def run_instance(doc, seed=None):
         try:
             result = handler(ctx, task)
         except (TaskError, ValueError, KeyError, certify.PreconditionError) as exc:
-            results[str(idx)] = {"error": str(exc)}
+            missing = isinstance(exc, KeyError)
+            results[str(idx)] = {"error": f"missing field {exc}" if missing else str(exc)}
             ok = False
             continue
         results[str(idx)] = result

@@ -8,6 +8,12 @@ inversion counting against this single convention.
 The canonical positive volume element is
 vol = (i dz_1 ^ dzbar_1) ^ ... ^ (i dz_n ^ dzbar_n), so positivity of an
 (n,n)-form is the sign of one rational number.
+
+Wedge products multiply coefficients over Z[i]: each operand is cleared
+once to (re, im) int pairs over one common denominator, the pair loop
+multiplies and adds Python ints only, and the result is turned back into
+Q(i) coefficients once.  The operator matrix of Phi -> omega ^ Phi is
+filled by index arithmetic, each entry being +c or -c for a term c of omega.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .linalg import HermitianMatrix, InternalCheckError
-from .rationals import GR, I, ONE, ZERO, GaussianRational
+from .linalg import HermitianMatrix, InternalCheckError, _gaussian_integer_rows
+from .rationals import GR, I, ONE, ZERO, GaussianRational, Rat
 
 __all__ = [
     "PQForm",
@@ -33,12 +39,21 @@ __all__ = [
 
 
 def _check_multi_index(idx, n):
-    t = tuple(int(i) for i in idx)
-    if any(not 1 <= i <= n for i in t) or any(a >= b for a, b in zip(t, t[1:])):
-        raise ValueError(f"multi-index {t} must be strictly increasing within [1,{n}]")
+    t = tuple(idx)
+    prev = 0
+    for i in t:
+        if type(i) is not int:
+            raise TypeError(f"multi-index {t!r} must hold ints")
+        if not prev < i <= n:
+            raise ValueError(f"multi-index {t} must be strictly increasing within [1,{n}]")
+        prev = i
     return t
 
 
+# Wedges and operator matrices merge the same few index pairs again and
+# again.  The pairs grow as 4^n, so the memo is bounded: 4096 holds every
+# pair of subsets of {1..6}.
+@lru_cache(maxsize=4096)
 def _merge_sign(a, b):
     """Merge two disjoint increasing tuples; (sign, merged) or (0, None) on overlap."""
     inv = 0
@@ -176,52 +191,78 @@ def form_from_matrix(a: HermitianMatrix) -> PQForm:
         for k in range(n):
             c = a.rows[j][k]
             if c:
-                coeffs[((j + 1,), (k + 1,))] = I * c
+                coeffs[((j + 1,), (k + 1,))] = GaussianRational(-c.im, c.re)  # i * c
     return PQForm(n, 1, 1, coeffs)
 
 
-def wedge(phi: PQForm, psi: PQForm) -> PQForm:
-    """Exact wedge product; degrees beyond n give the zero form (clamped degree)."""
-    if phi.n != psi.n:
-        raise ValueError("forms live on different ambient spaces")
-    n = phi.n
-    p, q = phi.p + psi.p, phi.q + psi.q
-    if p > n or q > n:
-        return PQForm(n, min(p, n), min(q, n))
-    # moving dzbar_{J1} (q1 factors) past dz_{I2} (p2 factors)
-    block = -1 if (psi.p * phi.q) % 2 else 1
+def _integer_terms(phi):
+    """({(I, J): (re, im)}, L): phi's coefficients as Gaussian integers over L."""
+    (re,), (im,), den = _gaussian_integer_rows([list(phi.coeffs.values())])
+    return dict(zip(phi.coeffs, zip(re, im))), den
+
+
+def _wedge_terms(a, b, negate):
+    """a ^ b over Z[i] for integer term dicts {(I, J): (re, im)}.
+
+    `negate` is the block sign of moving a's barred factors past b's
+    unbarred ones.  The pair loop multiplies and adds Python ints only.
+    Zero sums are dropped.
+    """
+    block = -1 if negate else 1
     out = {}
-    for (i1, j1), c1 in phi.coeffs.items():
-        for (i2, j2), c2 in psi.coeffs.items():
+    for (i1, j1), (r1, m1) in a.items():
+        for (i2, j2), (r2, m2) in b.items():
             si, mi = _merge_sign(i1, i2)
             if not si:
                 continue
             sj, mj = _merge_sign(j1, j2)
             if not sj:
                 continue
-            c = c1 * c2
-            if (si * sj * block) < 0:
-                c = -c
-            key = (mi, mj)
-            s = out.get(key, ZERO) + c
-            if s:
-                out[key] = s
+            re = r1 * r2 - m1 * m2
+            im = r1 * m2 + m1 * r2
+            if si * sj * block < 0:
+                re, im = -re, -im
+            acc = out.get((mi, mj))
+            if acc is None:
+                out[mi, mj] = [re, im]
             else:
-                out.pop(key, None)
-    return PQForm(n, p, q, out)
+                acc[0] += re
+                acc[1] += im
+    return {k: (re, im) for k, (re, im) in out.items() if re or im}
+
+
+def wedge(phi: PQForm, psi: PQForm) -> PQForm:
+    """Exact wedge product; degrees beyond n give the zero form (clamped degree)."""
+    return wedge_many((phi, psi))
 
 
 def wedge_many(forms, n=None) -> PQForm:
-    """Left fold of wedge; the empty product is the scalar 1 in Lambda^{0,0}."""
+    """Left fold of wedge; the empty product is the scalar 1 in Lambda^{0,0}.
+
+    The fold runs on Gaussian integers and converts to Q(i) once.
+    """
     forms = list(forms)
     if not forms:
         if n is None:
             raise ValueError("ambient dimension required for an empty product")
         return PQForm.scalar(n, ONE)
-    acc = forms[0]
+    n, p, q = forms[0].n, forms[0].p, forms[0].q
+    terms, den = _integer_terms(forms[0])
     for f in forms[1:]:
-        acc = wedge(acc, f)
-    return acc
+        if f.n != n:
+            raise ValueError("forms live on different ambient spaces")
+        # moving dzbar_{J1} (q factors) past dz_{I2} (f.p factors)
+        negate = (f.p * q) % 2
+        p, q = p + f.p, q + f.q
+        if p > n or q > n:
+            p, q, terms = min(p, n), min(q, n), {}
+        if terms:
+            f_terms, f_den = _integer_terms(f)
+            terms = _wedge_terms(terms, f_terms, negate)
+            den *= f_den
+    return PQForm(n, p, q, {
+        k: GaussianRational(Rat(re, den), Rat(im, den)) for k, (re, im) in terms.items()
+    })
 
 
 @lru_cache(maxsize=None)
@@ -273,20 +314,28 @@ def wedge_operator_matrix(omega: PQForm, p: int, q: int):
     """Matrix of Phi -> omega ^ Phi from Lambda^{p,q} in canonical bases.
 
     Returns (rows, ncols).  If the target degree overflows n the map is
-    zero and the row list is empty.
+    zero and the row list is empty.  Column (I, J) holds +c or -c for each
+    term c dz_I' ^ dzbar_J' of omega whose indices are disjoint from it, at
+    the row of the merged (I' + I, J' + J); no coefficient is multiplied.
     """
     n = omega.n
     src = basis_indices(n, p, q)
     tp, tq = p + omega.p, q + omega.q
     if tp > n or tq > n:
         return [], len(src)
-    tgt = basis_indices(n, tp, tq)
-    tgt_pos = {k: a for a, k in enumerate(tgt)}
-    rows = [[ZERO] * len(src) for _ in tgt]
+    tgt_pos = {k: a for a, k in enumerate(basis_indices(n, tp, tq))}
+    # moving dzbar_{J'} (omega.q factors) past dz_I (p factors)
+    block = -1 if (p * omega.q) % 2 else 1
+    terms = [(i, j, c, -c) for (i, j), c in omega.coeffs.items()]
+    rows = [[ZERO] * len(src) for _ in tgt_pos]
     for col, (i, j) in enumerate(src):
-        image = wedge(omega, PQForm.basis_element(n, i, j))
-        for k, c in image.coeffs.items():
-            rows[tgt_pos[k]][col] = c
+        for i1, j1, plus, minus in terms:
+            si, mi = _merge_sign(i1, i)
+            if not si:
+                continue
+            sj, mj = _merge_sign(j1, j)
+            if sj:
+                rows[tgt_pos[mi, mj]][col] = plus if si * sj * block > 0 else minus
     return rows, len(src)
 
 

@@ -15,6 +15,8 @@ try:  # gmpy2.mpq is a drop-in, much faster rational
 except ImportError:  # pragma: no cover
     Rat = Fraction
 
+_RAT_TYPE = type(Rat(0))
+
 __all__ = ["Rat", "as_rat", "GaussianRational", "GR", "ZERO", "ONE", "I", "cpq_constant"]
 
 
@@ -22,8 +24,10 @@ def as_rat(x):
     """Coerce x to the exact rational backend.
 
     Accepts ints, Fractions, Rat values and "p/q" strings.  Floats are
-    rejected rather than rationalized.
+    rejected rather than rationalized.  A Rat value is returned as is.
     """
+    if type(x) is _RAT_TYPE:
+        return x
     if isinstance(x, float):
         raise TypeError(f"floating-point value {x!r} rejected; use int, Fraction or 'p/q'")
     if isinstance(x, str):

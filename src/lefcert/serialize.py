@@ -85,10 +85,18 @@ def form_to_json(phi: PQForm) -> dict:
 
 
 def form_from_json(obj) -> PQForm:
-    coeffs = {
-        (tuple(t["I"]), tuple(t["J"])): complex_from_json(t["c"]) for t in obj["terms"]
-    }
-    return PQForm(obj["n"], obj["p"], obj["q"], coeffs)
+    """A form from its JSON record.
+
+    A malformed entry, such as a non-int index or a float coefficient,
+    raises ValueError.
+    """
+    try:
+        coeffs = {
+            (tuple(t["I"]), tuple(t["J"])): complex_from_json(t["c"]) for t in obj["terms"]
+        }
+        return PQForm(obj["n"], obj["p"], obj["q"], coeffs)
+    except TypeError as exc:
+        raise ValueError(f"form: {exc}") from None
 
 
 def _subset_key(subset) -> str:

@@ -325,3 +325,15 @@ def test_zero_denominator_is_a_document_error(tmp_path, capsys):
 def test_empty_hl_support_family_is_a_task_error(tmp_path, capsys):
     doc = {"schema": 1, "n": 2, "tasks": [{"kind": "hl-support", "matrices": []}]}
     assert_task_error(tmp_path, capsys, doc, "empty matrix family")
+
+
+@pytest.mark.parametrize("task, field", [
+    ({"kind": "nd"}, "matrix"),
+    ({"kind": "hl-certify", "q": 0, "forms": ["a", "a"]}, "p"),
+    ({"kind": "enumerate-support", "dim": 1}, "table"),
+])
+def test_missing_task_field_is_a_task_error(tmp_path, capsys, task, field):
+    doc = {"schema": 1, "n": 2, "matrices": {"a": diag_json([1, 1])}, "tasks": [task]}
+    code, out, err = run_raw(tmp_path, capsys, doc)
+    assert code == 1 and err == ""
+    assert json.loads(out)["results"]["0"] == {"error": f"missing field {field!r}"}

@@ -1,7 +1,10 @@
+from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 import pytest
 
+from lefcert import exterior
 from lefcert.exterior import (
     PQForm,
     basis_indices,
@@ -15,7 +18,7 @@ from lefcert.exterior import (
     wedge_operator_matrix,
 )
 from lefcert.linalg import HermitianMatrix
-from lefcert.rationals import GR, I, ONE, ZERO
+from lefcert.rationals import GR, I, ONE, ZERO, GaussianRational
 from lefcert.serialize import form_from_json, form_to_json
 
 from conftest import random_hermitian, random_psd_family
@@ -33,6 +36,90 @@ def random_form(rng, n, p, q, bound=2):
     return PQForm(n, p, q, coeffs)
 
 
+def random_rational_form(rng, n, p, q, density=3):
+    """Seeded form with complex coefficients, each part over its own denominator;
+    a basis term is present with probability density / 4."""
+    coeffs = {}
+    for key in basis_indices(n, p, q):
+        if rng.integer(0, 3) < density:
+            coeffs[key] = GR(Fraction(rng.integer(-4, 4), rng.integer(1, 6)),
+                             Fraction(rng.integer(-4, 4), rng.integer(1, 6)))
+    return PQForm(n, p, q, coeffs)
+
+
+# ---- exact oracles: one GaussianRational multiply and add per pair of terms ----
+
+def oracle_merge(a, b):
+    """(sign, sorted a + b) by brute-force inversion count; (0, None) on overlap."""
+    if set(a) & set(b):
+        return 0, None
+    seq = a + b
+    inv = sum(seq[x] > seq[y] for x in range(len(seq)) for y in range(x + 1, len(seq)))
+    return (-1) ** inv, tuple(sorted(seq))
+
+
+def oracle_wedge(phi, psi):
+    if phi.n != psi.n:
+        raise ValueError("forms live on different ambient spaces")
+    n = phi.n
+    p, q = phi.p + psi.p, phi.q + psi.q
+    if p > n or q > n:
+        return PQForm(n, min(p, n), min(q, n))
+    block = -1 if (psi.p * phi.q) % 2 else 1
+    out = {}
+    for (i1, j1), c1 in phi.coeffs.items():
+        for (i2, j2), c2 in psi.coeffs.items():
+            si, mi = oracle_merge(i1, i2)
+            if not si:
+                continue
+            sj, mj = oracle_merge(j1, j2)
+            if not sj:
+                continue
+            c = c1 * c2
+            if (si * sj * block) < 0:
+                c = -c
+            key = (mi, mj)
+            s = out.get(key, ZERO) + c
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return PQForm(n, p, q, out)
+
+
+def oracle_wedge_many(forms, n=None):
+    forms = list(forms)
+    if not forms:
+        if n is None:
+            raise ValueError("ambient dimension required for an empty product")
+        return PQForm.scalar(n, ONE)
+    acc = forms[0]
+    for f in forms[1:]:
+        acc = oracle_wedge(acc, f)
+    return acc
+
+
+def oracle_operator_matrix(omega, p, q):
+    """One wedge with each basis element, read off as one column."""
+    n = omega.n
+    src = basis_indices(n, p, q)
+    tp, tq = p + omega.p, q + omega.q
+    if tp > n or tq > n:
+        return [], len(src)
+    tgt = basis_indices(n, tp, tq)
+    tgt_pos = {k: a for a, k in enumerate(tgt)}
+    rows = [[ZERO] * len(src) for _ in tgt]
+    for col, (i, j) in enumerate(src):
+        image = oracle_wedge(omega, PQForm.basis_element(n, i, j))
+        for k, c in image.coeffs.items():
+            rows[tgt_pos[k]][col] = c
+    return rows, len(src)
+
+
+def bidegrees(n):
+    return list(product(range(n + 1), repeat=2))
+
+
 # ---- construction and basis bookkeeping ----
 
 def test_bad_multi_index_rejected():
@@ -42,6 +129,26 @@ def test_bad_multi_index_rejected():
         PQForm(2, 1, 0, {((3,), ()): ONE})
     with pytest.raises(ValueError):
         PQForm(2, 1, 1, {((1,), ()): ONE})
+
+
+@pytest.mark.parametrize("index", [(1.7,), (True,), (1.0,), (Fraction(1),)])
+def test_non_int_multi_index_rejected(index):
+    with pytest.raises(TypeError):
+        PQForm(2, 1, 0, {(index, ()): ONE})
+    with pytest.raises(TypeError):
+        PQForm(2, 0, 1, {((), index): ONE})
+
+
+@pytest.mark.parametrize("entry", [1.9, 1.0, True])
+def test_form_from_json_refuses_non_int_index(entry):
+    doc = {"n": 2, "p": 1, "q": 0, "terms": [{"I": [entry], "J": [], "c": {"re": "1/1"}}]}
+    with pytest.raises(ValueError, match="must hold ints"):
+        form_from_json(doc)
+    doc["terms"][0]["I"] = [1]
+    assert form_from_json(doc) == PQForm.basis_element(2, (1,), ())
+    doc["terms"][0]["c"] = 0.5
+    with pytest.raises(ValueError, match="floating-point"):
+        form_from_json(doc)
 
 
 def test_basis_dimensions():
@@ -269,3 +376,130 @@ def test_form_serialization_round_trip():
         f = random_form(rng, n, rng.integer(0, 2), rng.integer(0, 2), bound=5)
         doc = form_to_json(f)
         assert form_from_json(doc) == f
+
+
+# ---- the Z[i] kernel against the GaussianRational oracles ----
+
+def test_wedge_matches_oracle_on_every_bidegree():
+    rng = SplitMix64(0x3E46E)
+    for n in range(1, 5):
+        for p1, q1 in bidegrees(n):
+            for p2, q2 in bidegrees(n):
+                density = 3 if n < 4 else 2
+                f = random_rational_form(rng, n, p1, q1, density)
+                g = random_rational_form(rng, n, p2, q2, density)
+                assert wedge(f, g) == oracle_wedge(f, g)
+                assert wedge_many([f, g]) == oracle_wedge(f, g)
+
+
+def test_wedge_many_matches_oracle_fold():
+    rng = SplitMix64(0xF01D)
+    for _ in range(150):
+        n = rng.integer(1, 4)
+        forms = [random_rational_form(rng, n, *bidegrees(n)[rng.integer(0, (n + 1) ** 2 - 1)])
+                 for _ in range(rng.integer(1, 4))]
+        expected = oracle_wedge_many(forms)
+        got = wedge_many(forms)
+        assert got == expected
+        assert (got.p, got.q) == (expected.p, expected.q)
+
+
+def test_omega_and_matrix_match_oracle_for_rational_forms():
+    rng = SplitMix64(0x0AE6A)
+    for _ in range(40):
+        n = rng.integer(2, 4)
+        mats = []
+        for _ in range(rng.integer(1, n)):
+            rows = [[ZERO] * n for _ in range(n)]
+            for a in range(n):
+                rows[a][a] = GR(Fraction(rng.integer(-5, 5), rng.integer(1, 7)))
+                for b in range(a + 1, n):
+                    c = GR(Fraction(rng.integer(-5, 5), rng.integer(1, 7)),
+                           Fraction(rng.integer(-5, 5), rng.integer(1, 7)))
+                    rows[a][b], rows[b][a] = c, c.conjugate()
+            mats.append(HermitianMatrix(rows))
+        forms = [form_from_matrix(a) for a in mats]
+        omega = wedge_many(forms)
+        assert omega == oracle_wedge_many(forms)
+        assert any(c.re.denominator > 1 or c.im.denominator > 1 for c in omega.coeffs.values())
+        for p, q in bidegrees(n):
+            assert wedge_operator_matrix(omega, p, q) == oracle_operator_matrix(omega, p, q)
+
+
+def test_operator_matrix_matches_oracle_on_every_bidegree():
+    rng = SplitMix64(0x0B5)
+    for n in range(1, 5):
+        for bideg in bidegrees(n):
+            omega = random_rational_form(rng, n, *bideg, density=2)
+            for p, q in bidegrees(n):
+                assert wedge_operator_matrix(omega, p, q) == oracle_operator_matrix(omega, p, q)
+
+
+def test_cancelling_terms_are_absent():
+    n = 3
+    a = GR(Fraction(1, 2), Fraction(1, 3))
+    f = PQForm(n, 1, 0, {((1,), ()): a, ((2,), ()): a * GR(Fraction(2, 5))})
+    g = PQForm(n, 1, 0, {((1,), ()): GR(Fraction(5, 7)), ((2,), ()): GR(Fraction(2, 7)),
+                         ((3,), ()): GR(0, 1)})
+    h = wedge(f, g)  # the dz1 ^ dz2 coefficient a*2/7 - a*2/5*5/7 cancels
+    assert ((1, 2), ()) not in h.coeffs
+    assert set(h.coeffs) == {((1, 3), ()), ((2, 3), ())}
+    assert h == oracle_wedge(f, g)
+    s = PQForm(n, 1, 0, {((1,), ()): ONE, ((2,), ()): ONE})
+    assert wedge(s, s).coeffs == {}
+    assert wedge_many([f, g, g]).coeffs == {}
+    # a (1,1)-form wedged with its negative partner cancels term by term
+    u = PQForm(n, 1, 1, {((1,), (2,)): a, ((2,), (1,)): a})
+    v = PQForm(n, 1, 1, {((2,), (1,)): ONE, ((1,), (2,)): GR(-1)})
+    assert wedge(u, v) == oracle_wedge(u, v)
+    assert ((1, 2), (1, 2)) not in wedge(u, v).coeffs
+
+
+def test_empty_product_and_mismatched_n_raise():
+    with pytest.raises(ValueError):
+        wedge_many([])
+    assert wedge_many([], n=2) == PQForm.scalar(2, ONE)
+    f2 = PQForm.basis_element(2, (1,), ())
+    f3 = PQForm.basis_element(3, (1,), ())
+    with pytest.raises(ValueError):
+        wedge(f2, f3)
+    with pytest.raises(ValueError):
+        wedge_many([f2, PQForm.basis_element(2, (2,), ()), f3])
+    with pytest.raises(ValueError):  # still refused after the fold has overflowed
+        wedge_many([f2, PQForm.basis_element(2, (1, 2), ()), f3])
+
+
+def test_fold_overflow_keeps_clamped_bidegree():
+    n = 2
+    top_holo = PQForm.basis_element(n, (1, 2), ())
+    dz1 = PQForm.basis_element(n, (1,), ())
+    top_anti = PQForm.basis_element(n, (), (1, 2))
+    got = wedge_many([top_holo, dz1, top_anti])
+    assert got.is_zero() and (got.p, got.q) == (2, 2)
+    assert got == oracle_wedge_many([top_holo, dz1, top_anti])
+    mid = wedge(top_holo, dz1)
+    assert mid.is_zero() and (mid.p, mid.q) == (2, 0)
+    assert wedge_many([dz1, top_anti, top_anti]) == PQForm(n, 1, 2)
+
+
+def test_kernel_runs_no_scalar_arithmetic(monkeypatch):
+    rng = SplitMix64(0x5CA1)
+    forms = [random_rational_form(rng, 3, 1, 1) for _ in range(3)]
+    omega = random_rational_form(rng, 3, 1, 1)
+    expected = [oracle_wedge_many(forms), oracle_operator_matrix(omega, 1, 0)]
+
+    def forbidden(*args):
+        raise AssertionError("scalar arithmetic inside the wedge kernel")
+
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__"):
+        monkeypatch.setattr(GaussianRational, name, forbidden)
+    assert wedge_many(forms) == expected[0]
+    monkeypatch.setattr(exterior, "wedge", forbidden)
+    monkeypatch.setattr(exterior, "wedge_many", forbidden)
+    monkeypatch.setattr(PQForm, "basis_element", classmethod(forbidden))
+    assert wedge_operator_matrix(omega, 1, 0) == expected[1]
+
+
+def test_merge_memo_is_bounded():
+    # index pairs grow as 4^n, so the merge memo must have a fixed size
+    assert exterior._merge_sign.cache_info().maxsize is not None

@@ -22,6 +22,17 @@ def test_float_rejected():
         as_rat(3.14)
 
 
+def test_as_rat_returns_rational_values_unchanged():
+    x = as_rat(Fraction(3, 4))
+    assert as_rat(x) is x
+    assert GaussianRational(x, x).re is x
+    assert as_rat(as_rat("-5/6")) == Fraction(-5, 6)
+    assert as_rat(True) == 1 and type(as_rat(True)) is type(x)
+    assert type(as_rat(7)) is type(x)
+    with pytest.raises(TypeError):
+        as_rat(0.75)
+
+
 def test_basic_arithmetic():
     assert I * I == GR(-1)
     assert (GR(1, 2) * GR(3, -1)) == GR(5, 5)
