@@ -11,34 +11,50 @@ Two independent routes are exposed for the HL property:
 
 The two must agree on every valid instance; the test suite exercises
 this equivalence exhaustively at desk scale.
+
+Hodge-Riemann, the Lefschetz decomposition, the Lorentzian signature and
+the Hodge index theorem read one bilinear pairing,
+Q(Phi,Psi) = c_{p,q} * vol(Omega ^ Phi ^ conj(Psi)).  Its Gram matrix on
+a basis B is one product over Z[i], c * (M B)^T S conj(B): M is the
+operator matrix of Omega on Lambda^{p,q} over Omega's common
+denominator, S the signed complementary pairing
+Lambda^{n-q,n-p} x Lambda^{q,p} -> Lambda^{n,n}, and B holds the basis as
+Gaussian-integer vectors (see exterior._pairing_gram).  The Lorentzian
+Gram on Herm_n is the case (p,q) = (1,1) with Omega = A_1 ^ ... ^ A_{n-2},
+since D(A,B,A_1,...,A_{n-2}) = vol(alpha ^ beta ^ Omega) / n!.  Integer
+Grams differ from the exact ones by positive factors, so their inertia
+is the same.  The test suite keeps the per-entry wedge loop and the
+per-entry mixed discriminant as exact oracles for these Grams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from functools import lru_cache
+from math import gcd
 
-from .discriminant import mixed_discriminant, rank_deficient_subset
+from .discriminant import rank_deficient_subset
 from .exterior import (
     PQForm,
-    conjugate_form,
+    _integer_operator_matrix,
+    _integer_vector,
+    _pairing_gram,
+    basis_indices,
     form_from_matrix,
-    multiplication_matrix,
-    volume_scalar,
     wedge,
     wedge_many,
-    wedge_operator_matrix,
 )
 from .linalg import (
     HermitianFormOnSpace,
     HermitianMatrix,
     InternalCheckError,
-    hermitian_signature,
-    kernel_basis,
-    mat_det,
-    mat_rank,
+    _det,
+    _exact_vector,
+    _inertia,
+    _kernel,
+    _rank,
 )
-from .rationals import GR, I, ZERO, cpq_constant
+from .rationals import GR, I, GaussianRational, Rat, cpq_constant
 
 __all__ = [
     "HLInstance",
@@ -130,11 +146,13 @@ def criterion_hl(inst: HLInstance) -> Certificate:
     return Certificate("fails", failing_subset=subset, rank_deficit=deficit)
 
 
-def _witness_from_kernel(inst, omega, matrix, ncols):
-    basis = kernel_basis(matrix, ncols)
-    if not basis:
+def _witness_from_kernel(inst, omega, re, im):
+    """A kernel vector of the Z[i] multiplication matrix (re, im), re-checked against omega."""
+    vectors, d = _kernel(re, im, len(basis_indices(inst.n, inst.p, inst.q)))
+    if not vectors:
         raise InternalCheckError("singular multiplication matrix with empty kernel")
-    witness = PQForm.from_coefficient_vector(inst.n, inst.p, inst.q, basis[0])
+    witness = PQForm.from_coefficient_vector(inst.n, inst.p, inst.q,
+                                             _exact_vector(vectors[0], d))
     if witness.is_zero():
         raise InternalCheckError("zero kernel witness")
     if not wedge(omega, witness).is_zero():
@@ -143,46 +161,67 @@ def _witness_from_kernel(inst, omega, matrix, ncols):
 
 
 def direct_hl(inst: HLInstance) -> Certificate:
-    """Decide HL by the exact determinant of the multiplication matrix."""
+    """Decide HL by the exact determinant of the multiplication matrix.
+
+    The matrix is read once as Gaussian integers over Omega's common
+    denominator; the determinant and, on failure, the kernel run on it.
+    """
     omega = inst.omega()
-    matrix = multiplication_matrix(omega, inst.p, inst.q)
-    if mat_det(matrix):
+    re, im, _ = _integer_operator_matrix(omega, inst.p, inst.q)
+    if len(re) != len(basis_indices(inst.n, inst.p, inst.q)):
+        raise InternalCheckError("multiplication matrix is not square")
+    if _det([row[:] for row in re], [row[:] for row in im]) != (0, 0):
         return Certificate("holds")
-    return Certificate(
-        "fails", kernel_witness=_witness_from_kernel(inst, omega, matrix, len(matrix))
-    )
+    return Certificate("fails", kernel_witness=_witness_from_kernel(inst, omega, re, im))
 
 
 def _primitive_space(inst: HLInstance):
-    """Basis of ker(Omega ^ eta ^ .) inside Lambda^{p,q}, plus Omega."""
+    """ker(Omega ^ eta ^ .) inside Lambda^{p,q}: (Omega, basis, vectors, d).
+
+    The basis holds the exact kernel forms; vectors holds the same
+    vectors as Gaussian integers, each d times its form's coefficients.
+    """
+    n, p, q = inst.n, inst.p, inst.q
     omega = inst.omega()
     coupled = wedge(omega, form_from_matrix(inst.eta))
-    rows, ncols = wedge_operator_matrix(coupled, inst.p, inst.q)
-    vectors = kernel_basis(rows, ncols)
-    basis = tuple(
-        PQForm.from_coefficient_vector(inst.n, inst.p, inst.q, v) for v in vectors
-    )
+    re, im, _ = _integer_operator_matrix(coupled, p, q)
+    vectors, d = _kernel(re, im, len(basis_indices(n, p, q)))
+    basis = tuple(PQForm.from_coefficient_vector(n, p, q, _exact_vector(v, d)) for v in vectors)
     for phi in basis:
         if not wedge(coupled, phi).is_zero():
             raise InternalCheckError("primitive basis element not annihilated")
-    return omega, basis
+    return omega, basis, vectors, d
 
 
-def _gram_on_basis(omega, basis, p, q):
-    """Gram of Q(Phi,Psi) = c_{p,q} * vol(Omega ^ Phi ^ conj(Psi))."""
-    c = cpq_constant(p, q)
-    partial = [wedge(omega, phi) for phi in basis]
-    conjs = [conjugate_form(phi) for phi in basis]
-    k = len(basis)
-    gram = [[ZERO] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            gram[a][b] = c * volume_scalar(wedge(partial[a], conjs[b]))
-    for a in range(k):
-        for b in range(k):
-            if gram[a][b] != gram[b][a].conjugate():
-                raise InternalCheckError("Q Gram matrix is not Hermitian")
-    return gram
+def _hermitian_or_raise(re, im, what):
+    for a in range(len(re)):
+        for b in range(a, len(re)):
+            if re[a][b] != re[b][a] or im[a][b] != -im[b][a]:
+                raise InternalCheckError(f"{what} is not Hermitian")
+
+
+def _primitive_gram(omega, vectors, d, p, q):
+    """Gram of Q(Phi,Psi) = c_{p,q} * vol(Omega ^ Phi ^ conj(Psi)) on the primitive basis.
+
+    One Z[i] product c (M B)^T S conj(B) (see exterior._pairing_gram),
+    with B the Gaussian-integer vectors d * v.  Returns (exact, re, im):
+    the exact Gram, and an integer one, a positive multiple of it.
+    """
+    re, im, den = _pairing_gram(omega, p, q, vectors, vectors)
+    c = cpq_constant(p, q)  # one of 1, -1, i, -i
+    cr, ci = int(c.re), int(c.im)
+    re, im = ([[cr * x - ci * y for x, y in zip(xs, ys)] for xs, ys in zip(re, im)],
+              [[cr * y + ci * x for x, y in zip(xs, ys)] for xs, ys in zip(re, im)])
+    _hermitian_or_raise(re, im, "Q Gram matrix")
+    scale = den * (d[0] * d[0] + d[1] * d[1])
+    exact = [[GaussianRational(Rat(x, scale), Rat(y, scale)) for x, y in zip(xs, ys)]
+             for xs, ys in zip(re, im)]
+    # a positive factor keeps the inertia and shortens the elimination
+    g = gcd(*(x for xs in re for x in xs), *(y for ys in im for y in ys))
+    if g > 1:
+        re = [[x // g for x in xs] for xs in re]
+        im = [[y // g for y in ys] for ys in im]
+    return exact, re, im
 
 
 def hr_certify(inst: HLInstance):
@@ -190,7 +229,9 @@ def hr_certify(inst: HLInstance):
 
     Returns (Certificate, PrimitiveSpace).  Requires rank(eta) >= p + q;
     a smaller rank is outside the theorem's scope and raises
-    PreconditionError rather than returning a failing verdict.
+    PreconditionError rather than returning a failing verdict.  The
+    verdict reads the inertia of the integer Gram, a positive multiple
+    of the exact one kept in the PrimitiveSpace.
     """
     if inst.eta is None:
         raise ValueError("hr_certify needs an eta form")
@@ -200,10 +241,10 @@ def hr_certify(inst: HLInstance):
         raise PreconditionError(
             f"rank(eta)={r_eta} below p+q={need} (deficit {need - r_eta})"
         )
-    omega, basis = _primitive_space(inst)
-    gram = _gram_on_basis(omega, basis, inst.p, inst.q)
+    omega, basis, vectors, d = _primitive_space(inst)
+    gram, re, im = _primitive_gram(omega, vectors, d, inst.p, inst.q)
     space = PrimitiveSpace(basis=basis, gram=HermitianFormOnSpace(gram))
-    npos, nneg, nzero = space.gram.signature()
+    npos, nneg, nzero = _inertia(re, im)
     if nneg == 0 and nzero == 0:
         return Certificate("holds"), space
     # Theorem A: HR failure must come with a failing rank subset.
@@ -232,30 +273,31 @@ def lefschetz_decomposition(inst: HLInstance):
             raise PreconditionError(
                 "HL criterion fails for (p-1,q-1) with eta adjoined; decomposition not guaranteed"
             )
-    omega, prim_basis = _primitive_space(inst)
+    omega, prim_basis, prim_vectors, _ = _primitive_space(inst)
     if p == 0 or q == 0:
-        image_basis = ()
+        image_vectors, image_basis = [], ()
     else:
-        rows, ncols = wedge_operator_matrix(form_from_matrix(inst.eta), p - 1, q - 1)
+        # the columns of L * (eta ^ .) on Lambda^{p-1,q-1}
+        re, im, den = _integer_operator_matrix(form_from_matrix(inst.eta), p - 1, q - 1)
+        image_vectors = list(zip(zip(*re), zip(*im)))
         image_basis = tuple(
-            PQForm.from_coefficient_vector(n, p, q, [row[col] for row in rows])
-            for col in range(ncols)
+            PQForm.from_coefficient_vector(n, p, q, [
+                GaussianRational(Rat(a, den), Rat(b, den)) for a, b in zip(*v)])
+            for v in image_vectors
         )
-    dim_pq = comb(n, p) * comb(n, q)
-    dim_lower = comb(n, p - 1) * comb(n, q - 1) if (p >= 1 and q >= 1) else 0
+    dim_pq = len(basis_indices(n, p, q))
+    dim_lower = len(basis_indices(n, p - 1, q - 1)) if (p >= 1 and q >= 1) else 0
     if len(prim_basis) != dim_pq - dim_lower:
         raise InternalCheckError("primitive dimension identity violated")
-    stacked = [phi.coefficient_vector() for phi in image_basis + prim_basis]
-    if mat_rank(stacked) != dim_pq:
+    stacked = image_vectors + prim_vectors
+    if _rank([list(vr) for vr, _ in stacked], [list(vi) for _, vi in stacked], dim_pq) != dim_pq:
         raise InternalCheckError("decomposition does not span Lambda^{p,q}")
-    # Q-orthogonality of the two summands, both argument orders
-    c = cpq_constant(p, q)
-    for psi in image_basis:
-        wpsi = wedge(omega, psi)
-        for phi in prim_basis:
-            if c * volume_scalar(wedge(wpsi, conjugate_form(phi))):
-                raise InternalCheckError("summands not Q-orthogonal")
-            if c * volume_scalar(wedge(wedge(omega, phi), conjugate_form(psi))):
+    # Q-orthogonality of the two summands, both argument orders: each
+    # image x primitive block of the pairing must be the zero matrix
+    if image_vectors:
+        for left, right in ((image_vectors, prim_vectors), (prim_vectors, image_vectors)):
+            re, im, _ = _pairing_gram(omega, p, q, left, right)
+            if any(map(any, re)) or any(map(any, im)):
                 raise InternalCheckError("summands not Q-orthogonal")
     return image_basis, prim_basis, (len(image_basis), len(prim_basis))
 
@@ -281,12 +323,50 @@ def hermitian_real_basis(n):
     return basis
 
 
+@lru_cache(maxsize=None)
+def _real_basis_vectors(n):
+    """Coefficient vectors of the (1,1)-forms of hermitian_real_basis(n), all in Z[i]."""
+    out = []
+    for m in hermitian_real_basis(n):
+        (re, im), den = _integer_vector(form_from_matrix(m))
+        if den != 1:
+            raise InternalCheckError("real basis form is not integral")
+        out.append((tuple(re), tuple(im)))
+    return tuple(out)
+
+
+def _intersection_gram(omega, vectors):
+    """(rows, L): L times [vol(alpha_a ^ alpha_b ^ Omega)] over Z[i].
+
+    Omega is an (n-2,n-2)-form, vectors are Gaussian-integer coefficient
+    vectors of real (1,1)-forms alpha_a, and L is Omega's denominator.
+    The pairing of real forms is real and symmetric, and the integer rows
+    are checked to be so.
+    """
+    re, im, den = _pairing_gram(omega, 1, 1, vectors, vectors)
+    _hermitian_or_raise(re, im, "intersection pairing")
+    if any(map(any, im)):
+        raise InternalCheckError("intersection pairing has nonzero imaginary part")
+    return re, den
+
+
+def _check_factors(forms, n):
+    for a in forms:
+        if a.n != n:
+            raise ValueError("matrices have mismatched dimensions")
+        if not a.is_psd():
+            raise ValueError("factor matrices must be PSD")
+
+
 def lorentzian_signature(forms, n=None):
     """Inertia of (A,B) -> D(A,B,A_1,...,A_{n-2}) on the real space Herm_n.
 
     `n` may be omitted when `forms` is nonempty.  When the subset
     criterion rank(A_I) >= |I| + 2 holds the result must be the
-    Lorentzian signature (1, n^2 - 1, 0).
+    Lorentzian signature (1, n^2 - 1, 0).  D(A,B,...) is
+    vol(alpha ^ beta ^ Omega_{n-2}) / n!, so the Gram on
+    hermitian_real_basis(n) is one Z[i] pairing product, whose inertia
+    is that of the exact Gram.
     """
     forms = list(forms)
     if n is None:
@@ -295,18 +375,10 @@ def lorentzian_signature(forms, n=None):
         n = forms[0].n
     if len(forms) != n - 2:
         raise ValueError(f"need n-2={n - 2} factor matrices, got {len(forms)}")
-    for a in forms:
-        if not a.is_psd():
-            raise ValueError("factor matrices must be PSD")
-    basis = hermitian_real_basis(n)
-    dim = len(basis)
-    gram = [[ZERO] * dim for _ in range(dim)]
-    for a in range(dim):
-        for b in range(a, dim):
-            v = mixed_discriminant([basis[a], basis[b]] + forms)
-            gram[a][b] = GR(v)
-            gram[b][a] = GR(v)
-    return hermitian_signature(gram)
+    _check_factors(forms, n)
+    omega = wedge_many([form_from_matrix(a) for a in forms], n)
+    rows, _ = _intersection_gram(omega, _real_basis_vectors(n))
+    return _inertia(rows, [[0] * len(rows) for _ in rows])
 
 
 def hodge_index_check(forms, alpha: HermitianMatrix, beta: HermitianMatrix) -> bool:
@@ -315,26 +387,25 @@ def hodge_index_check(forms, alpha: HermitianMatrix, beta: HermitianMatrix) -> b
     Preconditions: Q(alpha,alpha) > 0 and Q(alpha,beta) = 0.  Returns
     whether Q(beta,beta) <= 0 with equality exactly when the
     (n-1,n-1)-form Omega ^ beta vanishes; always true per the theorem.
+    Q is read from the same Z[i] pairing as lorentzian_signature, up to
+    a positive factor, which keeps every sign and zero.
     """
     forms = list(forms)
     n = alpha.n
     if len(forms) != n - 2:
         raise ValueError(f"need n-2={n - 2} factor matrices")
-    for a in forms:
-        if not a.is_psd():
-            raise ValueError("factor matrices must be PSD")
-    fact = GR(factorial(n))
-
-    def q(x, y):
-        return (fact * GR(mixed_discriminant([x, y] + forms))).as_real()
-
-    if q(alpha, alpha) <= 0:
+    _check_factors(forms, n)
+    if beta.n != n:
+        raise ValueError("matrices have mismatched dimensions")
+    omega = wedge_many([form_from_matrix(a) for a in forms], n)
+    (qaa, qab), (_, qbb) = _intersection_gram(
+        omega, [_integer_vector(form_from_matrix(x))[0] for x in (alpha, beta)]
+    )[0]
+    if qaa <= 0:
         raise PreconditionError("Q(alpha,alpha) must be positive")
-    if q(alpha, beta) != 0:
+    if qab != 0:
         raise PreconditionError("alpha and beta must be Q-orthogonal")
-    qbb = q(beta, beta)
-    omega_beta = wedge_many([form_from_matrix(a) for a in forms + [beta]], n)
-    vanishes = omega_beta.is_zero()
+    vanishes = wedge(omega, form_from_matrix(beta)).is_zero()
     return qbb <= 0 and ((qbb == 0) == vanishes)
 
 

@@ -12,6 +12,7 @@ import sys
 
 from . import certify, discriminant, polymatroid
 from .generate import GeneratorSpec, generate_psd
+from .linalg import InternalCheckError
 from .serialize import (
     certificate_to_json,
     matrix_from_json,
@@ -228,6 +229,11 @@ def run_instance(doc, seed=None):
         except (TaskError, ValueError, KeyError, certify.PreconditionError) as exc:
             missing = isinstance(exc, KeyError)
             results[str(idx)] = {"error": f"missing field {exc}" if missing else str(exc)}
+            ok = False
+            continue
+        except InternalCheckError as exc:
+            # a failed self-check is a bug, reported per task and never as a traceback
+            results[str(idx)] = {"internal_error": str(exc)}
             ok = False
             continue
         results[str(idx)] = result

@@ -14,6 +14,10 @@ once to (re, im) int pairs over one common denominator, the pair loop
 multiplies and adds Python ints only, and the result is turned back into
 Q(i) coefficients once.  The operator matrix of Phi -> omega ^ Phi is
 filled by index arithmetic, each entry being +c or -c for a term c of omega.
+Its Gaussian-integer form (omega's terms over one denominator) feeds the
+determinant and kernel routes, and, with the signed complementary pairing
+Lambda^{n-q,n-p} x Lambda^{q,p} -> Lambda^{n,n}, the Gram matrix of
+(Phi, Psi) -> vol(omega ^ Phi ^ conj(Psi)) as one product (M B)^T S conj(B).
 """
 
 from __future__ import annotations
@@ -310,6 +314,160 @@ def is_real_form(phi: PQForm) -> bool:
     return conjugate_form(phi) == phi
 
 
+def _operator_columns(omega: PQForm, p: int, q: int):
+    """Sparse columns of Phi -> omega ^ Phi from Lambda^{p,q}, by index arithmetic.
+
+    Returns (nrows, columns): columns[col] lists (row, term, sign) for each
+    term of omega, counted in omega.coeffs order, whose indices are
+    disjoint from the source index (I, J); it lands at the row of the
+    merged (I' + I, J' + J) with that sign.  No coefficient is touched.
+    If the target degree overflows n the map is zero and nrows is 0.
+    """
+    n = omega.n
+    src = basis_indices(n, p, q)
+    tp, tq = p + omega.p, q + omega.q
+    if tp > n or tq > n:
+        return 0, [[] for _ in src]
+    tgt_pos = _positions(n, tp, tq)
+    # moving dzbar_{J'} (omega.q factors) past dz_I (p factors)
+    block = -1 if (p * omega.q) % 2 else 1
+    keys = list(omega.coeffs)
+    columns = []
+    for i, j in src:
+        col = []
+        for term, (i1, j1) in enumerate(keys):
+            si, mi = _merge_sign(i1, i)
+            if not si:
+                continue
+            sj, mj = _merge_sign(j1, j)
+            if sj:
+                col.append((tgt_pos[mi, mj], term, si * sj * block))
+        columns.append(col)
+    return len(tgt_pos), columns
+
+
+def _integer_operator(omega: PQForm, p: int, q: int):
+    """(nrows, columns, L): the sparse columns of L times Phi -> omega ^ Phi over Z[i].
+
+    columns[col] lists (row, re, im) entries; L is the lcm of omega's
+    denominators, so the terms are read once as Gaussian integers.
+    """
+    nrows, columns = _operator_columns(omega, p, q)
+    terms, den = _integer_terms(omega)
+    values = list(terms.values())
+    return nrows, [
+        [(row, sign * values[t][0], sign * values[t][1]) for row, t, sign in col]
+        for col in columns
+    ], den
+
+
+def _integer_operator_matrix(omega: PQForm, p: int, q: int):
+    """(re, im, L): dense int rows of L times the matrix of Phi -> omega ^ Phi."""
+    nrows, columns, den = _integer_operator(omega, p, q)
+    re = [[0] * len(columns) for _ in range(nrows)]
+    im = [[0] * len(columns) for _ in range(nrows)]
+    for col, entries in enumerate(columns):
+        for row, a, b in entries:
+            re[row][col] = a
+            im[row][col] = b
+    return re, im, den
+
+
+def _integer_vector(phi: PQForm):
+    """((re, im), L): phi's coefficient vector as two int lists, times L."""
+    terms, den = _integer_terms(phi)
+    pos = _positions(phi.n, phi.p, phi.q)
+    re, im = [0] * len(pos), [0] * len(pos)
+    for key, (a, b) in terms.items():
+        re[pos[key]], im[pos[key]] = a, b
+    return (re, im), den
+
+
+@lru_cache(maxsize=None)
+def _positions(n, p, q):
+    """{(I, J): position} in the ordered basis of Lambda^{p,q}."""
+    return {k: a for a, k in enumerate(basis_indices(n, p, q))}
+
+
+@lru_cache(maxsize=None)
+def _complementary_pairing(n, p, q):
+    """The signed pairing Lambda^{n-q,n-p} x Lambda^{q,p} -> Lambda^{n,n}, read through conj.
+
+    Returns (partners, unit).  For the t-th basis index (I, J) of
+    Lambda^{n-q,n-p}, partners[t] = (s, sign) with s the position of
+    (J^c, I^c) in Lambda^{p,q}, so that for Psi in Lambda^{n-q,n-p} and
+    Phi in Lambda^{p,q}
+        vol(Psi ^ conj(Phi)) = unit * sum_t sign_t * Psi_t * conj(Phi_{s_t}).
+    The sign is merge(I, I^c) * merge(J, J^c) times (-1)^((n-p)q) for
+    moving dzbar_J past dz_{I^c} and (-1)^(pq) from conj; unit is the
+    inverse of the volume coefficient, a unit of Z[i].
+    """
+    full = range(1, n + 1)
+    src = _positions(n, p, q)
+    block = -1 if ((n - p) * q + p * q) % 2 else 1
+    partners = []
+    for i, j in basis_indices(n, n - q, n - p):
+        ic = tuple(k for k in full if k not in i)
+        jc = tuple(k for k in full if k not in j)
+        si, _ = _merge_sign(i, ic)
+        sj, _ = _merge_sign(j, jc)
+        partners.append((src[jc, ic], si * sj * block))
+    inv = ONE / _volume_coefficient(n)
+    if inv.re.denominator != 1 or inv.im.denominator != 1:
+        raise InternalCheckError("volume coefficient is not a unit of Z[i]")
+    return tuple(partners), (int(inv.re), int(inv.im))
+
+
+def _pairing_gram(omega: PQForm, p: int, q: int, left, right):
+    """L * vol(omega ^ Phi_a ^ conj(Psi_b)) over Z[i], for all a, b: (re, im, L).
+
+    left and right hold Gaussian-integer coefficient vectors of
+    Lambda^{p,q}, each an (re, im) pair of int lists, and omega must have
+    bidegree (n-p-q, n-p-q).  This is (M Phi)^T S conj(Psi) for M the
+    integer operator matrix of omega (over L) and S the signed pairing of
+    _complementary_pairing; only the nonzero entries are visited.
+    """
+    n = omega.n
+    k = n - p - q
+    if omega.p != k or omega.q != k:
+        raise ValueError(
+            f"degree mismatch: omega has bidegree ({omega.p},{omega.q}), expected ({k},{k})"
+        )
+    nrows, columns, den = _integer_operator(omega, p, q)
+    partners, (ur, ui) = _complementary_pairing(n, p, q)
+    # unit * sign_t * conj(Psi_{s_t}), kept at its nonzero rows t
+    paired = []
+    for vr, vi in right:
+        out = []
+        for t, (s, sign) in enumerate(partners):
+            a, b = vr[s], vi[s]
+            if a or b:
+                a, b = sign * a, -sign * b
+                out.append((t, a * ur - b * ui, a * ui + b * ur))
+        paired.append(out)
+    gram_re, gram_im = [], []
+    for vr, vi in left:
+        wr, wi = [0] * nrows, [0] * nrows
+        for col, entries in enumerate(columns):
+            a, b = vr[col], vi[col]
+            if a or b:
+                for row, mr, mi in entries:
+                    wr[row] += mr * a - mi * b
+                    wi[row] += mr * b + mi * a
+        row_re, row_im = [], []
+        for out in paired:
+            sr = si = 0
+            for t, yr, yi in out:
+                xr, xi = wr[t], wi[t]
+                sr += xr * yr - xi * yi
+                si += xr * yi + xi * yr
+            row_re.append(sr)
+            row_im.append(si)
+        gram_re.append(row_re)
+        gram_im.append(row_im)
+    return gram_re, gram_im, den
+
+
 def wedge_operator_matrix(omega: PQForm, p: int, q: int):
     """Matrix of Phi -> omega ^ Phi from Lambda^{p,q} in canonical bases.
 
@@ -318,25 +476,13 @@ def wedge_operator_matrix(omega: PQForm, p: int, q: int):
     term c dz_I' ^ dzbar_J' of omega whose indices are disjoint from it, at
     the row of the merged (I' + I, J' + J); no coefficient is multiplied.
     """
-    n = omega.n
-    src = basis_indices(n, p, q)
-    tp, tq = p + omega.p, q + omega.q
-    if tp > n or tq > n:
-        return [], len(src)
-    tgt_pos = {k: a for a, k in enumerate(basis_indices(n, tp, tq))}
-    # moving dzbar_{J'} (omega.q factors) past dz_I (p factors)
-    block = -1 if (p * omega.q) % 2 else 1
-    terms = [(i, j, c, -c) for (i, j), c in omega.coeffs.items()]
-    rows = [[ZERO] * len(src) for _ in tgt_pos]
-    for col, (i, j) in enumerate(src):
-        for i1, j1, plus, minus in terms:
-            si, mi = _merge_sign(i1, i)
-            if not si:
-                continue
-            sj, mj = _merge_sign(j1, j)
-            if sj:
-                rows[tgt_pos[mi, mj]][col] = plus if si * sj * block > 0 else minus
-    return rows, len(src)
+    nrows, columns = _operator_columns(omega, p, q)
+    terms = [(c, -c) for c in omega.coeffs.values()]
+    rows = [[ZERO] * len(columns) for _ in range(nrows)]
+    for col, entries in enumerate(columns):
+        for row, term, sign in entries:
+            rows[row][col] = terms[term][sign < 0]
+    return rows, len(columns)
 
 
 def multiplication_matrix(omega: PQForm, p: int, q: int):

@@ -55,7 +55,13 @@ class GeneratorSpec:
     entry_bound: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "rank_profile", tuple(int(r) for r in self.rank_profile))
+        profile = tuple(self.rank_profile)
+        # only a genuine int passes: a bool or float is refused, never truncated
+        for what, value in (("seed", self.seed), ("n", self.n), ("entry_bound", self.entry_bound),
+                            *(("rank_profile entry", r) for r in profile)):
+            if type(value) is not int:
+                raise TypeError(f"{what} must be an integer, got {value!r}")
+        object.__setattr__(self, "rank_profile", profile)
         if self.n <= 0:
             raise ValueError("n must be positive")
         if self.entry_bound <= 0:

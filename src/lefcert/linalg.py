@@ -147,9 +147,11 @@ def _eliminate(re, im, ncols, jordan=False):
     return pivots, sign, (dr, di)
 
 
-def _inertia(rows):
-    """(npos, nneg, nzero) of a Hermitian matrix by symmetric fraction-free elimination.
+def _inertia(re, im):
+    """(npos, nneg, nzero) of a Hermitian Z[i] matrix by symmetric fraction-free elimination.
 
+    The rows (re, im) are eliminated in place; a positive multiple of a
+    Hermitian matrix has its inertia, so any cleared form will do.
     Only the upper triangle is kept; entry (i, k) below it is the conjugate
     of (k, i).  Pivots are the diagonal entries in order and stay real; the
     k-th LDL* diagonal is p_k / p_prev, so its sign is sign(p_k) * sign(p_prev).
@@ -159,7 +161,6 @@ def _inertia(rows):
     is a_ll + 2 Re(conj(t) c), nonzero for one of t = 1, -1, i, -i, and
     every later division stays exact.
     """
-    re, im, _ = _gaussian_integer_rows(rows)
     n = len(re)
     npos = nneg = nzero = 0
     prev = 1
@@ -234,21 +235,61 @@ def _det_pencil(a, b):
             for x, y in zip(num_re, num_im)]
 
 
+def _rank(re, im, ncols):
+    """Rank of the Z[i] rows (re, im), eliminated in place."""
+    return len(_eliminate(re, im, ncols)[0])
+
+
 def mat_rank(rows) -> int:
     """Exact rank: the number of fraction-free pivots."""
     re, im, _ = _gaussian_integer_rows(rows)
-    return len(_eliminate(re, im, len(re[0]) if re else 0)[0])
+    return _rank(re, im, len(re[0]) if re else 0)
+
+
+def _det(re, im):
+    """det of a square Z[i] matrix as an (re, im) pair; the rows are eliminated in place."""
+    pivots, sign, (dr, di) = _eliminate(re, im, len(re))
+    return (sign * dr, sign * di) if len(pivots) == len(re) else (0, 0)
 
 
 def mat_det(rows) -> GaussianRational:
     """Exact determinant: the last Bareiss pivot of L * rows over L^n."""
-    n = len(rows)
     re, im, den = _gaussian_integer_rows(rows)
-    pivots, sign, (dr, di) = _eliminate(re, im, n)
-    if len(pivots) < n:
+    dr, di = _det(re, im)
+    if not (dr or di):
         return ZERO
-    scale = sign * den ** n
+    scale = den ** len(rows)
     return GaussianRational(Fraction(dr, scale), Fraction(di, scale))
+
+
+def _kernel(re, im, ncols):
+    """Right kernel of the Z[i] rows (re, im), eliminated in place: (vectors, d).
+
+    One (re, im) pair of int lists per non-pivot column of the reduced row
+    echelon form, in column order; each is d times the exact kernel
+    vector, d being the last Gauss-Jordan pivot as an (re, im) pair.
+    """
+    pivots, _, d = _eliminate(re, im, ncols, jordan=True)
+    pivset = set(pivots)
+    vectors = []
+    for free in range(ncols):
+        if free in pivset:
+            continue
+        vr, vi = [0] * ncols, [0] * ncols
+        vr[free], vi[free] = d
+        # RREF = M / d, so d * (kernel vector) is -M's free column at the pivots
+        for r, pc in enumerate(pivots):
+            vr[pc], vi[pc] = -re[r][free], -im[r][free]
+        vectors.append((vr, vi))
+    return vectors, d
+
+
+def _exact_vector(vector, d):
+    """The GaussianRational vector (vr + i vi) / d of an integer kernel vector."""
+    dr, di = d
+    norm = dr * dr + di * di
+    return [GaussianRational(Fraction(a * dr + b * di, norm), Fraction(b * dr - a * di, norm))
+            if a or b else ZERO for a, b in zip(*vector)]
 
 
 def kernel_basis(rows, ncols=None):
@@ -263,23 +304,8 @@ def kernel_basis(rows, ncols=None):
             raise ValueError("ncols required for a matrix with no rows")
         ncols = len(rows[0])
     re, im, _ = _gaussian_integer_rows(rows)
-    pivots, _, (dr, di) = _eliminate(re, im, ncols, jordan=True)
-    # RREF = M / d: entry -(a + b i) / (dr + di i) of the kernel vector
-    norm = dr * dr + di * di
-    pivset = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        v = [ZERO] * ncols
-        v[free] = ONE
-        for r, pc in enumerate(pivots):
-            a, b = re[r][free], im[r][free]
-            if a or b:
-                v[pc] = GaussianRational(Fraction(-(a * dr + b * di), norm),
-                                         Fraction(a * di - b * dr, norm))
-        basis.append(v)
-    return basis
+    vectors, d = _kernel(re, im, ncols)
+    return [_exact_vector(v, d) for v in vectors]
 
 
 def char_poly_elementary(rows):
@@ -387,7 +413,7 @@ class HermitianMatrix:
 
     def is_psd(self) -> bool:
         if self._psd is None:
-            object.__setattr__(self, "_psd", _inertia(self.rows)[1] == 0)
+            object.__setattr__(self, "_psd", hermitian_signature(self.rows)[1] == 0)
         return self._psd
 
     def det(self) -> GaussianRational:
@@ -406,7 +432,7 @@ def is_m_positive(mat: HermitianMatrix, omega: HermitianMatrix, m: int) -> bool:
         raise ValueError("dimension mismatch")
     if not 1 <= m <= n:
         raise ValueError("m must satisfy 1 <= m <= n")
-    if _inertia(omega.rows) != (n, 0, 0):
+    if hermitian_signature(omega.rows) != (n, 0, 0):
         raise NotPositiveDefiniteError("matrix is not positive definite")
     for c in _det_pencil(omega.rows, mat.rows)[1:m + 1]:
         if c.im:
@@ -418,7 +444,8 @@ def is_m_positive(mat: HermitianMatrix, omega: HermitianMatrix, m: int) -> bool:
 
 def hermitian_signature(gram):
     """Exact inertia (n_plus, n_minus, n_zero) of a Hermitian matrix by congruence."""
-    return _inertia(gram)
+    re, im, _ = _gaussian_integer_rows(gram)
+    return _inertia(re, im)
 
 
 class HermitianFormOnSpace:
@@ -468,7 +495,7 @@ class HermitianFormOnSpace:
 
     def is_positive_definite_on(self, basis) -> bool:
         """Whether the restriction to span(basis) has inertia (len(basis), 0, 0)."""
-        return _inertia(self.restrict(basis)) == (len(basis), 0, 0)
+        return hermitian_signature(self.restrict(basis)) == (len(basis), 0, 0)
 
     def is_positive_definite(self) -> bool:
         return self.signature() == (self.dim, 0, 0)

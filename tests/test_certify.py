@@ -1,5 +1,8 @@
+import re
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from math import factorial
 from operator import add
 
 import pytest
@@ -8,6 +11,8 @@ from lefcert.certify import (
     Certificate,
     HLInstance,
     PreconditionError,
+    _intersection_gram,
+    _real_basis_vectors,
     _witness_from_kernel,
     criterion_hl,
     direct_hl,
@@ -19,11 +24,22 @@ from lefcert.certify import (
     products_preserve_hl,
 )
 from lefcert.discriminant import panov_positivity
-from lefcert.exterior import PQForm, conjugate_form, form_from_matrix, multiplication_matrix, wedge
-from lefcert.linalg import HermitianMatrix, InternalCheckError, mat_rank
-from lefcert.rationals import GR, I, ONE
+from lefcert.discriminant import mixed_discriminant
+from lefcert.exterior import (
+    PQForm,
+    _integer_operator_matrix,
+    _integer_vector,
+    conjugate_form,
+    form_from_matrix,
+    multiplication_matrix,
+    volume_scalar,
+    wedge,
+    wedge_many,
+)
+from lefcert.linalg import HermitianMatrix, InternalCheckError, hermitian_signature, mat_rank
+from lefcert.rationals import GR, I, ONE, cpq_constant
 
-from conftest import random_psd_family
+from conftest import random_hermitian, random_psd_family
 from lefcert.generate import SplitMix64
 
 D = HermitianMatrix.diagonal
@@ -179,9 +195,9 @@ def test_witness_recheck_uses_the_given_omega():
     # (Id, Id), which annihilates no nonzero (1,0)-form
     a = D([1, 1, 0])
     inst = HLInstance(3, 1, 0, (a, a))
-    matrix = multiplication_matrix(inst.omega(), 1, 0)
+    re, im, _ = _integer_operator_matrix(inst.omega(), 1, 0)
     with pytest.raises(InternalCheckError, match="not annihilated"):
-        _witness_from_kernel(inst, HLInstance(3, 1, 0, (Id(3), Id(3))).omega(), matrix, len(matrix))
+        _witness_from_kernel(inst, HLInstance(3, 1, 0, (Id(3), Id(3))).omega(), re, im)
 
 
 def test_witnesses_annihilate_omega():
@@ -277,7 +293,44 @@ def test_hr_gram_is_hermitian():
                 assert g[a][b] == g[b][a].conjugate()
 
 
-# ---- Lefschetz decomposition ----
+def oracle_gram_on_basis(omega, basis, p, q):
+    """Gram of Q(Phi,Psi) = c_{p,q} * vol(Omega ^ Phi ^ conj(Psi)), one full wedge per entry."""
+    c = cpq_constant(p, q)
+    partial = [wedge(omega, phi) for phi in basis]
+    conjs = [conjugate_form(phi) for phi in basis]
+    k = len(basis)
+    gram = [[c * volume_scalar(wedge(partial[a], conjs[b])) for b in range(k)]
+            for a in range(k)]
+    for a in range(k):
+        for b in range(k):
+            assert gram[a][b] == gram[b][a].conjugate()
+    return gram
+
+
+def test_hr_gram_equals_the_wedge_oracle():
+    """The Z[i] pairing product gives the wedge-loop Gram entry for entry."""
+    cases = [(3, 1, 0), (3, 1, 1), (3, 2, 1), (4, 1, 0), (4, 1, 1), (4, 2, 1), (4, 2, 2),
+             (5, 1, 1), (5, 2, 0), (5, 2, 1)]
+    verdicts = {}
+    for idx, (n, p, q) in enumerate(cases):
+        for seed in range(2 if n == 5 else 4):
+            # even seeds shift the forms to full rank (HR holds); odd seeds cap
+            # every rank at p + q, so each singleton fails the criterion
+            forms = random_psd_family(13000 + 10 * idx + seed, n, n - p - q,
+                                      max_rank=p + q if seed % 2 else None)
+            if not seed % 2:
+                forms = [a + Id(n) for a in forms]
+            eta = random_psd_family(14000 + 10 * idx + seed, n, 1)[0] + Id(n)
+            inst = HLInstance(n, p, q, tuple(forms), eta=eta)
+            cert, space = hr_certify(inst)
+            oracle = oracle_gram_on_basis(inst.omega(), space.basis, p, q)
+            assert [list(row) for row in space.gram.gram] == oracle
+            k = len(space.basis)
+            assert cert.holds == (hermitian_signature(oracle) == (k, 0, 0))
+            verdicts.setdefault((n, p, q), set()).add(cert.verdict)
+    for (n, p, q), seen in verdicts.items():
+        assert seen == ({"holds"} if p + q == n else {"holds", "fails"})
+
 
 def test_lefschetz_trivial_image_for_zero_bidegree():
     inst = HLInstance(2, 0, 0, (Id(2), Id(2)), eta=Id(2))
@@ -301,6 +354,36 @@ def test_lefschetz_threefold_dims():
 def test_lefschetz_requires_hl():
     inst = HLInstance(2, 0, 0, (D([1, 0]), D([1, 0])), eta=Id(2))
     with pytest.raises(PreconditionError):
+        lefschetz_decomposition(inst)
+
+
+def test_lefschetz_orthogonality_product_catches_a_non_primitive_vector(monkeypatch):
+    """Adding an image vector to a primitive one keeps the span and the
+    dimensions, but Q(eta ^ e, phi + eta ^ e) = Q(eta ^ e, eta ^ e) != 0."""
+    import lefcert.certify as certify_mod
+
+    inst = HLInstance(3, 1, 1, (Id(3),), eta=Id(3))
+    image, prim, _ = lefschetz_decomposition(inst)
+    omega = inst.omega()
+    doctored = (prim[0] + image[0],) + prim[1:]
+    oracle = oracle_gram_on_basis(omega, image + doctored, 1, 1)
+    assert oracle[0][1] != 0 and oracle[1][0] != 0
+    assert all(oracle[0][1 + b] == 0 for b in range(1, len(prim)))
+
+    build = certify_mod._primitive_space
+
+    def non_primitive(inst):
+        omega, basis, vectors, d = build(inst)
+        vr, vi = vectors[0]
+        (er, ei), den = _integer_vector(image[0])
+        # d * (phi + eta ^ e) = d * phi + d * eta ^ e, as Gaussian integers over den
+        dr, di = d
+        bad = ([den * a + dr * x - di * y for a, x, y in zip(vr, er, ei)],
+               [den * b + dr * y + di * x for b, x, y in zip(vi, er, ei)])
+        return omega, doctored, [bad] + vectors[1:], d
+
+    monkeypatch.setattr(certify_mod, "_primitive_space", non_primitive)
+    with pytest.raises(InternalCheckError, match="not Q-orthogonal"):
         lefschetz_decomposition(inst)
 
 
@@ -343,6 +426,33 @@ def test_hermitian_real_basis_spans():
     assert mat_rank(flat) == 9
 
 
+def oracle_lorentzian_gram(forms, n):
+    """Gram of (A,B) -> D(A,B,A_1,...,A_{n-2}) on hermitian_real_basis(n), one mixed
+    discriminant (2^n subset determinants) per entry of the upper triangle."""
+    basis = hermitian_real_basis(n)
+    dim = len(basis)
+    gram = [[None] * dim for _ in range(dim)]
+    for a in range(dim):
+        for b in range(a, dim):
+            gram[a][b] = gram[b][a] = mixed_discriminant([basis[a], basis[b]] + list(forms))
+    return gram
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_lorentzian_gram_equals_the_mixed_discriminant_oracle(n):
+    samples = [random_psd_family(15000 + 10 * n + seed, n, n - 2) for seed in range(3 if n == 3 else 1)]
+    samples.append([D([1] * (n - 1) + [0])] * (n - 2))  # rank n-1: not Lorentzian
+    samples.append([Id(n)] * (n - 2))
+    for forms in samples:
+        omega = wedge_many([form_from_matrix(a) for a in forms], n)
+        rows, den = _intersection_gram(omega, _real_basis_vectors(n))
+        oracle = oracle_lorentzian_gram(forms, n)
+        scale = den * factorial(n)
+        assert [[Fraction(x, scale) for x in row] for row in rows] == oracle
+        assert lorentzian_signature(forms, n) == hermitian_signature(oracle)
+    assert lorentzian_signature(samples[-2], n) != (1, n * n - 1, 0)
+
+
 # ---- Hodge index ----
 
 def test_hodge_index_surface_example():
@@ -379,6 +489,56 @@ def test_hodge_index_random_samples():
         beta = beta0.scale(qaa) + alpha.scale(-qab)
         assert hodge_index_check(forms, alpha, beta)
         checked += 1
+
+
+def oracle_hodge_index_check(forms, alpha, beta):
+    """hodge_index_check with Q(x,y) = n! * mixed_discriminant([x, y] + forms)."""
+    forms = list(forms)
+    n = alpha.n
+
+    def q(x, y):
+        return factorial(n) * mixed_discriminant([x, y] + forms)
+
+    if q(alpha, alpha) <= 0:
+        raise PreconditionError("Q(alpha,alpha) must be positive")
+    if q(alpha, beta) != 0:
+        raise PreconditionError("alpha and beta must be Q-orthogonal")
+    qbb = q(beta, beta)
+    vanishes = wedge_many([form_from_matrix(a) for a in forms + [beta]], n).is_zero()
+    return qbb <= 0 and ((qbb == 0) == vanishes)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_hodge_index_pairing_equals_the_mixed_discriminant_oracle(n):
+    rng = SplitMix64(0x4D1C + n)
+    outcomes = []
+    for seed in range(8 if n == 3 else 4):
+        forms = psd_tuple(16000 + 10 * n + seed, n, n - 2)
+        alpha = random_hermitian(16100 + seed, n) if seed % 4 == 3 else Id(n)
+        beta0 = random_hermitian(16200 + seed, n)
+        if seed % 3 == 2:  # rational entries: the vectors carry their own denominators
+            beta0 = beta0.scale(Fraction(1, 3))
+        mats = [alpha, beta0]
+        vectors, dens = zip(*(_integer_vector(form_from_matrix(m)) for m in mats))
+        omega = wedge_many([form_from_matrix(a) for a in forms], n)
+        rows, den = _intersection_gram(omega, vectors)
+        for a, x in enumerate(mats):
+            for b, y in enumerate(mats):
+                exact = Fraction(rows[a][b], den * dens[a] * dens[b])
+                assert exact == factorial(n) * mixed_discriminant([x, y] + list(forms))
+        qaa = factorial(n) * mixed_discriminant([alpha, alpha] + list(forms))
+        qab = factorial(n) * mixed_discriminant([alpha, beta0] + list(forms))
+        for beta in (beta0, beta0.scale(qaa) + alpha.scale(-qab)):
+            try:
+                expected = oracle_hodge_index_check(forms, alpha, beta)
+            except PreconditionError as exc:
+                with pytest.raises(PreconditionError, match=re.escape(str(exc))):
+                    hodge_index_check(forms, alpha, beta)
+                outcomes.append("precondition")
+                continue
+            assert hodge_index_check(forms, alpha, beta) == expected
+            outcomes.append(expected)
+    assert True in outcomes and "precondition" in outcomes
 
 
 # ---- products preserve HL ----
@@ -487,6 +647,7 @@ def test_determinant_route_never_reads_the_rank_code(monkeypatch):
         raise AssertionError("the determinant route read the rank code")
 
     monkeypatch.setattr(linalg_mod, "mat_rank", forbidden)
-    monkeypatch.setattr(certify_mod, "mat_rank", forbidden)
+    monkeypatch.setattr(linalg_mod, "_rank", forbidden)
+    monkeypatch.setattr(certify_mod, "_rank", forbidden)
     monkeypatch.setattr(HermitianMatrix, "rank", forbidden)
     assert routes() == expected

@@ -87,6 +87,30 @@ def test_task_errors_do_not_abort_later_tasks(tmp_path):
     assert report["results"]["2"] == {"psd": True}
 
 
+def test_internal_check_error_is_a_structured_task_result(tmp_path, capsys, monkeypatch):
+    from lefcert import certify
+    from lefcert.linalg import InternalCheckError
+
+    def broken(inst):
+        raise InternalCheckError("Q Gram matrix is not Hermitian")
+
+    monkeypatch.setattr(certify, "hr_certify", broken)
+    doc = {
+        "schema": 1,
+        "n": 2,
+        "matrices": {"a": diag_json([1, 1])},
+        "tasks": [
+            {"kind": "hr-certify", "p": 0, "q": 0, "forms": ["a", "a"], "eta": "a"},
+            {"kind": "psd-check", "matrix": "a"},
+        ],
+    }
+    code, report = run_file(tmp_path, doc)
+    assert code == 1
+    assert report["results"]["0"] == {"internal_error": "Q Gram matrix is not Hermitian"}
+    assert report["results"]["1"] == {"psd": True}
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_reports_byte_identical(tmp_path):
     doc = {
         "schema": 1,

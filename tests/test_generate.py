@@ -28,6 +28,22 @@ def test_spec_validation():
         GeneratorSpec(seed=1, n=2, rank_profile=(1,), entry_bound=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.9), ("seed", True), ("n", 2.0), ("n", True),
+    ("entry_bound", 2.5), ("entry_bound", False), ("rank_profile", (1.7,)),
+    ("rank_profile", (1, True)), ("rank_profile", ("1",)),
+])
+def test_spec_refuses_non_int_fields(field, value):
+    fields = {"seed": 1, "n": 2, "rank_profile": (1,), "entry_bound": 2, field: value}
+    with pytest.raises(TypeError, match="must be an integer"):
+        GeneratorSpec(**fields)
+
+
+def test_spec_keeps_an_int_profile_as_a_tuple():
+    spec = GeneratorSpec(seed=1, n=3, rank_profile=[1, 3, 0])
+    assert spec.rank_profile == (1, 3, 0)
+
+
 def test_zero_rank_gives_zero_matrix():
     (m,) = generate_psd(GeneratorSpec(seed=7, n=3, rank_profile=(0,)))
     assert m == HermitianMatrix.zero(3)
