@@ -93,7 +93,7 @@ def _task_hl_certify(ctx, task):
     cert = certify.criterion_hl(inst)
     direct = certify.direct_hl(inst)
     if cert.verdict != direct.verdict:
-        raise TaskError("criterion and direct verdicts disagree (internal error)")
+        raise InternalCheckError("criterion and direct verdicts disagree")
     out = certificate_to_json(cert)
     if direct.kernel_witness is not None:
         out.update(certificate_to_json(direct))

@@ -3,17 +3,25 @@
 The two quantities are proportional: intersection_number = n! * mixed
 discriminant, with the constant pinned by the identity tuple (where the
 top power of the standard form is n! times the volume element).
+
+The subset lattice A_I = sum_{i in I} A_i behind mixed discriminants, the
+rank criteria and the polymatroid rank table is one walk over Gaussian
+integers.  Every member's cached Z[i] rows (HermitianMatrix clears each
+matrix once) are lifted to the family's lcm denominator L, and each sum is
+an element-wise int sum.  Ranks are invariant under the scaling by L, and
+determinants are scaled back by L^n once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import add
 
 from .exterior import form_from_matrix, volume_scalar, wedge_many
-from .linalg import InternalCheckError, mat_det
-from .rationals import GR, ZERO
+from .linalg import HermitianMatrix, InternalCheckError, _copy_rows, _det, _rank
+from .rationals import GR, GaussianRational, Rat
 
 __all__ = [
     "mixed_discriminant",
@@ -39,20 +47,65 @@ def _check_tuple(mats):
     return mats, n
 
 
+def _lift(mats):
+    """(L, [(re, im), ...]): each member's Z[i] rows over the family's lcm denominator L."""
+    cleared = [a._integer_rows() for a in mats]
+    den = lcm(*(d for _, _, d in cleared))
+    lifted = []
+    for re, im, d in cleared:
+        if d != den:
+            f = den // d
+            re = tuple(tuple(f * x for x in row) for row in re)
+            im = tuple(tuple(f * x for x in row) for row in im)
+        lifted.append((re, im))
+    return den, lifted
+
+
+def _add(a, b):
+    """The (re, im) rows of A + B from those of A and B."""
+    (ar, ai), (br, bi) = a, b
+    return (tuple(tuple(map(add, x, y)) for x, y in zip(ar, br)),
+            tuple(tuple(map(add, x, y)) for x, y in zip(ai, bi)))
+
+
+def _walk(lifted):
+    """Yield (I, (re, im)) for every nonempty I in size-then-lex order, lazily.
+
+    The package's one subset-lattice walk, over the lifted rows of `_lift`.
+    A_I is built only when the walk reaches it, as A_{I minus max I} +
+    A_{max I}; the smaller sum came earlier and is memoised.  A singleton's
+    rows are the member's own.  The yielded rows are shared with the memo
+    and with the matrices' caches: eliminate a list copy.
+    """
+    built = {}
+    for subset in subsets_size_lex(len(lifted)):
+        *head, last = subset
+        rows = _add(built[tuple(head)], lifted[last - 1]) if head else lifted[last - 1]
+        built[subset] = rows
+        yield subset, rows
+
+
+def _subset_ranks(mats):
+    """Yield (I, rank(A_I)) along the walk; nothing is summed or ranked ahead of the caller."""
+    for subset, (re, im) in _walk(_lift(mats)[1]):
+        yield subset, _rank(_copy_rows(re), _copy_rows(im), len(re))
+
+
 def subset_sums(mats):
     """Yield (I, A_I) for every nonempty I in size-then-lex order, lazily.
 
-    The package's one subset-lattice walk.  A_I is built only when the
-    walk reaches it, as A_{I minus max I} + A_{max I}; the smaller sum
-    came earlier in the walk and is memoised.  A singleton's sum is the
-    matrix itself, and an empty family yields nothing.
+    A view of the integer walk as HermitianMatrix values; no library code
+    calls it.  A singleton's sum is the matrix itself, and an empty family
+    yields nothing.
     """
-    built = {}
-    for subset in subsets_size_lex(len(mats)):
-        *head, last = subset
-        s = built[tuple(head)] + mats[last - 1] if head else mats[last - 1]
-        built[subset] = s
-        yield subset, s
+    den, lifted = _lift(mats)
+    for subset, (re, im) in _walk(lifted):
+        if len(subset) == 1:
+            yield subset, mats[subset[0] - 1]
+        else:
+            yield subset, HermitianMatrix(
+                [[GaussianRational(Rat(x, den), Rat(y, den)) for x, y in zip(xr, yr)]
+                 for xr, yr in zip(re, im)])
 
 
 def rank_deficient_subset(mats, shift=0):
@@ -61,8 +114,7 @@ def rank_deficient_subset(mats, shift=0):
     Returns (I, deficit) or None; no sum is built and no rank computed
     past the first failure.
     """
-    for subset, s in subset_sums(mats):
-        r = s.rank()
+    for subset, r in _subset_ranks(mats):
         need = len(subset) + shift
         if r < need:
             return subset, need - r
@@ -70,19 +122,25 @@ def rank_deficient_subset(mats, shift=0):
 
 
 def mixed_discriminant(mats):
-    """D(A_1,...,A_n) by inclusion-exclusion over subset determinants."""
+    """D(A_1,...,A_n) by inclusion-exclusion over subset determinants.
+
+    Each det(L * A_I) is an exact Z[i] determinant; the signed sum is
+    divided by n! L^n once.
+    """
     mats, n = _check_tuple(mats)
-    total = ZERO  # the empty subset adds det(0) = 0
-    for subset, s in subset_sums(mats):
-        d = mat_det(s.rows)
+    den, lifted = _lift(mats)
+    total_re = total_im = 0  # the empty subset adds det(0) = 0
+    for subset, (re, im) in _walk(lifted):
+        dr, di = _det(_copy_rows(re), _copy_rows(im))
         if (n - len(subset)) % 2:
-            total = total - d
+            total_re -= dr
+            total_im -= di
         else:
-            total = total + d
-    value = total / GR(factorial(n))
-    if value.im:
+            total_re += dr
+            total_im += di
+    if total_im:
         raise InternalCheckError("mixed discriminant has nonzero imaginary part")
-    return value.re
+    return Rat(total_re, factorial(n) * den ** n)
 
 
 def intersection_number(mats):

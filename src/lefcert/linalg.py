@@ -20,6 +20,10 @@ become GaussianRational again only on the way out:
 * char_poly_elementary and is_m_positive read the coefficients of
   det(a + t b), interpolated exactly from n + 1 Bareiss determinants.
 
+A HermitianMatrix is cleared at most once in its life: it caches its
+(re, im, L) rows as int tuples, and rank, is_psd and the subset lattice
+of `discriminant` eliminate list copies of them.
+
 No eigenvalue is ever computed.
 """
 
@@ -90,6 +94,11 @@ def _gaussian_integer_rows(rows):
     im = [[int(x.im.numerator) * (den // int(x.im.denominator)) for x in row]
           for row in entries]
     return re, im, den
+
+
+def _copy_rows(rows):
+    """A list-of-lists copy of shared int rows, for an elimination to run on in place."""
+    return list(map(list, rows))
 
 
 def _inexact():
@@ -323,7 +332,7 @@ def char_poly_elementary(rows):
 class HermitianMatrix:
     """Exact n x n Hermitian matrix, the coordinate form of a real (1,1)-form."""
 
-    __slots__ = ("n", "rows", "_rank", "_psd", "_charpoly")
+    __slots__ = ("n", "rows", "_cleared", "_rank", "_psd", "_charpoly")
 
     def __init__(self, entries):
         rows = [[_entry(x) for x in row] for row in entries]
@@ -336,6 +345,7 @@ class HermitianMatrix:
                     raise ValueError(f"not Hermitian at ({j},{k})")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
+        object.__setattr__(self, "_cleared", None)
         object.__setattr__(self, "_rank", None)
         object.__setattr__(self, "_psd", None)
         object.__setattr__(self, "_charpoly", None)
@@ -391,9 +401,21 @@ class HermitianMatrix:
     def entry(self, j, k):
         return self.rows[j][k]
 
+    def _integer_rows(self):
+        """(re, im, L) of L * rows as tuples of int tuples, cleared on the first call only.
+
+        The rows are shared by every caller; eliminate a list copy of them.
+        """
+        if self._cleared is None:
+            re, im, den = _gaussian_integer_rows(self.rows)
+            object.__setattr__(self, "_cleared",
+                               (tuple(map(tuple, re)), tuple(map(tuple, im)), den))
+        return self._cleared
+
     def rank(self) -> int:
         if self._rank is None:
-            object.__setattr__(self, "_rank", mat_rank(self.rows))
+            re, im, _ = self._integer_rows()
+            object.__setattr__(self, "_rank", _rank(_copy_rows(re), _copy_rows(im), self.n))
         return self._rank
 
     def kernel_basis(self):
@@ -413,7 +435,9 @@ class HermitianMatrix:
 
     def is_psd(self) -> bool:
         if self._psd is None:
-            object.__setattr__(self, "_psd", hermitian_signature(self.rows)[1] == 0)
+            re, im, _ = self._integer_rows()
+            object.__setattr__(self, "_psd",
+                               _inertia(_copy_rows(re), _copy_rows(im))[1] == 0)
         return self._psd
 
     def det(self) -> GaussianRational:

@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 
 from .certify import HLInstance, criterion_hl
-from .discriminant import subset_sums, subsets_size_lex
+from .discriminant import _subset_ranks, subsets_size_lex
 from .linalg import InternalCheckError
 
 __all__ = [
@@ -102,8 +101,8 @@ def rank_from_matrices(mats, offset: int = 0) -> RankFunction:
         if not a.is_psd():
             raise ValueError("rank_from_matrices requires PSD matrices")
     values = {frozenset(): 0}
-    for subset, s in subset_sums(mats):
-        r = s.rank() - offset
+    for subset, rank in _subset_ranks(mats):
+        r = rank - offset
         if r < 0:
             raise ValueError(f"rank(A_I) - offset is negative for I={subset}")
         values[frozenset(subset)] = r
@@ -153,18 +152,15 @@ def enumerate_points(r: RankFunction) -> DiscretePolymatroid:
     full = frozenset(range(1, m + 1))
     points = []
     point = [0] * m
+    # constraints[k]: (0-based indices, r(S)) for each subset S whose maximum
+    # is k; the full set uses the sum condition instead
+    constraints = [[] for _ in range(m + 1)]
+    for subset in _all_subsets(m)[1:]:
+        if subset != full:
+            constraints[max(subset)].append(([i - 1 for i in subset], r(subset)))
 
     def constraints_ok(k):
-        # subsets of [k] whose maximum is k; the full set uses the sum condition
-        prefix = list(range(1, k))
-        for size in range(0, k):
-            for rest in combinations(prefix, size):
-                subset = frozenset(rest) | {k}
-                if subset == full:
-                    continue
-                if sum(point[i - 1] for i in subset) > r(subset):
-                    return False
-        return True
+        return all(sum(point[i] for i in idx) <= bound for idx, bound in constraints[k])
 
     def dfs(k, acc):
         if k > m:

@@ -111,12 +111,30 @@ def rank_function_to_json(r: RankFunction) -> dict:
     }
 
 
+def _subset_from_key(key, m):
+    """The subset a rank-table key names: a JSON list of distinct ints in [1, m]."""
+    items = json.loads(key)
+    if (not isinstance(items, list) or any(type(i) is not int or not 1 <= i <= m for i in items)
+            or len(set(items)) != len(items)):
+        raise ValueError(f"rank table key {key!r} is not a list of distinct integers in [1, {m}]")
+    return frozenset(items)
+
+
 def rank_function_from_json(obj) -> RankFunction:
+    """A rank table from its JSON record; each key names one subset, exactly once."""
     if not isinstance(obj, dict) or not isinstance(obj.get("values"), dict):
         raise ValueError("a rank table must be a JSON object with 'm' and 'values'")
+    m = obj["m"]
+    if type(m) is not int:
+        raise ValueError(f"rank table m must be an integer, got {m!r}")
+    values = {}
+    for key, v in obj["values"].items():
+        subset = _subset_from_key(key, m)
+        if subset in values:
+            raise ValueError(f"rank table names the subset {sorted(subset)} twice")
+        values[subset] = v
     try:
-        values = {frozenset(json.loads(k)): v for k, v in obj["values"].items()}
-        return RankFunction(obj["m"], values, obj.get("provenance", "user-table"))
+        return RankFunction(m, values, obj.get("provenance", "user-table"))
     except TypeError as exc:
         raise ValueError(f"rank table: {exc}") from None
 

@@ -23,6 +23,7 @@ from lefcert.certify import (
     lorentzian_signature,
     products_preserve_hl,
 )
+import lefcert.discriminant as discriminant_mod
 from lefcert.discriminant import panov_positivity
 from lefcert.discriminant import mixed_discriminant
 from lefcert.exterior import (
@@ -581,21 +582,30 @@ def test_products_random_filtered():
 # ---- laziness of the subset walk and independence of the two routes ----
 
 def _recording(monkeypatch):
-    """Record every sum HermitianMatrix.__add__ builds and every matrix ranked."""
-    built, ranked = [], []
-    add, rank = HermitianMatrix.__add__, HermitianMatrix.rank
+    """Record every sum the integer subset walk builds and the rows of every rank it takes.
 
-    def recording_add(self, other):
-        built.append(add(self, other))
+    Sums and ranked matrices are (re, im) rows over the family's common
+    denominator; ranked rows are copied before the elimination runs.
+    """
+    built, ranked = [], []
+    add_rows, rank = discriminant_mod._add, discriminant_mod._rank
+
+    def recording_add(a, b):
+        built.append(add_rows(a, b))
         return built[-1]
 
-    def recording_rank(self):
-        ranked.append(self)
-        return rank(self)
+    def recording_rank(re, im, ncols):
+        ranked.append((tuple(map(tuple, re)), tuple(map(tuple, im))))
+        return rank(re, im, ncols)
 
-    monkeypatch.setattr(HermitianMatrix, "__add__", recording_add)
-    monkeypatch.setattr(HermitianMatrix, "rank", recording_rank)
+    monkeypatch.setattr(discriminant_mod, "_add", recording_add)
+    monkeypatch.setattr(discriminant_mod, "_rank", recording_rank)
     return built, ranked
+
+
+def _cleared(mat):
+    re, im, _ = mat._integer_rows()
+    return re, im
 
 
 def test_criterion_builds_no_sum_beyond_the_ranked_subsets(monkeypatch):
@@ -605,7 +615,7 @@ def test_criterion_builds_no_sum_beyond_the_ranked_subsets(monkeypatch):
     built, ranked = _recording(monkeypatch)
     cert = criterion_hl(inst)
     assert (cert.failing_subset, cert.rank_deficit) == ((1,), 1)
-    assert built == [] and ranked == [forms[0]]
+    assert built == [] and ranked == [_cleared(forms[0])]
 
 
 def test_criterion_builds_only_the_sums_it_ranks(monkeypatch):
@@ -615,8 +625,8 @@ def test_criterion_builds_only_the_sums_it_ranks(monkeypatch):
     built, ranked = _recording(monkeypatch)
     cert = criterion_hl(HLInstance(4, 0, 0, forms))
     assert (cert.failing_subset, cert.rank_deficit) == ((1, 2), 1)
-    assert ranked[:4] == list(forms) and len(ranked) == 5
-    assert len(built) == 1 and built[0] is ranked[4]
+    assert ranked[:4] == [_cleared(a) for a in forms] and len(ranked) == 5
+    assert len(built) == 1 and built[0] == ranked[4] == _cleared(line + line)
 
 
 def test_determinant_route_never_reads_the_rank_code(monkeypatch):

@@ -304,6 +304,65 @@ def test_non_int_rank_table_is_a_task_error(tmp_path, capsys, kind, m, value, me
     assert_task_error(tmp_path, capsys, doc, message)
 
 
+@pytest.mark.parametrize("kind", ["polymatroid-axioms", "enumerate-support"])
+@pytest.mark.parametrize("m, values, message", [
+    pytest.param(1, {"[]": 0, "[true]": 1}, "key '[true]' is not a list of distinct integers",
+                 id="bool"),
+    pytest.param(1, {"[]": 0, "[1.0]": 1}, "key '[1.0]' is not a list of distinct integers",
+                 id="float"),
+    pytest.param(1, {"[]": 0, "[1]": 1, "[1,1]": 5},
+                 "key '[1,1]' is not a list of distinct integers", id="repeated-index"),
+    pytest.param(2, {"[]": 0, "[1]": 1, "[2]": 1, "[2,1]": 2, "[1,2]": 1},
+                 "names the subset [1, 2] twice", id="one-subset-two-keys"),
+    pytest.param(1, {"[]": 0, "[0]": 1},
+                 "key '[0]' is not a list of distinct integers in [1, 1]", id="below-range"),
+    pytest.param(1, {"[]": 0, "[2]": 1},
+                 "key '[2]' is not a list of distinct integers in [1, 1]", id="above-range"),
+    pytest.param(1, {"[]": 0, "1": 1}, "key '1' is not a list", id="not-a-list"),
+    pytest.param(1, {"[]": 0, "[1": 1}, "Expecting", id="not-json"),
+])
+def test_malformed_rank_table_key_is_a_task_error(kind, m, values, message):
+    doc = {"schema": 1, "tasks": [{"kind": kind, "table": {"m": m, "values": values}, "dim": 1}]}
+    report, ok = run_instance(doc)
+    assert not ok
+    (error,) = report["results"]["0"].values()
+    assert message in error and list(report["results"]["0"]) == ["error"]
+
+
+def test_rank_table_keys_are_read_in_any_order():
+    values = {"[]": 0, "[2]": 1, "[1]": 1, "[2,1]": 2}
+    doc = {"schema": 1, "tasks": [{"kind": "polymatroid-axioms",
+                                   "table": {"m": 2, "values": values}}]}
+    report, ok = run_instance(doc)
+    assert ok
+    assert report["results"]["0"]["table"]["values"] == {"[]": 0, "[1]": 1, "[2]": 1, "[1, 2]": 2}
+
+
+def test_route_disagreement_is_an_internal_error(tmp_path, monkeypatch):
+    import lefcert.certify as certify_mod
+    from lefcert.certify import Certificate
+
+    direct = certify_mod.direct_hl
+
+    def flipped(inst):
+        if direct(inst).holds:
+            return Certificate("fails", failing_subset=(1,))
+        return Certificate("holds")
+
+    monkeypatch.setattr(certify_mod, "direct_hl", flipped)
+    doc = {
+        "schema": 1,
+        "n": 2,
+        "matrices": {"a": diag_json([1, 0]), "b": diag_json([1, 1])},
+        "tasks": [{"kind": "hl-certify", "p": 0, "q": 0, "forms": ["b", "b"]},
+                  {"kind": "hl-certify", "p": 0, "q": 0, "forms": ["a", "a"]}],
+    }
+    code, report = run_file(tmp_path, doc)
+    assert code == 1
+    expected = {"internal_error": "criterion and direct verdicts disagree"}
+    assert report["results"] == {"0": expected, "1": expected}
+
+
 def test_non_object_rank_table_is_a_task_error(tmp_path, capsys):
     doc = {"schema": 1, "tasks": [{"kind": "polymatroid-axioms", "table": [1, 2]}]}
     assert_task_error(tmp_path, capsys, doc, "rank table must be a JSON object")

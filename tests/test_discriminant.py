@@ -1,20 +1,26 @@
+from collections import Counter
+from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
 
 import pytest
 
+import lefcert.linalg as linalg_mod
+from lefcert.certify import HLInstance, criterion_hl
 from lefcert.discriminant import (
     intersection_number,
     mixed_discriminant,
     panov_positivity,
+    rank_deficient_subset,
     reverse_kt_check,
     subset_sums,
     subsets_size_lex,
 )
-from lefcert.linalg import HermitianMatrix, mat_rank
-from lefcert.rationals import GR, as_rat
+from lefcert.linalg import HermitianMatrix, _gaussian_integer_rows, mat_det, mat_rank
+from lefcert.polymatroid import hl_support, rank_from_matrices
+from lefcert.rationals import GR, ZERO, GaussianRational, Rat, as_rat
 
-from conftest import random_psd_family
+from conftest import random_hermitian, random_psd_family
 from lefcert.generate import SplitMix64
 
 D = HermitianMatrix.diagonal
@@ -93,6 +99,139 @@ def test_subset_sums_bookkeeping():
     for subset, s in sums.items():
         if len(subset) > 1:
             assert s == sums[subset[:-1]] + sums[subset[-1:]]
+
+
+# ---- the integer subset lattice against the HermitianMatrix.__add__ oracles ----
+
+def _oracle_sums(mats):
+    """{I: A_I} by HermitianMatrix.__add__, A_I = A_{I minus max I} + A_{max I}."""
+    built = {}
+    for subset in subsets_size_lex(len(mats)):
+        *head, last = subset
+        built[subset] = built[tuple(head)] + mats[last - 1] if head else mats[last - 1]
+    return built
+
+
+def _oracle_mixed_discriminant(mats):
+    """D by inclusion-exclusion over mat_det of the __add__ sums."""
+    n = len(mats)
+    total = ZERO
+    for subset, s in _oracle_sums(mats).items():
+        d = mat_det(s.rows)
+        total = total - d if (n - len(subset)) % 2 else total + d
+    value = total / GR(factorial(n))
+    assert not value.im
+    return value.re
+
+
+def _oracle_first_deficit(mats, shift):
+    for subset, s in _oracle_sums(mats).items():
+        need = len(subset) + shift
+        if mat_rank(s.rows) < need:
+            return subset, need - mat_rank(s.rows)
+    return None
+
+
+def _mixed_denominator_family(seed, n, count):
+    """PSD matrices c * B B^H, B of random rank with entries in Q(i) over 1, 3 and 6,
+    c in {1, 1/3, 1/6}: the members' denominators differ and most entries are complex."""
+    rng = SplitMix64(seed * 0x5DEECE66D + 11)
+    dens = (1, 3, 6)
+    mats = []
+    for _ in range(count):
+        r = rng.integer(0, n)
+        b = [[GaussianRational(Fraction(rng.integer(-3, 3), dens[rng.integer(0, 2)]),
+                               Fraction(rng.integer(-3, 3), dens[rng.integer(0, 2)]))
+              for _ in range(r)] for _ in range(n)]
+        mat = HermitianMatrix.from_generator(b) if r else HermitianMatrix.zero(n)
+        mats.append(mat.scale(Fraction(1, dens[rng.integer(0, 2)])))
+    return mats
+
+
+FAMILIES = [(seed, n) for n in (2, 3, 4, 5) for seed in range(6)]
+
+
+def test_mixed_denominator_families_exercise_the_lift():
+    lifted = complex_entries = positive = 0
+    for seed, n in FAMILIES:
+        mats = _mixed_denominator_family(seed, n, n)
+        lifted += len({a._integer_rows()[2] for a in mats}) > 1
+        complex_entries += any(x.im for a in mats for row in a.rows for x in row)
+        positive += mixed_discriminant(mats) > 0
+    assert min(lifted, complex_entries) >= len(FAMILIES) * 3 // 4
+    assert 0 < positive < len(FAMILIES)
+
+
+@pytest.mark.parametrize("seed, n", FAMILIES)
+def test_integer_walk_matches_add_oracle(seed, n):
+    mats = _mixed_denominator_family(seed, n, n)
+    oracle = _oracle_sums(mats)
+    sums = list(subset_sums(mats))
+    assert [subset for subset, _ in sums] == list(oracle)
+    assert all(s == oracle[subset] for subset, s in sums)
+    ranks = {subset: mat_rank(s.rows) for subset, s in oracle.items()}
+    table = rank_from_matrices(mats).values
+    assert table == {frozenset(): 0, **{frozenset(k): r for k, r in ranks.items()}}
+    for shift in range(3):
+        assert rank_deficient_subset(mats, shift) == _oracle_first_deficit(mats, shift)
+    d = mixed_discriminant(mats)
+    assert type(d) is type(Rat(0)) and d == _oracle_mixed_discriminant(mats)
+    assert panov_positivity(mats).positive == (d > 0)
+
+
+def test_integer_walk_matches_add_oracle_on_non_psd_tuples():
+    rng = SplitMix64(0xAD0)
+    for seed in range(12):
+        n = 2 + seed % 4
+        mats = [a.scale(Fraction(1, 1 + rng.integer(0, 5))) for a in
+                [random_hermitian(seed * 7 + k, n) for k in range(n)]]
+        assert mixed_discriminant(mats) == _oracle_mixed_discriminant(mats)
+        assert dict(subset_sums(mats)) == _oracle_sums(mats)
+
+
+def _exercise_shared(mats):
+    """Every consumer of the cached clearing, on the shared matrix objects."""
+    n = len(mats)
+    for a in mats:
+        a.rank()
+        a.is_psd()
+    criterion_hl(HLInstance(n, 0, 0, tuple(mats)))
+    criterion_hl(HLInstance(n, 1, 0, (mats[0],) * (n - 1)))
+    panov_positivity(mats)
+    mixed_discriminant(mats)
+    rank_from_matrices(mats)
+    rank_from_matrices(mats[::-1] + mats[:1])
+
+
+@pytest.mark.parametrize("seed, n", FAMILIES[::3])
+def test_cached_clearing_survives_every_consumer(seed, n):
+    mats = _mixed_denominator_family(seed + 40, n, n)
+    _exercise_shared(mats)
+    for a in mats:
+        re, im, den = _gaussian_integer_rows(a.rows)
+        assert a._integer_rows() == (tuple(map(tuple, re)), tuple(map(tuple, im)), den)
+
+
+def test_each_matrix_is_cleared_once(monkeypatch):
+    mats = _mixed_denominator_family(77, 4, 4) + [Id(4)] * 2
+    calls = Counter()
+    clear = linalg_mod._gaussian_integer_rows
+
+    def counting(rows):
+        calls[id(rows)] += 1
+        return clear(rows)
+
+    def forbidden(*args):
+        raise AssertionError("the subset lattice left the integer walk")
+
+    monkeypatch.setattr(linalg_mod, "_gaussian_integer_rows", counting)
+    for name in ("mat_det", "mat_rank", "hermitian_signature"):
+        monkeypatch.setattr(linalg_mod, name, forbidden)
+    monkeypatch.setattr(HermitianMatrix, "__add__", forbidden)
+    _exercise_shared(mats[:4])
+    _exercise_shared(mats[2:])
+    hl_support(mats[:3], 4)
+    assert calls == Counter({id(a.rows): 1 for a in mats})
 
 
 # ---- intersection numbers ----

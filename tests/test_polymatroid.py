@@ -1,3 +1,4 @@
+from contextlib import nullcontext
 from itertools import permutations
 
 import pytest
@@ -162,6 +163,25 @@ def test_enumeration_matches_brute_force():
         poly = enumerate_points(r)
         assert set(poly.points) == _brute_force_points(r)
         checked += 1
+
+
+def test_enumeration_matches_brute_force_on_coverage_tables():
+    # diagonal 0/1 families have r(S) = |union of supports|, whose multi-element
+    # constraints bind; generic families only ever bind the singleton bounds
+    rng = SplitMix64(0xC0BE)
+    binding = 0
+    for _ in range(60):
+        m = 2 + rng.integer(0, 2)
+        n = 2 + rng.integer(0, 3)
+        mats = [D([rng.integer(0, 1) for _ in range(n)]) for _ in range(m)]
+        r = rank_from_matrices(mats)
+        with pytest.warns(UserWarning) if not check_axioms(r).loopless else nullcontext():
+            points = enumerate_points(r).points
+        assert list(points) == sorted(_brute_force_points(r))
+        singleton_bounded = {vec for vec in _compositions(r.full_rank(), m)
+                             if all(x <= r({i + 1}) for i, x in enumerate(vec))}
+        binding += singleton_bounded != set(points)
+    assert binding >= 10
 
 
 # ---- HL support ----
