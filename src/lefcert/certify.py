@@ -6,8 +6,10 @@ Two independent routes are exposed for the HL property:
 * criterion_hl - the combinatorial subset rank criterion
   rank(A_I) >= |I| + p + q for every nonempty subset I, decided by the
   subset-sum walk and rank-deficit scan owned by `discriminant`;
-* direct_hl - bijectivity of the wedge-multiplication matrix, decided by
-  an exact determinant, with a kernel witness extracted on failure.
+* direct_hl - bijectivity of the wedge-multiplication matrix: "holds"
+  from a nonzero determinant residue modulo one prime, otherwise from one
+  exact Bareiss echelon, whose back-substituted kernel vector is the
+  "fails" witness, re-checked exactly.  It reads no rank code.
 
 The two must agree on every valid instance; the test suite exercises
 this equivalence exhaustively at desk scale.
@@ -48,7 +50,7 @@ from .linalg import (
     HermitianFormOnSpace,
     HermitianMatrix,
     InternalCheckError,
-    _det,
+    _det_residue,
     _exact_vector,
     _inertia,
     _kernel,
@@ -146,11 +148,8 @@ def criterion_hl(inst: HLInstance) -> Certificate:
     return Certificate("fails", failing_subset=subset, rank_deficit=deficit)
 
 
-def _witness_from_kernel(inst, omega, re, im):
-    """A kernel vector of the Z[i] multiplication matrix (re, im), re-checked against omega."""
-    vectors, d = _kernel(re, im, len(basis_indices(inst.n, inst.p, inst.q)))
-    if not vectors:
-        raise InternalCheckError("singular multiplication matrix with empty kernel")
+def _witness_from_kernel(inst, omega, vectors, d):
+    """The first kernel vector (vectors, d) as a (p,q)-form, re-checked against omega."""
     witness = PQForm.from_coefficient_vector(inst.n, inst.p, inst.q,
                                              _exact_vector(vectors[0], d))
     if witness.is_zero():
@@ -161,18 +160,26 @@ def _witness_from_kernel(inst, omega, re, im):
 
 
 def direct_hl(inst: HLInstance) -> Certificate:
-    """Decide HL by the exact determinant of the multiplication matrix.
+    """Decide HL by whether the multiplication matrix is invertible.
 
     The matrix is read once as Gaussian integers over Omega's common
-    denominator; the determinant and, on failure, the kernel run on it.
+    denominator.  A nonzero determinant residue modulo one prime proves
+    "holds".  A zero residue decides nothing, so one exact echelon and
+    back-substitution follow: an empty kernel means "holds", and
+    otherwise its first vector is the "fails" witness, re-checked
+    exactly against Omega.
     """
     omega = inst.omega()
     re, im, _ = _integer_operator_matrix(omega, inst.p, inst.q)
-    if len(re) != len(basis_indices(inst.n, inst.p, inst.q)):
+    dim = len(basis_indices(inst.n, inst.p, inst.q))
+    if len(re) != dim:
         raise InternalCheckError("multiplication matrix is not square")
-    if _det([row[:] for row in re], [row[:] for row in im]) != (0, 0):
+    if _det_residue(re, im):
         return Certificate("holds")
-    return Certificate("fails", kernel_witness=_witness_from_kernel(inst, omega, re, im))
+    vectors, d = _kernel(re, im, dim)
+    if not vectors:
+        return Certificate("holds")
+    return Certificate("fails", kernel_witness=_witness_from_kernel(inst, omega, vectors, d))
 
 
 def _primitive_space(inst: HLInstance):

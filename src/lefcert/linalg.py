@@ -10,15 +10,20 @@ become GaussianRational again only on the way out:
 
 * mat_det is the last Bareiss pivot over L^n, signed by the row swaps;
 * mat_rank counts the pivots;
-* kernel_basis runs the fraction-free Gauss-Jordan form (Nakos, Turner
-  and Williams 1997), which leaves every pivot equal to the last one, d,
-  so the reduced row echelon form is M / d;
+* kernel_basis back-substitutes over the Bareiss echelon rows: each
+  vector is d times an exact kernel vector, d the last pivot, and its
+  entries are those of the fraction-free Gauss-Jordan form (Nakos, Turner
+  and Williams 1997), so every division is exact in Z[i] as well;
 * hermitian_signature, HermitianMatrix.is_psd and
   HermitianFormOnSpace.is_positive_definite_on read one inertia from a
   symmetric elimination on diagonal pivots, in which the k-th LDL*
   diagonal is p_k / p_(k-1);
 * char_poly_elementary and is_m_positive read the coefficients of
   det(a + t b), interpolated exactly from n + 1 Bareiss determinants.
+
+_det_residue maps the same int rows to F_p by i -> s, s^2 = -1 modulo
+one prime p = 1 (mod 4), and eliminates there: a ring homomorphism, so
+a nonzero residue proves det != 0, while a zero residue decides nothing.
 
 A HermitianMatrix is cleared at most once in its life: it caches its
 (re, im, L) rows as int tuples, and rank, is_psd and the subset lattice
@@ -29,6 +34,7 @@ No eigenvalue is ever computed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -105,13 +111,13 @@ def _inexact():
     return InternalCheckError("fraction-free elimination step is not exact in Z[i]")
 
 
-def _eliminate(re, im, ncols, jordan=False):
-    """Fraction-free elimination over Z[i], in place on the (re, im) rows.
+def _eliminate(re, im, ncols):
+    """Fraction-free Bareiss elimination over Z[i], in place on the (re, im) rows.
 
-    Bareiss form by default: rows below each pivot are reduced.  With
-    jordan=True rows above are reduced too, and every pivot ends equal to
-    the last one.  Returns (pivot columns, sign of the row permutation,
-    last pivot as an (re, im) pair, or (1, 0) when there is none).
+    Rows below each pivot are reduced; rows at and above it are left as
+    they are, so the first len(pivots) rows end in echelon form.  Returns
+    (pivot columns, sign of the row permutation, last pivot as an (re, im)
+    pair, or (1, 0) when there is none).
     """
     nrows = len(re)
     pivots = []
@@ -133,12 +139,10 @@ def _eliminate(re, im, ncols, jordan=False):
         # new entry = (p * a_ij - a_i,col * a_r,j) / d; with d complex the
         # division is by |d|^2 after multiplying by conj(d)
         divisor = dr * dr + di * di if di else dr
-        for i in range(0 if jordan else r + 1, nrows):
-            if i == r:
-                continue
+        for i in range(r + 1, nrows):
             xr_row, xi_row = re[i], im[i]
             ar, ai = xr_row[col], xi_row[col]
-            for j in range(col + 1 if i > r else 0, ncols):
+            for j in range(col + 1, ncols):
                 a, b, c, e = xr_row[j], xi_row[j], rr[j], ri[j]
                 tr = pr * a - pi * b - ar * c + ai * e
                 ti = pr * b + pi * a - ar * e - ai * c
@@ -261,6 +265,41 @@ def _det(re, im):
     return (sign * dr, sign * di) if len(pivots) == len(re) else (0, 0)
 
 
+# i -> _S, a square root of -1 modulo the prime _P = 1 (mod 4), maps Z[i]
+# onto F_p as a ring homomorphism; the tests prove _P prime
+_P = 2 ** 62 - 87
+_S = 4490822397581186023
+
+
+def _det_residue(re, im):
+    """det of a square Z[i] matrix mapped to F_p by i -> s; the rows are left as they are.
+
+    A ring homomorphism maps det to det, so a nonzero residue proves the
+    determinant nonzero.  A zero residue decides nothing.
+    """
+    p = _P
+    m = [[(a + _S * b) % p for a, b in zip(xs, ys)] for xs, ys in zip(re, im)]
+    det = 1
+    while m:
+        piv = next((i for i, row in enumerate(m) if row[0]), None)
+        if piv is None:
+            return 0
+        if piv:
+            m[0], m[piv] = m[piv], m[0]
+            det = -det
+        head = m[0]
+        det = det * head[0] % p
+        inv = pow(head[0], -1, p)
+        tail = head[1:]
+        # the Schur complement of the pivot, one column and row smaller
+        rest = []
+        for row in m[1:]:
+            f = row[0] * inv % p
+            rest.append([(a - f * b) % p for a, b in zip(row[1:], tail)] if f else row[1:])
+        m = rest
+    return det % p
+
+
 def mat_det(rows) -> GaussianRational:
     """Exact determinant: the last Bareiss pivot of L * rows over L^n."""
     re, im, den = _gaussian_integer_rows(rows)
@@ -276,9 +315,12 @@ def _kernel(re, im, ncols):
 
     One (re, im) pair of int lists per non-pivot column of the reduced row
     echelon form, in column order; each is d times the exact kernel
-    vector, d being the last Gauss-Jordan pivot as an (re, im) pair.
+    vector, d being the last Bareiss pivot as an (re, im) pair.  The pivot
+    entries come from back-substitution over the Bareiss echelon rows; they
+    are the entries of the fraction-free Gauss-Jordan form (Nakos, Turner
+    and Williams 1997), hence in Z[i], so every division must be exact.
     """
-    pivots, _, d = _eliminate(re, im, ncols, jordan=True)
+    pivots, _, d = _eliminate(re, im, ncols)
     pivset = set(pivots)
     vectors = []
     for free in range(ncols):
@@ -286,9 +328,28 @@ def _kernel(re, im, ncols):
             continue
         vr, vi = [0] * ncols, [0] * ncols
         vr[free], vi[free] = d
-        # RREF = M / d, so d * (kernel vector) is -M's free column at the pivots
-        for r, pc in enumerate(pivots):
-            vr[pc], vi[pc] = -re[r][free], -im[r][free]
+        known = [free]  # the nonzero entries solved so far, all right of the next pivot
+        for r in range(bisect_left(pivots, free) - 1, -1, -1):
+            pc, rr, ri = pivots[r], re[r], im[r]
+            sr = si = 0
+            for j in known:
+                a, b, c, e = rr[j], ri[j], vr[j], vi[j]
+                sr += a * c - b * e
+                si += a * e + b * c
+            if not (sr or si):
+                continue
+            # v[pc] = -s / u with u the pivot; with u complex divide by |u|^2
+            # after multiplying by conj(u)
+            ur, ui = rr[pc], ri[pc]
+            divisor = ur * ur + ui * ui if ui else ur
+            if ui:
+                sr, si = sr * ur + si * ui, si * ur - sr * ui
+            qr, rem_r = divmod(-sr, divisor)
+            qi, rem_i = divmod(-si, divisor)
+            if rem_r or rem_i:
+                raise _inexact()
+            vr[pc], vi[pc] = qr, qi
+            known.append(pc)
         vectors.append((vr, vi))
     return vectors, d
 

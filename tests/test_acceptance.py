@@ -28,6 +28,7 @@ from lefcert.discriminant import (
     reverse_kt_check,
     subsets_size_lex,
 )
+from lefcert.exterior import wedge
 from lefcert.generate import GeneratorSpec, SplitMix64, generate_psd
 from lefcert.linalg import HermitianMatrix
 from lefcert.polymatroid import (
@@ -76,6 +77,33 @@ def test_criterion_01_hl_equivalence():
     dt = time.time() - t0
     _report(1, "Hard-Lefschetz criterion vs direct determinant", mismatches == 0 and dt < 120,
             f"{checked} instances, {mismatches} mismatches, {dt:.1f}s")
+
+
+def test_criterion_01b_hl_equivalence_at_n5_n6():
+    # every bidegree at n = 5 for two seeds, and n = 6 at (2,1), (1,2) and a
+    # holding (2,2); a failing n = 6 (2,2) needs an exact 225x225 echelon
+    # (about 50 s on 2 cores), so it is left out
+    t0 = time.time()
+    instances = [HLInstance(5, p, total - p, psd_tuple(seed * 100 + total, 5, 5 - total))
+                 for seed in (1, 2) for total in range(6) for p in range(total + 1)]
+    instances += [HLInstance(6, p, q, tuple(generate_psd(GeneratorSpec(7, 6, ranks))))
+                  for p, q, ranks in ((2, 1, (6, 6, 6)), (1, 2, (6, 3, 6)), (2, 2, (6, 6)))]
+    verdicts = {"holds": 0, "fails": 0}
+    bad = 0
+    for inst in instances:
+        cert = direct_hl(inst)
+        verdicts[cert.verdict] += 1
+        if cert.holds != criterion_hl(inst).holds:
+            bad += 1
+        if not cert.holds:
+            witness = cert.kernel_witness
+            if witness.is_zero() or not wedge(inst.omega(), witness).is_zero():
+                bad += 1
+    dt = time.time() - t0
+    _report("1b", "Hard-Lefschetz criterion vs direct route at n = 5, 6",
+            bad == 0 and min(verdicts.values()) > 0 and dt < 60,
+            f"{len(instances)} instances, {verdicts['holds']} hold, {verdicts['fails']} fail, "
+            f"{bad} mismatches, {dt:.1f}s")
 
 
 def test_criterion_02_hr_equivalence():

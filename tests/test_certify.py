@@ -37,7 +37,15 @@ from lefcert.exterior import (
     wedge,
     wedge_many,
 )
-from lefcert.linalg import HermitianMatrix, InternalCheckError, hermitian_signature, mat_rank
+from lefcert.linalg import (
+    _P,
+    HermitianMatrix,
+    InternalCheckError,
+    _det_residue,
+    _kernel,
+    hermitian_signature,
+    mat_rank,
+)
 from lefcert.rationals import GR, I, ONE, cpq_constant
 
 from conftest import random_hermitian, random_psd_family
@@ -191,14 +199,30 @@ def test_direct_builds_omega_once_on_a_failing_instance(monkeypatch):
     assert len(calls) == 1
 
 
+# the 1x1 multiplication matrices are i p and 2 p for the residue prime p,
+# so their residue is zero and the exact echelon decides
+ZERO_RESIDUE = (
+    HLInstance(1, 0, 0, (HermitianMatrix([[_P]]),)),
+    HLInstance(2, 0, 0, (HermitianMatrix([[_P, 0], [0, 1]]),) * 2),
+)
+
+
+def test_direct_holds_from_the_exact_echelon_on_a_zero_residue():
+    for inst in ZERO_RESIDUE:
+        re, im, _ = _integer_operator_matrix(inst.omega(), inst.p, inst.q)
+        assert _det_residue(re, im) == 0
+        assert direct_hl(inst).holds and criterion_hl(inst).holds
+
+
 def test_witness_recheck_uses_the_given_omega():
     # the kernel of the degenerate Omega, re-checked against the Omega of
     # (Id, Id), which annihilates no nonzero (1,0)-form
     a = D([1, 1, 0])
     inst = HLInstance(3, 1, 0, (a, a))
     re, im, _ = _integer_operator_matrix(inst.omega(), 1, 0)
+    vectors, d = _kernel(re, im, len(re))
     with pytest.raises(InternalCheckError, match="not annihilated"):
-        _witness_from_kernel(inst, HLInstance(3, 1, 0, (Id(3), Id(3))).omega(), re, im)
+        _witness_from_kernel(inst, HLInstance(3, 1, 0, (Id(3), Id(3))).omega(), vectors, d)
 
 
 def test_witnesses_annihilate_omega():
@@ -638,6 +662,8 @@ def test_determinant_route_never_reads_the_rank_code(monkeypatch):
         HLInstance(2, 0, 0, (D([1, 0]), D([0, 1]))),
         HLInstance(2, 0, 0, (D([1, 0]), D([1, 0]))),
         HLInstance(3, 1, 1, (D([1, 1, 0]),)),
+        ZERO_RESIDUE[0],
+        HLInstance(5, 1, 1, psd_tuple(102, 5, 3)),  # fails, a 25x25 matrix
     ]
     for seed in range(12):
         n, p = 3 + seed % 2, seed % 2

@@ -3,10 +3,18 @@ from itertools import combinations, islice
 
 import pytest
 
+import lefcert.linalg as linalg_mod
 from lefcert.linalg import (
+    _P,
+    _S,
     HermitianFormOnSpace,
     HermitianMatrix,
+    InternalCheckError,
     NotPositiveDefiniteError,
+    _det,
+    _det_residue,
+    _gaussian_integer_rows,
+    _kernel,
     char_poly_elementary,
     hermitian_signature,
     is_m_positive,
@@ -118,6 +126,60 @@ def oracle_kernel(rows, ncols):
             v[pc] = -m[r][free]
         basis.append(v)
     return basis
+
+
+def oracle_jordan_kernel(re, im, ncols):
+    """(vectors, d) from the fraction-free Gauss-Jordan form over Z[i], in place.
+
+    Nakos, Turner and Williams 1997: rows above each pivot are reduced
+    too, so every pivot ends equal to the last one, d, and the reduced
+    row echelon form is the matrix over d.  Each vector is d times the
+    exact kernel vector of one non-pivot column, in column order.
+    """
+    nrows = len(re)
+    pivots = []
+    dr, di = 1, 0
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if re[i][col] or im[i][col]), None)
+        if piv is None:
+            continue
+        re[r], re[piv] = re[piv], re[r]
+        im[r], im[piv] = im[piv], im[r]
+        rr, ri = re[r], im[r]
+        pr, pi = rr[col], ri[col]
+        divisor = dr * dr + di * di if di else dr
+        for i in range(nrows):
+            if i == r:
+                continue
+            xr_row, xi_row = re[i], im[i]
+            ar, ai = xr_row[col], xi_row[col]
+            for j in range(col + 1 if i > r else 0, ncols):
+                a, b, c, e = xr_row[j], xi_row[j], rr[j], ri[j]
+                tr = pr * a - pi * b - ar * c + ai * e
+                ti = pr * b + pi * a - ar * e - ai * c
+                if di:
+                    tr, ti = tr * dr + ti * di, ti * dr - tr * di
+                qr, rem_r = divmod(tr, divisor)
+                qi, rem_i = divmod(ti, divisor)
+                assert not (rem_r or rem_i)
+                xr_row[j] = qr
+                xi_row[j] = qi
+            xr_row[col] = xi_row[col] = 0
+        dr, di = pr, pi
+        pivots.append(col)
+    vectors = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vr, vi = [0] * ncols, [0] * ncols
+        vr[free], vi[free] = dr, di
+        for r, pc in enumerate(pivots):
+            vr[pc], vi[pc] = -re[r][free], -im[r][free]
+        vectors.append((vr, vi))
+    return vectors, (dr, di)
 
 
 def principal_minor_sums(rows):
@@ -556,6 +618,110 @@ def test_kernel_matches_qi_oracle_vector_for_vector():
         ncols = len(rows[0])
         assert kernel_basis(rows, ncols) == oracle_kernel(rows, ncols)
         assert kernel_basis(rows) == oracle_kernel(rows, ncols)
+
+
+def _gaussian_integer_cases():
+    """Seeded Z[i] (re, im, ncols): wide, tall and square, of every rank, some with zero columns."""
+    rng = SplitMix64(8)
+    for count in range(600):
+        nrows, ncols = rng.integer(0, 7), rng.integer(0, 7)
+        if count % 3 == 0:
+            ncols = nrows
+        rank = rng.integer(0, min(nrows, ncols))
+        left = [[(rng.integer(-4, 4), rng.integer(-4, 4)) for _ in range(rank)] for _ in range(nrows)]
+        right = [[(rng.integer(-4, 4), rng.integer(-4, 4)) for _ in range(ncols)] for _ in range(rank)]
+        re = [[sum(a * c - b * e for (a, b), (c, e) in zip(row, col)) for col in zip(*right)]
+              for row in left] if rank else [[0] * ncols for _ in range(nrows)]
+        im = [[sum(a * e + b * c for (a, b), (c, e) in zip(row, col)) for col in zip(*right)]
+              for row in left] if rank else [[0] * ncols for _ in range(nrows)]
+        if count % 4 == 1 and ncols:
+            zero = rng.integer(0, ncols - 1)
+            for xs, ys in zip(re, im):
+                xs[zero] = ys[zero] = 0
+        yield re, im, ncols
+
+
+def test_kernel_matches_jordan_oracle():
+    kinds = set()
+    for re, im, ncols in _gaussian_integer_cases():
+        expected = oracle_jordan_kernel([r[:] for r in re], [r[:] for r in im], ncols)
+        assert _kernel([r[:] for r in re], [r[:] for r in im], ncols) == expected
+        nrows, rank = len(re), ncols - len(expected[0])
+        kinds.add(((nrows > ncols) - (nrows < ncols), rank == min(nrows, ncols), rank == 0))
+    # wide, square and tall, each at full rank, deficient rank and rank 0,
+    # and empty (full rank 0)
+    assert kinds == {(shape, full, zero) for shape in (-1, 0, 1) for full, zero in
+                     ((True, False), (False, False), (False, True), (True, True))}
+    assert _kernel([], [], 0) == oracle_jordan_kernel([], [], 0) == ([], (1, 0))
+    assert _kernel([[], []], [[], []], 0) == ([], (1, 0))
+
+
+def test_back_substitution_refuses_an_inexact_echelon(monkeypatch):
+    # [[2, 1, 0], [1, 1, 1]] has Bareiss rows [2, 1, 0], [0, 1, 2]; the
+    # kernel vector (1, -2, 1) needs 2 | (1 * -2 + 0 * 1), and a doctored
+    # entry at (0, 2) breaks that
+    eliminate = linalg_mod._eliminate
+    assert _kernel([[2, 1, 0], [1, 1, 1]], [[0] * 3, [0] * 3], 3) == ([([1, -2, 1], [0] * 3)], (1, 0))
+
+    def doctored(re, im, ncols):
+        out = eliminate(re, im, ncols)
+        re[0][2] += 1
+        return out
+
+    monkeypatch.setattr(linalg_mod, "_eliminate", doctored)
+    with pytest.raises(InternalCheckError, match="not exact"):
+        _kernel([[2, 1, 0], [1, 1, 1]], [[0] * 3, [0] * 3], 3)
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin; the first 12 prime bases decide every n below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_residue_prime_and_square_root_of_minus_one():
+    assert [n for n in range(60) if _is_prime(n)] == \
+        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    assert not _is_prime(3215031751) and not _is_prime(2 ** 61 + 1)  # a strong pseudoprime
+    assert _is_prime(_P) and _P < 2 ** 62
+    assert _P % 4 == 1
+    assert _S * _S % _P == _P - 1
+
+
+def test_det_residue_is_the_exact_det_mod_p():
+    zero_residues = 0
+    for rows in _oracle_cases():
+        n = min(len(rows), len(rows[0]))
+        re, im, _ = _gaussian_integer_rows([row[:n] for row in rows[:n]])
+        frozen = [r[:] for r in re], [r[:] for r in im]
+        residue = _det_residue(re, im)
+        assert (re, im) == frozen  # the rows are left as they are
+        dr, di = _det(re, im)
+        assert residue == (dr + _S * di) % _P
+        zero_residues += residue == 0
+    assert zero_residues >= 20
+    assert _det_residue([], []) == 1
+    # p divides the determinant: the residue is zero and decides nothing
+    assert _det_residue([[_P, 0], [0, 1]], [[0, 0], [0, 0]]) == 0
+    assert _det_residue([[1, 0], [0, 1]], [[_S, 0], [0, 0]]) == 0  # det = 1 + i s
 
 
 def test_empty_matrices_match_qi_oracle():
