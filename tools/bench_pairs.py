@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Run alternating base/change pairs of the benchmark and write BENCH_<pr>.json.
 
-    python3 tools/bench_pairs.py --base BASE_DIR --change CHANGE_DIR --pr 8 \\
+    python3 tools/bench_pairs.py --base BASE_DIR --change CHANGE_DIR --pr N \\
         --workload hl-direct [--seed 20221227] [--pairs 10] [--seconds 25] \\
-        [--keep RECORDS_DIR] [--out BENCH_8.json]
+        [--keep RECORDS_DIR] [--out BENCH_N.json]
 
 BASE_DIR and CHANGE_DIR are two checkouts of the repository, for example
 the parent commit and the change, made with `git worktree add`, `git
