@@ -2,19 +2,20 @@
 """Run alternating base/change pairs of the benchmark and write BENCH_<pr>.json.
 
     python3 tools/bench_pairs.py --base BASE_DIR --change CHANGE_DIR --pr N \\
-        --workload hl-direct [--seed 20221227] [--pairs 10] [--seconds 25] \\
-        [--keep RECORDS_DIR] [--out BENCH_N.json]
+        --workload hl-direct [--seed N] [--keep RECORDS_DIR] [--out BENCH_N.json]
 
 BASE_DIR and CHANGE_DIR are two checkouts of the repository, for example
 the parent commit and the change, made with `git worktree add`, `git
-clone` or `git archive`.  Each pair runs `perfbench/run.py --trace 0` once
-in each checkout with the same seed and run length, the base first in
-even pairs and the change first in odd ones.  After every run its result
-record is copied from the checkout's .perfbench/results/ into RECORDS_DIR
-(base/ and change/, one file per pair), so the next run cannot overwrite
-it.  --workload and --seed may be given more than once; every workload
-runs its own pairs on every seed.  The output goes to BENCH_<pr>.json in
-the current directory unless --out names another file.
+clone` or `git archive`.  Each of the ten pairs runs `perfbench/run.py
+--trace 0` once in each checkout with the same seed and the run length
+that BENCHMARK.json sets, the base first in even pairs and the change
+first in odd ones.  Without --seed the runs use perfbench/run.py's own
+default seed.  After every run its result record is copied from the
+checkout's .perfbench/results/ into RECORDS_DIR (base/ and change/, one
+file per pair), so the next run cannot overwrite it.  --workload and
+--seed may be given more than once; every workload runs its own pairs on
+every seed.  The output goes to BENCH_<pr>.json in the current directory
+unless --out names another file.
 
 The output holds, per workload, seed and end-to-end metric: every pair's two
 values and which side ran first; each side's median and quartiles
@@ -30,6 +31,7 @@ or the sides ran on different Python versions or backends.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import shutil
 import statistics
@@ -38,7 +40,17 @@ import sys
 from pathlib import Path
 
 SIDES = ("base", "change")
-DEFAULT_SEED = 20221227  # perfbench/run.py's default
+PAIRS = 10
+
+
+def default_seed(checkout):
+    """perfbench/run.py's DEFAULT_SEED, read from its source without running it."""
+    tree = ast.parse((checkout / "perfbench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "DEFAULT_SEED" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise SystemExit("perfbench/run.py defines no DEFAULT_SEED")
 
 
 def run_once(checkout, workload, seed, seconds, keep, pair):
@@ -54,7 +66,7 @@ def run_once(checkout, workload, seed, seconds, keep, pair):
 
 
 def summary(values):
-    q1, med, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    q1, _, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
@@ -86,9 +98,7 @@ def main(argv=None):
     parser.add_argument("--change", required=True, type=Path)
     parser.add_argument("--pr", required=True, type=int)
     parser.add_argument("--workload", required=True, action="append")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, action="append")
-    parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--keep", type=Path, default=Path(".perfbench/pairs"))
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
@@ -98,14 +108,16 @@ def main(argv=None):
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     problems = []
     environments = set()
-    out = {"pr": args.pr, "seconds": args.seconds, "runs": []}
-    for workload, seed in ((w, s) for w in args.workload for s in args.seed or [DEFAULT_SEED]):
+    seconds = spec["run_seconds"]
+    seeds = args.seed or [default_seed(checkouts["change"])]
+    out = {"pr": args.pr, "seconds": seconds, "runs": []}
+    for workload, seed in ((w, s) for w in args.workload for s in seeds):
         pairs, digests = [], {side: set() for side in SIDES}
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             pair = {"pair": k, "first": order[0]}
             for side in order:
-                record = run_once(checkouts[side], workload, seed, args.seconds,
+                record = run_once(checkouts[side], workload, seed, seconds,
                                   args.keep / side, k)
                 env = record["environment"]
                 environments.add((env["python"], env["backend"]))
