@@ -6,10 +6,12 @@ Two independent routes are exposed for the HL property:
 * criterion_hl - the combinatorial subset rank criterion
   rank(A_I) >= |I| + p + q for every nonempty subset I, decided by the
   subset-sum walk and rank-deficit scan owned by `discriminant`;
-* direct_hl - bijectivity of the wedge-multiplication matrix: "holds"
-  from a nonzero determinant residue modulo one prime, otherwise from one
-  exact Bareiss echelon, whose back-substituted kernel vector is the
-  "fails" witness, re-checked exactly.  It reads no rank code.
+* direct_hl - bijectivity of the wedge-multiplication matrix of Omega,
+  which is wedged from the factors' cached Z[i] rows: "holds" from a
+  nonzero determinant residue modulo one prime; otherwise "fails" is
+  solved only up to the first column that is dependent mod p, by one
+  exact Bareiss echelon of those columns, whose back-substituted kernel
+  vector is the witness, re-checked exactly.  It reads no rank code.
 
 The two must agree on every valid instance; the test suite exercises
 this equivalence exhaustively at desk scale.
@@ -18,7 +20,7 @@ Hodge-Riemann, the Lefschetz decomposition, the Lorentzian signature and
 the Hodge index theorem read one bilinear pairing,
 Q(Phi,Psi) = c_{p,q} * vol(Omega ^ Phi ^ conj(Psi)).  Its Gram matrix on
 a basis B is one product over Z[i], c * (M B)^T S conj(B): M is the
-operator matrix of Omega on Lambda^{p,q} over Omega's common
+operator matrix of the integer Omega on Lambda^{p,q} over its
 denominator, S the signed complementary pairing
 Lambda^{n-q,n-p} x Lambda^{q,p} -> Lambda^{n,n}, and B holds the basis as
 Gaussian-integer vectors (see exterior._pairing_gram).  The Lorentzian
@@ -38,20 +40,19 @@ from math import gcd
 from .discriminant import rank_deficient_subset
 from .exterior import (
     PQForm,
+    _annihilates,
     _integer_operator_matrix,
-    _integer_vector,
+    _matrix_vector,
+    _matrix_wedge,
     _pairing_gram,
     basis_indices,
-    form_from_matrix,
-    wedge,
-    wedge_many,
 )
 from .linalg import (
     HermitianFormOnSpace,
     HermitianMatrix,
     InternalCheckError,
-    _det_residue,
     _exact_vector,
+    _first_kernel_vector,
     _inertia,
     _kernel,
     _rank,
@@ -108,7 +109,8 @@ class HLInstance:
                 raise ValueError("eta must be positive semidefinite")
 
     def omega(self) -> PQForm:
-        return wedge_many([form_from_matrix(a) for a in self.forms], self.n)
+        """(i A_1) ^ ... ^ (i A_k), wedged over Z[i] and converted to Q(i) once."""
+        return _matrix_wedge(self.forms, self.n).form()
 
 
 @dataclass(frozen=True)
@@ -148,55 +150,58 @@ def criterion_hl(inst: HLInstance) -> Certificate:
     return Certificate("fails", failing_subset=subset, rank_deficit=deficit)
 
 
-def _witness_from_kernel(inst, omega, vectors, d):
-    """The first kernel vector (vectors, d) as a (p,q)-form, re-checked against omega."""
-    witness = PQForm.from_coefficient_vector(inst.n, inst.p, inst.q,
-                                             _exact_vector(vectors[0], d))
+def _witness_from_kernel(inst, omega, vector, d):
+    """The kernel vector d * phi as the (p,q)-form phi, re-checked against the integer omega.
+
+    Entries past the end of vector are zero.
+    """
+    if not _annihilates(omega, inst.p, inst.q, vector):
+        raise InternalCheckError("kernel witness is not annihilated by Omega")
+    keys = basis_indices(inst.n, inst.p, inst.q)
+    witness = PQForm(inst.n, inst.p, inst.q, dict(zip(keys, _exact_vector(vector, d))))
     if witness.is_zero():
         raise InternalCheckError("zero kernel witness")
-    if not wedge(omega, witness).is_zero():
-        raise InternalCheckError("kernel witness is not annihilated by Omega")
     return witness
 
 
 def direct_hl(inst: HLInstance) -> Certificate:
     """Decide HL by whether the multiplication matrix is invertible.
 
-    The matrix is read once as Gaussian integers over Omega's common
-    denominator.  A nonzero determinant residue modulo one prime proves
-    "holds".  A zero residue decides nothing, so one exact echelon and
-    back-substitution follow: an empty kernel means "holds", and
-    otherwise its first vector is the "fails" witness, re-checked
-    exactly against Omega.
+    Omega is wedged from the factors' cached Z[i] rows, and the matrix is
+    read once as Gaussian integers over Omega's denominator.  A nonzero
+    determinant residue modulo one prime proves "holds".  A zero residue
+    stops at the first column f that is dependent mod p, and "fails" is
+    solved up to that column only: one exact echelon and back-substitution
+    of columns 0..f (of the whole matrix only when p divided a minor)
+    give the first vector of the reduced row echelon kernel, or none,
+    which means "holds".  The witness is re-checked exactly against Omega.
     """
-    omega = inst.omega()
+    omega = _matrix_wedge(inst.forms, inst.n)
     re, im, _ = _integer_operator_matrix(omega, inst.p, inst.q)
-    dim = len(basis_indices(inst.n, inst.p, inst.q))
-    if len(re) != dim:
+    if len(re) != len(basis_indices(inst.n, inst.p, inst.q)):
         raise InternalCheckError("multiplication matrix is not square")
-    if _det_residue(re, im):
+    first = _first_kernel_vector(re, im)
+    if first is None:
         return Certificate("holds")
-    vectors, d = _kernel(re, im, dim)
-    if not vectors:
-        return Certificate("holds")
-    return Certificate("fails", kernel_witness=_witness_from_kernel(inst, omega, vectors, d))
+    return Certificate("fails", kernel_witness=_witness_from_kernel(inst, omega, *first))
 
 
 def _primitive_space(inst: HLInstance):
     """ker(Omega ^ eta ^ .) inside Lambda^{p,q}: (Omega, basis, vectors, d).
 
-    The basis holds the exact kernel forms; vectors holds the same
-    vectors as Gaussian integers, each d times its form's coefficients.
+    Omega is the integer form of the factors.  The basis holds the exact
+    kernel forms; vectors holds the same vectors as Gaussian integers,
+    each d times its form's coefficients, and each is re-checked on ints.
     """
     n, p, q = inst.n, inst.p, inst.q
-    omega = inst.omega()
-    coupled = wedge(omega, form_from_matrix(inst.eta))
+    omega = _matrix_wedge(inst.forms, n)
+    coupled = _matrix_wedge((inst.eta,), n, omega)
     re, im, _ = _integer_operator_matrix(coupled, p, q)
     vectors, d = _kernel(re, im, len(basis_indices(n, p, q)))
-    basis = tuple(PQForm.from_coefficient_vector(n, p, q, _exact_vector(v, d)) for v in vectors)
-    for phi in basis:
-        if not wedge(coupled, phi).is_zero():
+    for v in vectors:
+        if not _annihilates(coupled, p, q, v):
             raise InternalCheckError("primitive basis element not annihilated")
+    basis = tuple(PQForm.from_coefficient_vector(n, p, q, _exact_vector(v, d)) for v in vectors)
     return omega, basis, vectors, d
 
 
@@ -285,7 +290,7 @@ def lefschetz_decomposition(inst: HLInstance):
         image_vectors, image_basis = [], ()
     else:
         # the columns of L * (eta ^ .) on Lambda^{p-1,q-1}
-        re, im, den = _integer_operator_matrix(form_from_matrix(inst.eta), p - 1, q - 1)
+        re, im, den = _integer_operator_matrix(_matrix_wedge((inst.eta,), n), p - 1, q - 1)
         image_vectors = list(zip(zip(*re), zip(*im)))
         image_basis = tuple(
             PQForm.from_coefficient_vector(n, p, q, [
@@ -335,7 +340,7 @@ def _real_basis_vectors(n):
     """Coefficient vectors of the (1,1)-forms of hermitian_real_basis(n), all in Z[i]."""
     out = []
     for m in hermitian_real_basis(n):
-        (re, im), den = _integer_vector(form_from_matrix(m))
+        (re, im), den = _matrix_vector(m)
         if den != 1:
             raise InternalCheckError("real basis form is not integral")
         out.append((tuple(re), tuple(im)))
@@ -345,7 +350,7 @@ def _real_basis_vectors(n):
 def _intersection_gram(omega, vectors):
     """(rows, L): L times [vol(alpha_a ^ alpha_b ^ Omega)] over Z[i].
 
-    Omega is an (n-2,n-2)-form, vectors are Gaussian-integer coefficient
+    Omega is an (n-2,n-2) _IntegerForm, vectors are Gaussian-integer coefficient
     vectors of real (1,1)-forms alpha_a, and L is Omega's denominator.
     The pairing of real forms is real and symmetric, and the integer rows
     are checked to be so.
@@ -383,8 +388,7 @@ def lorentzian_signature(forms, n=None):
     if len(forms) != n - 2:
         raise ValueError(f"need n-2={n - 2} factor matrices, got {len(forms)}")
     _check_factors(forms, n)
-    omega = wedge_many([form_from_matrix(a) for a in forms], n)
-    rows, _ = _intersection_gram(omega, _real_basis_vectors(n))
+    rows, _ = _intersection_gram(_matrix_wedge(forms, n), _real_basis_vectors(n))
     return _inertia(rows, [[0] * len(rows) for _ in rows])
 
 
@@ -404,15 +408,15 @@ def hodge_index_check(forms, alpha: HermitianMatrix, beta: HermitianMatrix) -> b
     _check_factors(forms, n)
     if beta.n != n:
         raise ValueError("matrices have mismatched dimensions")
-    omega = wedge_many([form_from_matrix(a) for a in forms], n)
+    omega = _matrix_wedge(forms, n)
     (qaa, qab), (_, qbb) = _intersection_gram(
-        omega, [_integer_vector(form_from_matrix(x))[0] for x in (alpha, beta)]
+        omega, [_matrix_vector(x)[0] for x in (alpha, beta)]
     )[0]
     if qaa <= 0:
         raise PreconditionError("Q(alpha,alpha) must be positive")
     if qab != 0:
         raise PreconditionError("alpha and beta must be Q-orthogonal")
-    vanishes = wedge(omega, form_from_matrix(beta)).is_zero()
+    vanishes = not _matrix_wedge((beta,), n, omega).terms
     return qbb <= 0 and ((qbb == 0) == vanishes)
 
 

@@ -170,6 +170,9 @@ def _task_generate_psd(ctx, task):
     names = _names(task.get("names", [f"gen{i}" for i in range(len(mats))]))
     if len(names) != len(mats):
         raise TaskError("names length does not match rank_profile length")
+    repeated = sorted({nm for nm in names if names.count(nm) > 1})
+    if repeated:
+        raise TaskError(f"repeated matrix name(s) in names: {', '.join(repeated)}")
     for name, mat in zip(names, mats):
         ctx["matrices"][name] = mat
     return {"generated": [{"name": nm, "matrix": matrix_to_json(m)}

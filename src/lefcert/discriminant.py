@@ -19,7 +19,7 @@ from itertools import combinations
 from math import comb, factorial, lcm
 from operator import add
 
-from .exterior import form_from_matrix, volume_scalar, wedge_many
+from .exterior import _matrix_wedge, _volume_coefficient
 from .linalg import HermitianMatrix, InternalCheckError, _copy_rows, _det, _rank
 from .rationals import GR, GaussianRational, Rat
 
@@ -144,10 +144,18 @@ def mixed_discriminant(mats):
 
 
 def intersection_number(mats):
-    """The torus intersection number alpha_1 ... alpha_n = n! * D."""
+    """The torus intersection number alpha_1 ... alpha_n = n! * D.
+
+    The top form is wedged over Z[i] from the matrices' cached rows, and
+    its one coefficient is divided by the volume coefficient once.
+    """
     mats, n = _check_tuple(mats)
-    top = wedge_many([form_from_matrix(a) for a in mats], n)
-    value = volume_scalar(top)
+    top = _matrix_wedge(mats, n)
+    full = tuple(range(1, n + 1))
+    if any(k != (full, full) for k in top.terms):
+        raise InternalCheckError("(n,n)-form carries a non-top basis term")
+    re, im = top.terms.get((full, full), (0, 0))
+    value = GaussianRational(Rat(re, top.den), Rat(im, top.den)) / _volume_coefficient(n)
     if value.im:
         raise InternalCheckError("intersection number has nonzero imaginary part")
     return value.re

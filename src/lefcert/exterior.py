@@ -12,18 +12,24 @@ vol = (i dz_1 ^ dzbar_1) ^ ... ^ (i dz_n ^ dzbar_n), so positivity of an
 Wedge products multiply coefficients over Z[i]: each operand is cleared
 once to (re, im) int pairs over one common denominator, the pair loop
 multiplies and adds Python ints only, and the result is turned back into
-Q(i) coefficients once.  The operator matrix of Phi -> omega ^ Phi is
-filled by index arithmetic, each entry being +c or -c for a term c of omega.
-Its Gaussian-integer form (omega's terms over one denominator) feeds the
-determinant and kernel routes, and, with the signed complementary pairing
-Lambda^{n-q,n-p} x Lambda^{q,p} -> Lambda^{n,n}, the Gram matrix of
-(Phi, Psi) -> vol(omega ^ Phi ^ conj(Psi)) as one product (M B)^T S conj(B).
+Q(i) coefficients once.
+
+The library's Omega = (i A_1) ^ ... ^ (i A_k) never visits Q(i): it is
+wedged straight from each HermitianMatrix's cached Z[i] rows into an
+_IntegerForm, Gaussian-integer terms over one reduced denominator.  The
+operator matrix of Phi -> omega ^ Phi is filled by index arithmetic, each
+entry being +c or -c for a term c of omega.  Its Gaussian-integer form
+feeds the determinant and kernel routes, and, with the signed
+complementary pairing Lambda^{n-q,n-p} x Lambda^{q,p} -> Lambda^{n,n}, the
+Gram matrix of (Phi, Psi) -> vol(omega ^ Phi ^ conj(Psi)) as one product
+(M B)^T S conj(B).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 
 from .linalg import HermitianMatrix, InternalCheckError, _gaussian_integer_rows
 from .rationals import GR, I, ONE, ZERO, GaussianRational, Rat
@@ -264,9 +270,77 @@ def wedge_many(forms, n=None) -> PQForm:
             f_terms, f_den = _integer_terms(f)
             terms = _wedge_terms(terms, f_terms, negate)
             den *= f_den
-    return PQForm(n, p, q, {
-        k: GaussianRational(Rat(re, den), Rat(im, den)) for k, (re, im) in terms.items()
-    })
+    return _IntegerForm(n, p, q, terms, den).form()
+
+
+class _IntegerForm:
+    """A (p,q)-form as Gaussian integers: terms {(I, J): (re, im)} over one denominator."""
+
+    __slots__ = ("n", "p", "q", "terms", "den")
+
+    def __init__(self, n, p, q, terms, den):
+        self.n, self.p, self.q, self.terms, self.den = n, p, q, terms, den
+
+    def form(self) -> PQForm:
+        den = self.den
+        return PQForm(self.n, self.p, self.q, {
+            k: GaussianRational(Rat(re, den), Rat(im, den)) for k, (re, im) in self.terms.items()
+        })
+
+
+def _matrix_wedge(mats, n, omega=None):
+    """omega ^ (i A_1) ^ ... ^ (i A_k) over Z[i], read from each matrix's cached rows.
+
+    omega is an _IntegerForm, the scalar 1 when omega is None.  Entry
+    re + i im at (j, k) of A gives the term (-im, re) at ((j,), (k,)).
+    The terms are folded in ints over the product of the denominators,
+    which is reduced once: the result holds exactly the terms and the
+    lcm denominator that _integer_terms reads from the Q(i) wedge_many
+    of the forms form_from_matrix(A).
+    """
+    if omega is None:
+        omega = _IntegerForm(n, 0, 0, {((), ()): (1, 0)}, 1)
+    p, q, terms, den = omega.p, omega.q, omega.terms, omega.den
+    for a in mats:
+        if a.n != n:
+            raise ValueError("forms live on different ambient spaces")
+        # moving dzbar_J (q factors) past dz_k costs q transpositions
+        negate = q % 2
+        p, q = p + 1, q + 1
+        if p > n or q > n:
+            p, q, terms = min(p, n), min(q, n), {}
+        if terms:
+            re, im, a_den = a._integer_rows()
+            a_terms = {((j + 1,), (k + 1,)): (-y, x)
+                       for j, (xs, ys) in enumerate(zip(re, im))
+                       for k, (x, y) in enumerate(zip(xs, ys)) if x or y}
+            terms = _wedge_terms(terms, a_terms, negate)
+            den *= a_den
+    g = gcd(den, *(c for pair in terms.values() for c in pair))
+    if g > 1:
+        den //= g
+        terms = {k: (re // g, im // g) for k, (re, im) in terms.items()}
+    return _IntegerForm(n, p, q, terms, den)
+
+
+def _annihilates(omega, p, q, vector):
+    """Whether omega ^ phi = 0, for an _IntegerForm omega and phi in Lambda^{p,q}.
+
+    vector is phi's coefficient vector, or any nonzero multiple of it, as
+    an (re, im) pair of int lists; entries past its end are zero.
+    """
+    phi = {k: (a, b) for k, a, b in zip(basis_indices(omega.n, p, q), *vector) if a or b}
+    # moving omega's barred factors past dz_I (p factors)
+    return not _wedge_terms(omega.terms, phi, (p * omega.q) % 2)
+
+
+def _matrix_vector(a):
+    """((re, im), L): the coefficient vector of the (1,1)-form i A, times L, from A's cached rows.
+
+    The basis ((j,), (k,)) of Lambda^{1,1} is ordered row by row.
+    """
+    re, im, den = a._integer_rows()
+    return ([-y for ys in im for y in ys], [x for xs in re for x in xs]), den
 
 
 @lru_cache(maxsize=None)
@@ -314,13 +388,14 @@ def is_real_form(phi: PQForm) -> bool:
     return conjugate_form(phi) == phi
 
 
-def _operator_columns(omega: PQForm, p: int, q: int):
+def _operator_columns(omega, keys, p: int, q: int):
     """Sparse columns of Phi -> omega ^ Phi from Lambda^{p,q}, by index arithmetic.
 
+    omega is a PQForm or an _IntegerForm and keys its term indices (I', J').
     Returns (nrows, columns): columns[col] lists (row, term, sign) for each
-    term of omega, counted in omega.coeffs order, whose indices are
-    disjoint from the source index (I, J); it lands at the row of the
-    merged (I' + I, J' + J) with that sign.  No coefficient is touched.
+    term of omega, counted in keys order, whose indices are disjoint from
+    the source index (I, J); it lands at the row of the merged
+    (I' + I, J' + J) with that sign.  No coefficient is touched.
     If the target degree overflows n the map is zero and nrows is 0.
     """
     n = omega.n
@@ -331,7 +406,7 @@ def _operator_columns(omega: PQForm, p: int, q: int):
     tgt_pos = _positions(n, tp, tq)
     # moving dzbar_{J'} (omega.q factors) past dz_I (p factors)
     block = -1 if (p * omega.q) % 2 else 1
-    keys = list(omega.coeffs)
+    keys = list(keys)
     columns = []
     for i, j in src:
         col = []
@@ -346,23 +421,22 @@ def _operator_columns(omega: PQForm, p: int, q: int):
     return len(tgt_pos), columns
 
 
-def _integer_operator(omega: PQForm, p: int, q: int):
+def _integer_operator(omega, p: int, q: int):
     """(nrows, columns, L): the sparse columns of L times Phi -> omega ^ Phi over Z[i].
 
-    columns[col] lists (row, re, im) entries; L is the lcm of omega's
-    denominators, so the terms are read once as Gaussian integers.
+    omega is an _IntegerForm over the denominator L; columns[col] lists
+    (row, re, im) entries.
     """
-    nrows, columns = _operator_columns(omega, p, q)
-    terms, den = _integer_terms(omega)
-    values = list(terms.values())
+    nrows, columns = _operator_columns(omega, omega.terms, p, q)
+    values = list(omega.terms.values())
     return nrows, [
         [(row, sign * values[t][0], sign * values[t][1]) for row, t, sign in col]
         for col in columns
-    ], den
+    ], omega.den
 
 
-def _integer_operator_matrix(omega: PQForm, p: int, q: int):
-    """(re, im, L): dense int rows of L times the matrix of Phi -> omega ^ Phi."""
+def _integer_operator_matrix(omega, p: int, q: int):
+    """(re, im, L): dense int rows of L times the matrix of Phi -> omega ^ Phi, omega an _IntegerForm."""
     nrows, columns, den = _integer_operator(omega, p, q)
     re = [[0] * len(columns) for _ in range(nrows)]
     im = [[0] * len(columns) for _ in range(nrows)]
@@ -371,16 +445,6 @@ def _integer_operator_matrix(omega: PQForm, p: int, q: int):
             re[row][col] = a
             im[row][col] = b
     return re, im, den
-
-
-def _integer_vector(phi: PQForm):
-    """((re, im), L): phi's coefficient vector as two int lists, times L."""
-    terms, den = _integer_terms(phi)
-    pos = _positions(phi.n, phi.p, phi.q)
-    re, im = [0] * len(pos), [0] * len(pos)
-    for key, (a, b) in terms.items():
-        re[pos[key]], im[pos[key]] = a, b
-    return (re, im), den
 
 
 @lru_cache(maxsize=None)
@@ -418,12 +482,12 @@ def _complementary_pairing(n, p, q):
     return tuple(partners), (int(inv.re), int(inv.im))
 
 
-def _pairing_gram(omega: PQForm, p: int, q: int, left, right):
+def _pairing_gram(omega, p: int, q: int, left, right):
     """L * vol(omega ^ Phi_a ^ conj(Psi_b)) over Z[i], for all a, b: (re, im, L).
 
     left and right hold Gaussian-integer coefficient vectors of
-    Lambda^{p,q}, each an (re, im) pair of int lists, and omega must have
-    bidegree (n-p-q, n-p-q).  This is (M Phi)^T S conj(Psi) for M the
+    Lambda^{p,q}, each an (re, im) pair of int lists, and omega must be an
+    _IntegerForm over L of bidegree (n-p-q, n-p-q).  This is (M Phi)^T S conj(Psi) for M the
     integer operator matrix of omega (over L) and S the signed pairing of
     _complementary_pairing; only the nonzero entries are visited.
     """
@@ -476,7 +540,7 @@ def wedge_operator_matrix(omega: PQForm, p: int, q: int):
     term c dz_I' ^ dzbar_J' of omega whose indices are disjoint from it, at
     the row of the merged (I' + I, J' + J); no coefficient is multiplied.
     """
-    nrows, columns = _operator_columns(omega, p, q)
+    nrows, columns = _operator_columns(omega, omega.coeffs, p, q)
     terms = [(c, -c) for c in omega.coeffs.values()]
     rows = [[ZERO] * len(columns) for _ in range(nrows)]
     for col, entries in enumerate(columns):

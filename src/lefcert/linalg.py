@@ -23,7 +23,12 @@ become GaussianRational again only on the way out:
 
 _det_residue maps the same int rows to F_p by i -> s, s^2 = -1 modulo
 one prime p = 1 (mod 4), and eliminates there: a ring homomorphism, so
-a nonzero residue proves det != 0, while a zero residue decides nothing.
+a nonzero residue proves det != 0, while a zero residue decides nothing
+but names the first column that is dependent mod p.  _first_kernel_vector
+solves a square matrix up to that column only: the columns before it
+are independent mod p, hence over Q, so the exact kernel of the leading
+columns gives the first reduced row echelon kernel vector of the whole
+matrix; only when p divided a minor does the whole matrix follow.
 
 A HermitianMatrix is cleared at most once in its life: it caches its
 (re, im, L) rows as int tuples, and rank, is_psd and the subset lattice
@@ -272,18 +277,24 @@ _S = 4490822397581186023
 
 
 def _det_residue(re, im):
-    """det of a square Z[i] matrix mapped to F_p by i -> s; the rows are left as they are.
+    """(residue, f) for a square Z[i] matrix mapped to F_p by i -> s; the rows are left as they are.
 
-    A ring homomorphism maps det to det, so a nonzero residue proves the
-    determinant nonzero.  A zero residue decides nothing.
+    residue is det mod p.  A ring homomorphism maps det to det, so a
+    nonzero residue proves the determinant nonzero, and then f is None.
+    A zero residue decides nothing; f is the column at which the
+    elimination stopped, the first with no nonzero entry left mod p.
+    Each step consumes one column, so columns 0..f-1 are independent mod
+    p and column f depends on them: f is where the column rank profile
+    over F_p first skips.
     """
     p = _P
     m = [[(a + _S * b) % p for a, b in zip(xs, ys)] for xs, ys in zip(re, im)]
     det = 1
+    col = 0
     while m:
         piv = next((i for i, row in enumerate(m) if row[0]), None)
         if piv is None:
-            return 0
+            return 0, col
         if piv:
             m[0], m[piv] = m[piv], m[0]
             det = -det
@@ -297,7 +308,8 @@ def _det_residue(re, im):
             f = row[0] * inv % p
             rest.append([(a - f * b) % p for a, b in zip(row[1:], tail)] if f else row[1:])
         m = rest
-    return det % p
+        col += 1
+    return det % p, None
 
 
 def mat_det(rows) -> GaussianRational:
@@ -352,6 +364,26 @@ def _kernel(re, im, ncols):
             known.append(pc)
         vectors.append((vr, vi))
     return vectors, d
+
+
+def _first_kernel_vector(re, im):
+    """The first reduced row echelon kernel vector of a square Z[i] matrix: (vector, d) or None.
+
+    None means the matrix is invertible.  Otherwise vector is d times the
+    exact kernel vector of the first non-pivot column f, as (re, im) int
+    lists over columns 0..f; the entries after f are zero.  The rows are
+    left as they are unless p divided a minor of the first f + 1 columns.
+    """
+    residue, f = _det_residue(re, im)
+    if residue:
+        return None
+    vectors, d = _kernel([xs[:f + 1] for xs in re], [ys[:f + 1] for ys in im], f + 1)
+    if not vectors:
+        # column f is independent over Q after all: p divided a minor
+        vectors, d = _kernel(re, im, len(re))
+        if not vectors:
+            return None
+    return vectors[0], d
 
 
 def _exact_vector(vector, d):

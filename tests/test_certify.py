@@ -26,10 +26,13 @@ from lefcert.certify import (
 import lefcert.discriminant as discriminant_mod
 from lefcert.discriminant import panov_positivity
 from lefcert.discriminant import mixed_discriminant
+import lefcert.exterior as exterior_mod
+import lefcert.linalg as linalg_mod
 from lefcert.exterior import (
     PQForm,
     _integer_operator_matrix,
-    _integer_vector,
+    _matrix_wedge,
+    basis_indices,
     conjugate_form,
     form_from_matrix,
     multiplication_matrix,
@@ -42,8 +45,10 @@ from lefcert.linalg import (
     HermitianMatrix,
     InternalCheckError,
     _det_residue,
+    _gaussian_integer_rows,
     _kernel,
     hermitian_signature,
+    kernel_basis,
     mat_rank,
 )
 from lefcert.rationals import GR, I, ONE, cpq_constant
@@ -57,6 +62,12 @@ Id = HermitianMatrix.identity
 
 def psd_tuple(seed, n, count):
     return tuple(random_psd_family(seed, n, count))
+
+
+def integer_vector(phi):
+    """((re, im), L): phi's coefficient vector as Gaussian integers over its lcm denominator."""
+    (re,), (im,), den = _gaussian_integer_rows([phi.coefficient_vector()])
+    return (re, im), den
 
 
 # ---- instance and certificate sanity ----
@@ -185,14 +196,21 @@ def test_direct_degenerate_kernel_location():
 
 
 def test_direct_builds_omega_once_on_a_failing_instance(monkeypatch):
+    import lefcert.certify as certify_mod
+
     calls = []
-    build = HLInstance.omega
+    build = certify_mod._matrix_wedge
 
-    def counted(inst):
-        calls.append(inst)
-        return build(inst)
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
 
-    monkeypatch.setattr(HLInstance, "omega", counted)
+    def forbidden(*args):
+        raise AssertionError("direct_hl built Omega over Q(i)")
+
+    monkeypatch.setattr(certify_mod, "_matrix_wedge", counted)
+    monkeypatch.setattr(HLInstance, "omega", forbidden)
+    monkeypatch.setattr(exterior_mod, "form_from_matrix", forbidden)
     a = D([1, 1, 0])
     cert = direct_hl(HLInstance(3, 1, 0, (a, a)))
     assert not cert.holds and cert.kernel_witness is not None
@@ -207,11 +225,50 @@ ZERO_RESIDUE = (
 )
 
 
-def test_direct_holds_from_the_exact_echelon_on_a_zero_residue():
+def _kernel_widths(monkeypatch):
+    """Record the column count of every _kernel call."""
+    widths = []
+    kernel = linalg_mod._kernel
+
+    def counted(re, im, ncols):
+        widths.append(ncols)
+        return kernel(re, im, ncols)
+
+    monkeypatch.setattr(linalg_mod, "_kernel", counted)
+    return widths
+
+
+def test_direct_holds_from_the_exact_echelon_on_a_zero_residue(monkeypatch):
+    widths = _kernel_widths(monkeypatch)
     for inst in ZERO_RESIDUE:
-        re, im, _ = _integer_operator_matrix(inst.omega(), inst.p, inst.q)
-        assert _det_residue(re, im) == 0
+        re, im, _ = _integer_operator_matrix(_matrix_wedge(inst.forms, inst.n), inst.p, inst.q)
+        assert _det_residue(re, im) == (0, 0)
+        widths.clear()
         assert direct_hl(inst).holds and criterion_hl(inst).holds
+        # column 0 has no kernel over Q, so the whole matrix is solved too
+        assert widths == [1, len(re)]
+
+
+def test_direct_solves_a_failing_instance_up_to_the_first_dependent_column(monkeypatch):
+    widths = _kernel_widths(monkeypatch)
+    failing = truncated = 0
+    for seed in range(60):
+        n, p = 3 + seed % 2, seed % 2
+        q = (seed // 2) % 2
+        inst = HLInstance(n, p, q, psd_tuple(seed + 2600, n, n - p - q))
+        dim = len(basis_indices(n, p, q))
+        widths.clear()
+        cert = direct_hl(inst)
+        if cert.holds:
+            assert widths == []
+            continue
+        failing += 1
+        assert len(widths) == 1 and widths[0] <= dim  # never the fallback
+        truncated += widths[0] < dim
+        # the witness of the full reduced row echelon kernel, as before
+        vectors = kernel_basis(multiplication_matrix(inst.omega(), p, q), dim)
+        assert cert.kernel_witness == PQForm.from_coefficient_vector(n, p, q, vectors[0])
+    assert failing >= 10 and truncated >= 5
 
 
 def test_witness_recheck_uses_the_given_omega():
@@ -219,10 +276,12 @@ def test_witness_recheck_uses_the_given_omega():
     # (Id, Id), which annihilates no nonzero (1,0)-form
     a = D([1, 1, 0])
     inst = HLInstance(3, 1, 0, (a, a))
-    re, im, _ = _integer_operator_matrix(inst.omega(), 1, 0)
+    omega = _matrix_wedge((a, a), 3)
+    re, im, _ = _integer_operator_matrix(omega, 1, 0)
     vectors, d = _kernel(re, im, len(re))
+    assert not _witness_from_kernel(inst, omega, vectors[0], d).is_zero()
     with pytest.raises(InternalCheckError, match="not annihilated"):
-        _witness_from_kernel(inst, HLInstance(3, 1, 0, (Id(3), Id(3))).omega(), vectors, d)
+        _witness_from_kernel(inst, _matrix_wedge((Id(3), Id(3)), 3), vectors[0], d)
 
 
 def test_witnesses_annihilate_omega():
@@ -400,7 +459,7 @@ def test_lefschetz_orthogonality_product_catches_a_non_primitive_vector(monkeypa
     def non_primitive(inst):
         omega, basis, vectors, d = build(inst)
         vr, vi = vectors[0]
-        (er, ei), den = _integer_vector(image[0])
+        (er, ei), den = integer_vector(image[0])
         # d * (phi + eta ^ e) = d * phi + d * eta ^ e, as Gaussian integers over den
         dr, di = d
         bad = ([den * a + dr * x - di * y for a, x, y in zip(vr, er, ei)],
@@ -469,8 +528,7 @@ def test_lorentzian_gram_equals_the_mixed_discriminant_oracle(n):
     samples.append([D([1] * (n - 1) + [0])] * (n - 2))  # rank n-1: not Lorentzian
     samples.append([Id(n)] * (n - 2))
     for forms in samples:
-        omega = wedge_many([form_from_matrix(a) for a in forms], n)
-        rows, den = _intersection_gram(omega, _real_basis_vectors(n))
+        rows, den = _intersection_gram(_matrix_wedge(forms, n), _real_basis_vectors(n))
         oracle = oracle_lorentzian_gram(forms, n)
         scale = den * factorial(n)
         assert [[Fraction(x, scale) for x in row] for row in rows] == oracle
@@ -544,9 +602,8 @@ def test_hodge_index_pairing_equals_the_mixed_discriminant_oracle(n):
         if seed % 3 == 2:  # rational entries: the vectors carry their own denominators
             beta0 = beta0.scale(Fraction(1, 3))
         mats = [alpha, beta0]
-        vectors, dens = zip(*(_integer_vector(form_from_matrix(m)) for m in mats))
-        omega = wedge_many([form_from_matrix(a) for a in forms], n)
-        rows, den = _intersection_gram(omega, vectors)
+        vectors, dens = zip(*(integer_vector(form_from_matrix(m)) for m in mats))
+        rows, den = _intersection_gram(_matrix_wedge(forms, n), vectors)
         for a, x in enumerate(mats):
             for b, y in enumerate(mats):
                 exact = Fraction(rows[a][b], den * dens[a] * dens[b])

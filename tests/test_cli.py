@@ -400,6 +400,16 @@ def test_float_rank_profile_entry_is_a_task_error(tmp_path, capsys):
     assert_task_error(tmp_path, capsys, doc, "rank_profile entry must be an integer")
 
 
+def test_repeated_generated_name_is_a_task_error(tmp_path, capsys):
+    # two matrices named a would leave later tasks only the second one
+    task = {"kind": "generate-psd", "seed": 3, "rank_profile": [1, 2], "names": ["a", "a"]}
+    doc = {"schema": 1, "n": 2, "tasks": [task, {"kind": "psd-check", "matrix": "a"}]}
+    assert_task_error(tmp_path, capsys, doc, "repeated matrix name(s) in names: a")
+    code, report = run_file(tmp_path, doc)
+    assert code == 1
+    assert "undefined matrix name(s): a" in report["results"]["1"]["error"]
+
+
 def test_zero_denominator_is_a_document_error(tmp_path, capsys):
     doc = {"schema": 1, "n": 1, "matrices": {"a": {"entries": [[{"re": "1/0"}]]}}, "tasks": []}
     assert_document_error(tmp_path, capsys, doc, "zero denominator")

@@ -500,6 +500,97 @@ def test_kernel_runs_no_scalar_arithmetic(monkeypatch):
     assert wedge_operator_matrix(omega, 1, 0) == expected[1]
 
 
+# ---- the integer Omega against the Q(i) wedge_many build ----
+
+def oracle_matrix_wedge(mats, n):
+    """The Q(i) build: (terms, L, bidegree) of wedge_many of the forms i A."""
+    omega = wedge_many([form_from_matrix(a) for a in mats], n)
+    return (*exterior._integer_terms(omega), (omega.p, omega.q))
+
+
+def rational_hermitian(rng, n):
+    """Seeded Hermitian matrix whose entries carry denominators up to 6, some zero."""
+    rows = [[ZERO] * n for _ in range(n)]
+    for a in range(n):
+        rows[a][a] = GR(Fraction(rng.integer(-3, 3), rng.integer(1, 6)))
+        for b in range(a + 1, n):
+            if rng.integer(0, 3):
+                c = GR(Fraction(rng.integer(-4, 4), rng.integer(1, 6)),
+                       Fraction(rng.integer(-4, 4), rng.integer(1, 6)))
+                rows[a][b], rows[b][a] = c, c.conjugate()
+    return HermitianMatrix(rows)
+
+
+def matrix_families():
+    rng = SplitMix64(0x1A7E6)
+    for count in range(150):
+        n = rng.integer(1, 4)
+        size = rng.integer(0, n + 1)  # n + 1 factors overflow to the zero (n,n)-form
+        mats = [rational_hermitian(rng, n) for _ in range(size)]
+        if count % 5 == 0 and mats:
+            mats[rng.integer(0, size - 1)] = HermitianMatrix.zero(n)
+        yield n, mats
+    yield 3, [D([1, 1, 0])] * 3  # cancels to zero
+    yield 2, random_psd_family(7, 2, 2)
+
+
+def test_matrix_wedge_equals_the_qi_build_term_for_term():
+    kinds = set()
+    for n, mats in matrix_families():
+        omega = exterior._matrix_wedge(mats, n)
+        terms, den, bideg = oracle_matrix_wedge(mats, n)
+        assert omega.terms == terms and list(omega.terms) == list(terms)
+        assert omega.den == den and (omega.p, omega.q) == bideg and omega.n == n
+        assert omega.form() == wedge_many([form_from_matrix(a) for a in mats], n)
+        kinds.add((not mats, not terms, den > 1))
+    # the empty family, zero products, integral and rational Omegas
+    assert {(True, False, False), (False, True, False), (False, False, True),
+            (False, False, False)} <= kinds
+
+
+def test_matrix_wedge_continues_a_given_omega():
+    for n, mats in matrix_families():
+        for k in range(len(mats) + 1):
+            head = exterior._matrix_wedge(mats[:k], n)
+            whole = exterior._matrix_wedge(mats[k:], n, head)
+            terms, den, bideg = oracle_matrix_wedge(mats, n)
+            assert (whole.terms, whole.den, (whole.p, whole.q)) == (terms, den, bideg)
+
+
+def test_matrix_wedge_rejects_a_mismatched_dimension():
+    with pytest.raises(ValueError):
+        exterior._matrix_wedge([D([1, 1]), D([1, 1, 1])], 2)
+
+
+def test_matrix_vector_is_the_coefficient_vector_of_the_form():
+    for _, mats in matrix_families():
+        for a in mats:
+            (re, im), den = exterior._matrix_vector(a)
+            terms, form_den = exterior._integer_terms(form_from_matrix(a))
+            keys = basis_indices(a.n, 1, 1)
+            assert den == form_den
+            assert [(x, y) for x, y in zip(re, im)] == [terms.get(k, (0, 0)) for k in keys]
+
+
+def test_annihilates_agrees_with_the_wedge():
+    rng = SplitMix64(0xA221)
+    seen = set()
+    for n, mats in matrix_families():
+        omega = exterior._matrix_wedge(mats, n)
+        for p, q in bidegrees(n):
+            phi = random_rational_form(rng, n, p, q, density=1 + rng.integer(0, 2))
+            vector = ([c.re for c in phi.coefficient_vector()],
+                      [c.im for c in phi.coefficient_vector()])
+            scale = 1
+            for c in phi.coeffs.values():
+                scale = scale * c.re.denominator * c.im.denominator
+            vector = tuple([int(x * scale) for x in xs] for xs in vector)
+            expected = wedge(omega.form(), phi).is_zero()
+            assert exterior._annihilates(omega, p, q, vector) == expected
+            seen.add(expected)
+    assert seen == {True, False}
+
+
 def test_merge_memo_is_bounded():
     # index pairs grow as 4^n, so the merge memo must have a fixed size
     assert exterior._merge_sign.cache_info().maxsize is not None

@@ -13,6 +13,8 @@ from lefcert.linalg import (
     NotPositiveDefiniteError,
     _det,
     _det_residue,
+    _exact_vector,
+    _first_kernel_vector,
     _gaussian_integer_rows,
     _kernel,
     char_poly_elementary,
@@ -712,16 +714,100 @@ def test_det_residue_is_the_exact_det_mod_p():
         n = min(len(rows), len(rows[0]))
         re, im, _ = _gaussian_integer_rows([row[:n] for row in rows[:n]])
         frozen = [r[:] for r in re], [r[:] for r in im]
-        residue = _det_residue(re, im)
+        residue, col = _det_residue(re, im)
         assert (re, im) == frozen  # the rows are left as they are
         dr, di = _det(re, im)
         assert residue == (dr + _S * di) % _P
+        assert (col is None) == (residue != 0)
         zero_residues += residue == 0
     assert zero_residues >= 20
-    assert _det_residue([], []) == 1
+    assert _det_residue([], []) == (1, None)
     # p divides the determinant: the residue is zero and decides nothing
-    assert _det_residue([[_P, 0], [0, 1]], [[0, 0], [0, 0]]) == 0
-    assert _det_residue([[1, 0], [0, 1]], [[_S, 0], [0, 0]]) == 0  # det = 1 + i s
+    assert _det_residue([[_P, 0], [0, 1]], [[0, 0], [0, 0]]) == (0, 0)
+    assert _det_residue([[1, 0], [0, 1]], [[_S, 0], [0, 0]]) == (0, 0)  # det = 1 + i s
+
+
+def oracle_rank_mod_p(columns):
+    """Rank over F_p of the given columns (lists of residues), by row echelon form."""
+    rows = [list(r) for r in zip(*columns)]
+    rank = 0
+    for c in range(len(columns)):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c] % _P), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, _P)
+        for i in range(len(rows)):
+            if i != rank and rows[i][c] % _P:
+                f = rows[i][c] * inv % _P
+                rows[i] = [(a - f * b) % _P for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _square_cases():
+    """The leading square block of every seeded Z[i] case."""
+    for re, im, ncols in _gaussian_integer_cases():
+        k = min(len(re), ncols)
+        yield [r[:k] for r in re[:k]], [r[:k] for r in im[:k]]
+
+
+# column f is dependent mod p but not over Q: p divides the leading 2 x 2 minor
+_UNLUCKY = ([[1, 1, 0], [1, 1 + _P, 0], [0, 0, 0]], [[0] * 3 for _ in range(3)])
+
+
+def test_det_residue_stops_at_the_first_column_dependent_mod_p():
+    stops = set()
+    for re, im in _square_cases():
+        columns = [[(a + _S * b) % _P for a, b in zip(xs, ys)] for xs, ys in zip(zip(*re), zip(*im))]
+        expected = next((j for j in range(len(columns))
+                         if oracle_rank_mod_p(columns[:j + 1]) <= j), None)
+        residue, col = _det_residue(re, im)
+        assert col == expected
+        assert (residue == 0) == (col is not None)
+        stops.add(col if col is None else min(col, 2))
+    assert stops == {None, 0, 1, 2}
+    assert _det_residue([[1, 1], [1, 1 + _P]], [[0, 0], [0, 0]]) == (0, 1)
+    assert _det_residue(*_UNLUCKY) == (0, 1)
+
+
+def test_first_kernel_vector_is_the_first_jordan_kernel_vector():
+    truncated = 0
+    for re, im in _square_cases():
+        ncols = len(re)
+        frozen = [r[:] for r in re], [r[:] for r in im]
+        vectors, d = oracle_jordan_kernel([r[:] for r in re], [r[:] for r in im], ncols)
+        first = _first_kernel_vector(re, im)
+        if not vectors:
+            assert first is None
+            continue
+        vector, e = first
+        f = _det_residue(*frozen)[1]
+        assert len(vector[0]) == len(vector[1]) == f + 1  # solved up to column f only
+        assert (re, im) == frozen  # no fallback ran on the rows
+        exact = _exact_vector(vector, e)
+        assert exact + [ZERO] * (ncols - f - 1) == _exact_vector(vectors[0], d)
+        truncated += f + 1 < ncols
+    assert truncated >= 50
+
+
+def test_first_kernel_vector_falls_back_when_p_divides_a_minor(monkeypatch):
+    widths = []
+    kernel = linalg_mod._kernel
+
+    def counted(re, im, ncols):
+        widths.append(ncols)
+        return kernel(re, im, ncols)
+
+    monkeypatch.setattr(linalg_mod, "_kernel", counted)
+    re, im = _UNLUCKY
+    expected = oracle_jordan_kernel([r[:] for r in re], [r[:] for r in im], 3)
+    vector, d = _first_kernel_vector([r[:] for r in re], [r[:] for r in im])
+    assert widths == [2, 3]  # columns 0..1 have no kernel over Q, so the whole matrix follows
+    assert _exact_vector(vector, d) == _exact_vector(expected[0][0], expected[1]) == [ZERO, ZERO, ONE]
+    widths.clear()
+    assert _first_kernel_vector([[1, 1], [1, 1 + _P]], [[0, 0], [0, 0]]) is None
+    assert widths == [2, 2]
 
 
 def test_empty_matrices_match_qi_oracle():
