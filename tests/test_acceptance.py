@@ -81,9 +81,9 @@ def test_criterion_01_hl_equivalence():
 
 def test_criterion_01b_hl_equivalence_at_n5_n6():
     # every bidegree at n = 5 for two seeds, and n = 6 at (2,1), (1,2) and a
-    # holding (2,2); a failing n = 6 (2,2) needs an exact 225x225 echelon
-    # (49 s on 2 cores with Python 3.11.7 and the Fraction backend), so it is
-    # left out
+    # holding (2,2); a failing n = 6 (2,2) needs an exact echelon of the first
+    # 150 of its 225 columns (13 s on 2 cores with Python 3.11.7 and the
+    # Fraction backend), so it is left out
     t0 = time.time()
     instances = [HLInstance(5, p, total - p, psd_tuple(seed * 100 + total, 5, 5 - total))
                  for seed in (1, 2) for total in range(6) for p in range(total + 1)]
