@@ -53,6 +53,7 @@ from .linalg import (
     InternalCheckError,
     _exact_vector,
     _first_kernel_vector,
+    _hermitian_failure,
     _inertia,
     _kernel,
     _rank,
@@ -205,13 +206,6 @@ def _primitive_space(inst: HLInstance):
     return omega, basis, vectors, d
 
 
-def _hermitian_or_raise(re, im, what):
-    for a in range(len(re)):
-        for b in range(a, len(re)):
-            if re[a][b] != re[b][a] or im[a][b] != -im[b][a]:
-                raise InternalCheckError(f"{what} is not Hermitian")
-
-
 def _primitive_gram(omega, vectors, d, p, q):
     """Gram of Q(Phi,Psi) = c_{p,q} * vol(Omega ^ Phi ^ conj(Psi)) on the primitive basis.
 
@@ -224,7 +218,8 @@ def _primitive_gram(omega, vectors, d, p, q):
     cr, ci = int(c.re), int(c.im)
     re, im = ([[cr * x - ci * y for x, y in zip(xs, ys)] for xs, ys in zip(re, im)],
               [[cr * y + ci * x for x, y in zip(xs, ys)] for xs, ys in zip(re, im)])
-    _hermitian_or_raise(re, im, "Q Gram matrix")
+    if _hermitian_failure(re, im):
+        raise InternalCheckError("Q Gram matrix is not Hermitian")
     scale = den * (d[0] * d[0] + d[1] * d[1])
     exact = [[GaussianRational(Rat(x, scale), Rat(y, scale)) for x, y in zip(xs, ys)]
              for xs, ys in zip(re, im)]
@@ -356,7 +351,8 @@ def _intersection_gram(omega, vectors):
     are checked to be so.
     """
     re, im, den = _pairing_gram(omega, 1, 1, vectors, vectors)
-    _hermitian_or_raise(re, im, "intersection pairing")
+    if _hermitian_failure(re, im):
+        raise InternalCheckError("intersection pairing is not Hermitian")
     if any(map(any, im)):
         raise InternalCheckError("intersection pairing has nonzero imaginary part")
     return re, den

@@ -199,8 +199,9 @@ def run_instance(doc, seed=None):
     """Execute the task list; returns (report_dict, all_ok)."""
     if not isinstance(doc, dict):
         raise ValueError("the instance must be a JSON object")
-    if doc.get("schema", 1) != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {doc.get('schema')}")
+    schema = doc.get("schema", SCHEMA_VERSION)
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema version {schema!r}")
     n = _integer(doc["n"], "n") if "n" in doc else None
     declared = doc.get("matrices", {})
     if not isinstance(declared, dict):
@@ -266,8 +267,11 @@ def main(argv=None) -> int:
         print(f"parse error in {args.input}: line {exc.lineno}, column {exc.colno}: {exc.msg}",
               file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, RecursionError) as exc:  # a number too long, arrays nested too deep
+        print(f"parse error in {args.input}: {exc}", file=sys.stderr)
         return 2
 
     try:
@@ -283,8 +287,12 @@ def main(argv=None) -> int:
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"cannot write {args.output}: {exc}", file=sys.stderr)
+            return 2
     return 0 if ok else 1
 
 

@@ -9,20 +9,21 @@ The canonical positive volume element is
 vol = (i dz_1 ^ dzbar_1) ^ ... ^ (i dz_n ^ dzbar_n), so positivity of an
 (n,n)-form is the sign of one rational number.
 
-Wedge products multiply coefficients over Z[i]: each operand is cleared
-once to (re, im) int pairs over one common denominator, the pair loop
-multiplies and adds Python ints only, and the result is turned back into
-Q(i) coefficients once.
+Wedges multiply coefficients over Z[i] in one fold (_fold) of
+_IntegerForm operands, Gaussian-integer terms over one denominator: the
+pair loop multiplies and adds Python ints only, and the result is reduced
+by one gcd.  wedge and wedge_many clear each PQForm once and convert the
+result back to Q(i) once.
 
-The library's Omega = (i A_1) ^ ... ^ (i A_k) never visits Q(i): it is
-wedged straight from each HermitianMatrix's cached Z[i] rows into an
-_IntegerForm, Gaussian-integer terms over one reduced denominator.  The
-operator matrix of Phi -> omega ^ Phi is filled by index arithmetic, each
-entry being +c or -c for a term c of omega.  Its Gaussian-integer form
-feeds the determinant and kernel routes, and, with the signed
-complementary pairing Lambda^{n-q,n-p} x Lambda^{q,p} -> Lambda^{n,n}, the
-Gram matrix of (Phi, Psi) -> vol(omega ^ Phi ^ conj(Psi)) as one product
-(M B)^T S conj(B).
+The library's Omega = (i A_1) ^ ... ^ (i A_k) never visits Q(i): the same
+fold reads each factor as the (1,1)-form i A from the Z[i] rows its
+HermitianMatrix cleared at construction (_matrix_terms, which also backs
+form_from_matrix).  The operator matrix of Phi -> omega ^ Phi is filled by
+index arithmetic in one place (_operator_columns), each entry +c or -c for
+a term c of omega.  Its Gaussian-integer form feeds the determinant and
+kernel routes, and, with the signed complementary pairing
+Lambda^{n-q,n-p} x Lambda^{q,p} -> Lambda^{n,n}, the Gram matrix of
+(Phi, Psi) -> vol(omega ^ Phi ^ conj(Psi)) as one product (M B)^T S conj(B).
 """
 
 from __future__ import annotations
@@ -193,22 +194,26 @@ class PQForm:
         return f"PQForm(n={self.n}, p={self.p}, q={self.q}, terms={len(self.coeffs)})"
 
 
+def _matrix_terms(a: HermitianMatrix):
+    """({(I, J): (re, im)}, L): the (1,1)-form i A over Z[i], from A's cached rows.
+
+    Entry re + i im at (j, k) of L A gives the term (-im, re) at ((j,), (k,)).
+    """
+    re, im, den = a._integer_rows()
+    return {((j + 1,), (k + 1,)): (-y, x)
+            for j, (xs, ys) in enumerate(zip(re, im))
+            for k, (x, y) in enumerate(zip(xs, ys)) if x or y}, den
+
+
 def form_from_matrix(a: HermitianMatrix) -> PQForm:
     """The real (1,1)-form i * sum a_jk dz_j ^ dzbar_k of a Hermitian matrix."""
-    n = a.n
-    coeffs = {}
-    for j in range(n):
-        for k in range(n):
-            c = a.rows[j][k]
-            if c:
-                coeffs[((j + 1,), (k + 1,))] = GaussianRational(-c.im, c.re)  # i * c
-    return PQForm(n, 1, 1, coeffs)
+    return _IntegerForm(a.n, 1, 1, *_matrix_terms(a)).form()
 
 
-def _integer_terms(phi):
-    """({(I, J): (re, im)}, L): phi's coefficients as Gaussian integers over L."""
+def _integer_form(phi: PQForm):
+    """phi as an _IntegerForm: its coefficients as Gaussian integers over their lcm denominator."""
     (re,), (im,), den = _gaussian_integer_rows([list(phi.coeffs.values())])
-    return dict(zip(phi.coeffs, zip(re, im))), den
+    return _IntegerForm(phi.n, phi.p, phi.q, dict(zip(phi.coeffs, zip(re, im))), den)
 
 
 def _wedge_terms(a, b, negate):
@@ -256,21 +261,7 @@ def wedge_many(forms, n=None) -> PQForm:
         if n is None:
             raise ValueError("ambient dimension required for an empty product")
         return PQForm.scalar(n, ONE)
-    n, p, q = forms[0].n, forms[0].p, forms[0].q
-    terms, den = _integer_terms(forms[0])
-    for f in forms[1:]:
-        if f.n != n:
-            raise ValueError("forms live on different ambient spaces")
-        # moving dzbar_{J1} (q factors) past dz_{I2} (f.p factors)
-        negate = (f.p * q) % 2
-        p, q = p + f.p, q + f.q
-        if p > n or q > n:
-            p, q, terms = min(p, n), min(q, n), {}
-        if terms:
-            f_terms, f_den = _integer_terms(f)
-            terms = _wedge_terms(terms, f_terms, negate)
-            den *= f_den
-    return _IntegerForm(n, p, q, terms, den).form()
+    return _fold(forms[0].n, map(_integer_form, forms)).form()
 
 
 class _IntegerForm:
@@ -288,39 +279,47 @@ class _IntegerForm:
         })
 
 
-def _matrix_wedge(mats, n, omega=None):
-    """omega ^ (i A_1) ^ ... ^ (i A_k) over Z[i], read from each matrix's cached rows.
+def _fold(n, factors, omega=None):
+    """omega ^ f_1 ^ ... ^ f_k over Z[i], for _IntegerForm factors on C^n.
 
-    omega is an _IntegerForm, the scalar 1 when omega is None.  Entry
-    re + i im at (j, k) of A gives the term (-im, re) at ((j,), (k,)).
-    The terms are folded in ints over the product of the denominators,
-    which is reduced once: the result holds exactly the terms and the
-    lcm denominator that _integer_terms reads from the Q(i) wedge_many
-    of the forms form_from_matrix(A).
+    Without omega the fold starts from the first factor itself, and the
+    empty product is the scalar 1.  Terms are multiplied in ints over the
+    product of the denominators, which is reduced by one gcd at the end.
+    A degree beyond n gives the zero form of the clamped bidegree; every
+    factor's ambient dimension is still checked.
     """
-    if omega is None:
-        omega = _IntegerForm(n, 0, 0, {((), ()): (1, 0)}, 1)
-    p, q, terms, den = omega.p, omega.q, omega.terms, omega.den
-    for a in mats:
-        if a.n != n:
+    p, q, terms, den = (0, 0, None, 1) if omega is None else (
+        omega.p, omega.q, omega.terms, omega.den)
+    for f in factors:
+        if f.n != n:
             raise ValueError("forms live on different ambient spaces")
-        # moving dzbar_J (q factors) past dz_k costs q transpositions
-        negate = q % 2
-        p, q = p + 1, q + 1
+        # moving dzbar_J (q factors) past dz_I' (f.p factors)
+        negate = (f.p * q) % 2
+        p, q = p + f.p, q + f.q
         if p > n or q > n:
             p, q, terms = min(p, n), min(q, n), {}
-        if terms:
-            re, im, a_den = a._integer_rows()
-            a_terms = {((j + 1,), (k + 1,)): (-y, x)
-                       for j, (xs, ys) in enumerate(zip(re, im))
-                       for k, (x, y) in enumerate(zip(xs, ys)) if x or y}
-            terms = _wedge_terms(terms, a_terms, negate)
-            den *= a_den
+        elif terms is None:
+            terms, den = f.terms, f.den
+        elif terms:
+            terms = _wedge_terms(terms, f.terms, negate)
+            den *= f.den
+    if terms is None:
+        return _IntegerForm(n, 0, 0, {((), ()): (1, 0)}, 1)
     g = gcd(den, *(c for pair in terms.values() for c in pair))
     if g > 1:
         den //= g
         terms = {k: (re // g, im // g) for k, (re, im) in terms.items()}
     return _IntegerForm(n, p, q, terms, den)
+
+
+def _matrix_wedge(mats, n, omega=None):
+    """omega ^ (i A_1) ^ ... ^ (i A_k) over Z[i], read from each matrix's cached rows.
+
+    omega is an _IntegerForm, the scalar 1 when omega is None.  The result
+    holds exactly the terms and the lcm denominator that _integer_form
+    reads from the Q(i) wedge_many of the forms form_from_matrix(A).
+    """
+    return _fold(n, (_IntegerForm(a.n, 1, 1, *_matrix_terms(a)) for a in mats), omega)
 
 
 def _annihilates(omega, p, q, vector):
@@ -388,15 +387,15 @@ def is_real_form(phi: PQForm) -> bool:
     return conjugate_form(phi) == phi
 
 
-def _operator_columns(omega, keys, p: int, q: int):
-    """Sparse columns of Phi -> omega ^ Phi from Lambda^{p,q}, by index arithmetic.
+def _operator_columns(omega, p: int, q: int):
+    """Sparse columns of L times Phi -> omega ^ Phi from Lambda^{p,q}, by index arithmetic.
 
-    omega is a PQForm or an _IntegerForm and keys its term indices (I', J').
-    Returns (nrows, columns): columns[col] lists (row, term, sign) for each
-    term of omega, counted in keys order, whose indices are disjoint from
-    the source index (I, J); it lands at the row of the merged
-    (I' + I, J' + J) with that sign.  No coefficient is touched.
-    If the target degree overflows n the map is zero and nrows is 0.
+    omega is an _IntegerForm over the denominator L.  Returns (nrows,
+    columns): columns[col] lists (row, re, im) for each term (re, im) of
+    omega whose indices (I', J') are disjoint from the source index (I, J);
+    it lands at the row of the merged (I' + I, J' + J) with the merge
+    sign.  No coefficient is multiplied.  If the target degree overflows n
+    the map is zero and nrows is 0.
     """
     n = omega.n
     src = basis_indices(n, p, q)
@@ -406,45 +405,32 @@ def _operator_columns(omega, keys, p: int, q: int):
     tgt_pos = _positions(n, tp, tq)
     # moving dzbar_{J'} (omega.q factors) past dz_I (p factors)
     block = -1 if (p * omega.q) % 2 else 1
-    keys = list(keys)
+    terms = list(omega.terms.items())
     columns = []
     for i, j in src:
         col = []
-        for term, (i1, j1) in enumerate(keys):
+        for (i1, j1), (re, im) in terms:
             si, mi = _merge_sign(i1, i)
             if not si:
                 continue
             sj, mj = _merge_sign(j1, j)
             if sj:
-                col.append((tgt_pos[mi, mj], term, si * sj * block))
+                sign = si * sj * block
+                col.append((tgt_pos[mi, mj], sign * re, sign * im))
         columns.append(col)
     return len(tgt_pos), columns
 
 
-def _integer_operator(omega, p: int, q: int):
-    """(nrows, columns, L): the sparse columns of L times Phi -> omega ^ Phi over Z[i].
-
-    omega is an _IntegerForm over the denominator L; columns[col] lists
-    (row, re, im) entries.
-    """
-    nrows, columns = _operator_columns(omega, omega.terms, p, q)
-    values = list(omega.terms.values())
-    return nrows, [
-        [(row, sign * values[t][0], sign * values[t][1]) for row, t, sign in col]
-        for col in columns
-    ], omega.den
-
-
 def _integer_operator_matrix(omega, p: int, q: int):
     """(re, im, L): dense int rows of L times the matrix of Phi -> omega ^ Phi, omega an _IntegerForm."""
-    nrows, columns, den = _integer_operator(omega, p, q)
+    nrows, columns = _operator_columns(omega, p, q)
     re = [[0] * len(columns) for _ in range(nrows)]
     im = [[0] * len(columns) for _ in range(nrows)]
     for col, entries in enumerate(columns):
         for row, a, b in entries:
             re[row][col] = a
             im[row][col] = b
-    return re, im, den
+    return re, im, omega.den
 
 
 @lru_cache(maxsize=None)
@@ -497,7 +483,7 @@ def _pairing_gram(omega, p: int, q: int, left, right):
         raise ValueError(
             f"degree mismatch: omega has bidegree ({omega.p},{omega.q}), expected ({k},{k})"
         )
-    nrows, columns, den = _integer_operator(omega, p, q)
+    nrows, columns = _operator_columns(omega, p, q)
     partners, (ur, ui) = _complementary_pairing(n, p, q)
     # unit * sign_t * conj(Psi_{s_t}), kept at its nonzero rows t
     paired = []
@@ -529,7 +515,7 @@ def _pairing_gram(omega, p: int, q: int, left, right):
             row_im.append(si)
         gram_re.append(row_re)
         gram_im.append(row_im)
-    return gram_re, gram_im, den
+    return gram_re, gram_im, omega.den
 
 
 def wedge_operator_matrix(omega: PQForm, p: int, q: int):
@@ -540,12 +526,18 @@ def wedge_operator_matrix(omega: PQForm, p: int, q: int):
     term c dz_I' ^ dzbar_J' of omega whose indices are disjoint from it, at
     the row of the merged (I' + I, J' + J); no coefficient is multiplied.
     """
-    nrows, columns = _operator_columns(omega, omega.coeffs, p, q)
-    terms = [(c, -c) for c in omega.coeffs.values()]
+    form = _integer_form(omega)
+    den = form.den
+    value = {}  # +c and -c for each term c of omega
+    for re, im in form.terms.values():
+        for sign in (1, -1):
+            value[sign * re, sign * im] = GaussianRational(Rat(sign * re, den),
+                                                           Rat(sign * im, den))
+    nrows, columns = _operator_columns(form, p, q)
     rows = [[ZERO] * len(columns) for _ in range(nrows)]
     for col, entries in enumerate(columns):
-        for row, term, sign in entries:
-            rows[row][col] = terms[term][sign < 0]
+        for row, re, im in entries:
+            rows[row][col] = value[re, im]
     return rows, len(columns)
 
 

@@ -30,9 +30,10 @@ are independent mod p, hence over Q, so the exact kernel of the leading
 columns gives the first reduced row echelon kernel vector of the whole
 matrix; only when p divided a minor does the whole matrix follow.
 
-A HermitianMatrix is cleared at most once in its life: it caches its
-(re, im, L) rows as int tuples, and rank, is_psd and the subset lattice
-of `discriminant` eliminate list copies of them.
+A HermitianMatrix is cleared once, at construction: the Hermitian check
+reads the cleared ints, the (re, im, L) rows are kept as int tuples, and
+rank, is_psd, the subset lattice of `discriminant` and the wedges of
+`exterior` read them (the eliminations on list copies).
 
 No eigenvalue is ever computed.
 """
@@ -98,13 +99,18 @@ def mat_mul(a, b):
 def _gaussian_integer_rows(rows):
     """(re, im, L): int rows with re + i*im = L * rows, L the lcm of all denominators."""
     entries = [[_entry(x) for x in row] for row in rows]
-    den = lcm(*{int(x.re.denominator) for row in entries for x in row},
-              *{int(x.im.denominator) for row in entries for x in row})
-    re = [[int(x.re.numerator) * (den // int(x.re.denominator)) for x in row]
-          for row in entries]
-    im = [[int(x.im.numerator) * (den // int(x.im.denominator)) for x in row]
-          for row in entries]
+    den = lcm(*{x.re.denominator for row in entries for x in row},
+              *{x.im.denominator for row in entries for x in row})
+    re = [[x.re.numerator * (den // x.re.denominator) for x in row] for row in entries]
+    im = [[x.im.numerator * (den // x.im.denominator) for x in row] for row in entries]
     return re, im, den
+
+
+def _hermitian_failure(re, im):
+    """The first (j, k), j <= k, at which the Z[i] rows are not Hermitian; None if none."""
+    n = len(re)
+    return next(((j, k) for j in range(n) for k in range(j, n)
+                 if re[j][k] != re[k][j] or im[j][k] != -im[k][j]), None)
 
 
 def _copy_rows(rows):
@@ -428,17 +434,18 @@ class HermitianMatrix:
     __slots__ = ("n", "rows", "_cleared", "_rank", "_psd", "_charpoly")
 
     def __init__(self, entries):
-        rows = [[_entry(x) for x in row] for row in entries]
+        rows = tuple(tuple(_entry(x) for x in row) for row in entries)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
-        for j in range(n):
-            for k in range(j, n):
-                if rows[j][k] != rows[k][j].conjugate():
-                    raise ValueError(f"not Hermitian at ({j},{k})")
+        # L * x == L * y exactly when x == y, so the check reads the cleared ints
+        re, im, den = _gaussian_integer_rows(rows)
+        failure = _hermitian_failure(re, im)
+        if failure:
+            raise ValueError("not Hermitian at ({},{})".format(*failure))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
-        object.__setattr__(self, "_cleared", None)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_cleared", (tuple(map(tuple, re)), tuple(map(tuple, im)), den))
         object.__setattr__(self, "_rank", None)
         object.__setattr__(self, "_psd", None)
         object.__setattr__(self, "_charpoly", None)
@@ -495,14 +502,10 @@ class HermitianMatrix:
         return self.rows[j][k]
 
     def _integer_rows(self):
-        """(re, im, L) of L * rows as tuples of int tuples, cleared on the first call only.
+        """(re, im, L) of L * rows as tuples of int tuples, cleared once, at construction.
 
         The rows are shared by every caller; eliminate a list copy of them.
         """
-        if self._cleared is None:
-            re, im, den = _gaussian_integer_rows(self.rows)
-            object.__setattr__(self, "_cleared",
-                               (tuple(map(tuple, re)), tuple(map(tuple, im)), den))
         return self._cleared
 
     def rank(self) -> int:
@@ -575,10 +578,8 @@ class HermitianFormOnSpace:
         dim = len(rows)
         if any(len(r) != dim for r in rows):
             raise ValueError("Gram matrix must be square")
-        for j in range(dim):
-            for k in range(j, dim):
-                if rows[j][k] != rows[k][j].conjugate():
-                    raise ValueError("Gram matrix not Hermitian")
+        if _hermitian_failure(*_gaussian_integer_rows(rows)[:2]):
+            raise ValueError("Gram matrix not Hermitian")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "gram", tuple(tuple(r) for r in rows))
 

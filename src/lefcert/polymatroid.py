@@ -138,7 +138,6 @@ def check_axioms(r: RankFunction) -> AxiomReport:
 def enumerate_points(r: RankFunction) -> DiscretePolymatroid:
     """All lattice points of the discrete polymatroid, in lexicographic order.
 
-    Depth-first search over coordinates with subset-bound pruning.
     Refuses tables failing the polymatroid axioms, except that a merely
     non-loopless table only triggers a warning.
     """
@@ -147,6 +146,15 @@ def enumerate_points(r: RankFunction) -> DiscretePolymatroid:
         raise ValueError(f"not a polymatroid rank table: {report.violations[:3]}")
     if not report.loopless:
         warnings.warn("rank table has loops; enumeration proceeds", stacklevel=2)
+    return DiscretePolymatroid(m=r.m, rank=r, points=_lattice_points(r))
+
+
+def _lattice_points(r: RankFunction):
+    """The lattice points of a polymatroid rank table r, in lexicographic order.
+
+    Depth-first search over coordinates with subset-bound pruning; r is
+    not checked here.
+    """
     m = r.m
     total = r.full_rank()
     full = frozenset(range(1, m + 1))
@@ -179,7 +187,7 @@ def enumerate_points(r: RankFunction) -> DiscretePolymatroid:
         point[k - 1] = 0
 
     dfs(1, 0)
-    return DiscretePolymatroid(m=m, rank=r, points=tuple(points))
+    return tuple(points)
 
 
 def _compositions(total, parts):
@@ -238,10 +246,7 @@ def hl_support(mats, n: int):
         # the shifted table is not always submodular; the polymatroid
         # enumeration only applies when it is
         if check_axioms(table).is_polymatroid:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                enumerated = set(enumerate_points(table).points)
-            if enumerated != support:
+            if set(_lattice_points(table)) != support:
                 raise InternalCheckError("HL support and polymatroid enumeration disagree")
     elif table is not None and support:
         raise InternalCheckError("deficient full rank must give empty HL support")

@@ -1,38 +1,31 @@
 """Exact Gaussian-rational scalars.
 
 Every computation in the library happens over Q(i).  Rational parts are
-kept in canonical form (reduced, positive denominator) by the backing
-rational type.  Floating-point input is rejected outright: nothing in
-this library is approximate.
+`fractions.Fraction` values, kept in canonical form (reduced, positive
+denominator); `Rat` names that one backend.  Floating-point input is
+rejected outright: nothing in this library is approximate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-try:  # gmpy2.mpq is a drop-in, much faster rational
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover
-    Rat = Fraction
-
-_RAT_TYPE = type(Rat(0))
+Rat = Fraction
 
 __all__ = ["Rat", "as_rat", "GaussianRational", "GR", "ZERO", "ONE", "I", "cpq_constant"]
 
 
 def as_rat(x):
-    """Coerce x to the exact rational backend.
+    """Coerce x to a Fraction.
 
-    Accepts ints, Fractions, Rat values and "p/q" strings.  Floats are
-    rejected rather than rationalized.  A Rat value is returned as is.
+    Accepts ints, Fractions and "p/q" strings.  Floats are rejected rather
+    than rationalized.  A Fraction is returned as is.
     """
-    if type(x) is _RAT_TYPE:
+    if type(x) is Fraction:
         return x
     if isinstance(x, float):
         raise TypeError(f"floating-point value {x!r} rejected; use int, Fraction or 'p/q'")
-    if isinstance(x, str):
-        return Rat(Fraction(x))
-    return Rat(x)
+    return Fraction(x)
 
 
 class GaussianRational:
@@ -158,7 +151,7 @@ def GR(re=0, im=0):
 def _coerce(x):
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Fraction, type(Rat(0)))):
+    if isinstance(x, (int, Fraction)):
         return GaussianRational(x)
     return NotImplemented
 

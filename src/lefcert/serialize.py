@@ -40,6 +40,8 @@ def rat_to_str(x) -> str:
 def rat_from_str(s):
     if isinstance(s, float):
         raise TypeError("floating-point input rejected")
+    if isinstance(s, bool):
+        raise TypeError(f"boolean {s!r} is not a rational")
     if isinstance(s, int):
         return as_rat(s)
     try:
@@ -71,7 +73,8 @@ def matrix_from_json(obj) -> HermitianMatrix:
         raise ValueError("a matrix must be a JSON object with 'entries'")
     entries = [[complex_from_json(x) for x in row] for row in obj["entries"]]
     mat = HermitianMatrix(entries)
-    if mat.n != obj.get("n", mat.n):
+    n = obj.get("n", mat.n)
+    if type(n) is not int or n != mat.n:
         raise ValueError("matrix dimension field disagrees with entries")
     return mat
 

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -430,3 +432,59 @@ def test_missing_task_field_is_a_task_error(tmp_path, capsys, task, field):
     code, out, err = run_raw(tmp_path, capsys, doc)
     assert code == 1 and err == ""
     assert json.loads(out)["results"]["0"] == {"error": f"missing field {field!r}"}
+
+
+# ---- unreadable files and unwritable reports: one stderr line, exit 2, no traceback ----
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_console(*args):
+    """The CLI in a fresh interpreter, so that an escaping exception shows as a traceback."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, "-m", "lefcert.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
+def assert_refused(proc, needle):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and needle in proc.stderr
+
+
+def write_bytes(tmp_path, data):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_unwritable_output_is_refused(tmp_path, target):
+    path = write_bytes(tmp_path, b'{"schema": 1, "tasks": []}')
+    output = str(tmp_path / target)
+    assert_refused(run_console("--input", path, "--output", output), f"cannot write {output}")
+
+
+@pytest.mark.parametrize("data, needle", [
+    (b'{"schema": 1, "tasks": [], "note": "\xff"}', "utf-8"),
+    (b'{"schema": 1, "n": ' + b"7" * 4400 + b"}", "parse error"),
+    (b"[" * 200_000 + b"]" * 200_000, "parse error"),
+], ids=["non-utf8", "long-number", "deep-nesting"])
+def test_unreadable_input_is_refused(tmp_path, data, needle):
+    assert_refused(run_console("--input", write_bytes(tmp_path, data)), needle)
+
+
+# ---- JSON booleans are not numbers ----
+
+@pytest.mark.parametrize("doc, needle", [
+    ({"schema": 1, "n": 2, "matrices": {"a": {"entries": [[True, 0], [0, False]]}},
+      "tasks": [{"kind": "nd", "matrix": "a"}]}, "boolean"),
+    ({"schema": 1, "n": 1, "matrices": {"a": {"entries": [[{"re": 1, "im": False}]]}},
+      "tasks": []}, "boolean"),
+    ({"schema": True, "n": 1, "tasks": []}, "schema"),
+    ({"schema": 1, "n": 1, "matrices": {"a": {"n": True, "entries": [[1]]}}, "tasks": []},
+     "dimension"),
+], ids=["entries", "im-part", "schema", "matrix-n"])
+def test_boolean_is_a_document_error(tmp_path, capsys, doc, needle):
+    assert_document_error(tmp_path, capsys, doc, needle)

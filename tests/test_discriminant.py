@@ -1,4 +1,3 @@
-from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
@@ -213,25 +212,36 @@ def test_cached_clearing_survives_every_consumer(seed, n):
 
 
 def test_each_matrix_is_cleared_once(monkeypatch):
-    mats = _mixed_denominator_family(77, 4, 4) + [Id(4)] * 2
-    calls = Counter()
-    clear = linalg_mod._gaussian_integer_rows
+    built, cleared = [], []
+    init, clear = HermitianMatrix.__init__, linalg_mod._gaussian_integer_rows
+
+    def counting_init(self, entries):
+        init(self, entries)
+        built.append(self.rows)
 
     def counting(rows):
-        calls[id(rows)] += 1
+        cleared.append(rows)
         return clear(rows)
 
     def forbidden(*args):
         raise AssertionError("the subset lattice left the integer walk")
 
+    monkeypatch.setattr(HermitianMatrix, "__init__", counting_init)
     monkeypatch.setattr(linalg_mod, "_gaussian_integer_rows", counting)
+    mats = _mixed_denominator_family(77, 4, 4) + [Id(4)] * 2
+    # one clearing per construction, of the matrix's own rows, and no other
+    assert len(cleared) == len(built) >= 5
+    assert all(rows is own for rows, own in zip(cleared, built))
+    assert all(any(a.rows is own for own in built) for a in mats)
+    del built[:], cleared[:]
     for name in ("mat_det", "mat_rank", "hermitian_signature"):
         monkeypatch.setattr(linalg_mod, name, forbidden)
     monkeypatch.setattr(HermitianMatrix, "__add__", forbidden)
     _exercise_shared(mats[:4])
     _exercise_shared(mats[2:])
     hl_support(mats[:3], 4)
-    assert calls == Counter({id(a.rows): 1 for a in mats})
+    # every path reads the rows cleared at construction
+    assert cleared == [] and built == []
 
 
 # ---- intersection numbers ----

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -502,10 +502,27 @@ def test_kernel_runs_no_scalar_arithmetic(monkeypatch):
 
 # ---- the integer Omega against the Q(i) wedge_many build ----
 
+def oracle_matrix_form(a):
+    """The (1,1)-form i A, one GaussianRational product i * a_jk per entry."""
+    return PQForm(a.n, 1, 1, {((j + 1,), (k + 1,)): I * a.rows[j][k]
+                              for j in range(a.n) for k in range(a.n) if a.rows[j][k]})
+
+
+def oracle_integer_terms(phi):
+    """({(I, J): (re, im)}, L): phi's coefficients times the lcm L of their denominators."""
+    den = lcm(*(x.denominator for c in phi.coeffs.values() for x in (c.re, c.im)))
+    return {k: (int(c.re * den), int(c.im * den)) for k, c in phi.coeffs.items()}, den
+
+
+def oracle_matrix_omega(mats, n):
+    """The Q(i) build of (i A_1) ^ ... ^ (i A_k) by the GaussianRational oracle fold."""
+    return oracle_wedge_many([oracle_matrix_form(a) for a in mats], n)
+
+
 def oracle_matrix_wedge(mats, n):
-    """The Q(i) build: (terms, L, bidegree) of wedge_many of the forms i A."""
-    omega = wedge_many([form_from_matrix(a) for a in mats], n)
-    return (*exterior._integer_terms(omega), (omega.p, omega.q))
+    """(terms, L, bidegree) of the Q(i) build."""
+    omega = oracle_matrix_omega(mats, n)
+    return (*oracle_integer_terms(omega), (omega.p, omega.q))
 
 
 def rational_hermitian(rng, n):
@@ -541,7 +558,7 @@ def test_matrix_wedge_equals_the_qi_build_term_for_term():
         terms, den, bideg = oracle_matrix_wedge(mats, n)
         assert omega.terms == terms and list(omega.terms) == list(terms)
         assert omega.den == den and (omega.p, omega.q) == bideg and omega.n == n
-        assert omega.form() == wedge_many([form_from_matrix(a) for a in mats], n)
+        assert omega.form() == oracle_matrix_omega(mats, n)
         kinds.add((not mats, not terms, den > 1))
     # the empty family, zero products, integral and rational Omegas
     assert {(True, False, False), (False, True, False), (False, False, True),
@@ -562,11 +579,24 @@ def test_matrix_wedge_rejects_a_mismatched_dimension():
         exterior._matrix_wedge([D([1, 1]), D([1, 1, 1])], 2)
 
 
+def test_form_from_matrix_reads_the_cleared_rows(monkeypatch):
+    mats = [a for _, family in matrix_families() for a in family]
+    expected = [oracle_matrix_form(a) for a in mats]
+
+    def forbidden(*args):
+        raise AssertionError("scalar arithmetic in form_from_matrix")
+
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__",
+                 "__neg__", "conjugate"):
+        monkeypatch.setattr(GaussianRational, name, forbidden)
+    assert [form_from_matrix(a) for a in mats] == expected
+
+
 def test_matrix_vector_is_the_coefficient_vector_of_the_form():
     for _, mats in matrix_families():
         for a in mats:
             (re, im), den = exterior._matrix_vector(a)
-            terms, form_den = exterior._integer_terms(form_from_matrix(a))
+            terms, form_den = oracle_integer_terms(oracle_matrix_form(a))
             keys = basis_indices(a.n, 1, 1)
             assert den == form_den
             assert [(x, y) for x, y in zip(re, im)] == [terms.get(k, (0, 0)) for k in keys]

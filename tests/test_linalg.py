@@ -335,6 +335,64 @@ def test_non_hermitian_rejected():
         HermitianMatrix([[{"re": 0, "im": 1}, 0], [0, 0]])  # imaginary diagonal
 
 
+def oracle_hermitian_failure(rows):
+    """The first (j, k), j <= k, with rows[j][k] != conj(rows[k][j]); None if Hermitian."""
+    n = len(rows)
+    return next(((j, k) for j in range(n) for k in range(j, n)
+                 if rows[j][k] != rows[k][j].conjugate()), None)
+
+
+def near_hermitian(rng, n):
+    """A seeded Hermitian matrix over mixed denominators, then zero to two entries nudged.
+
+    A nudge moves the real or imaginary part of one entry by a fraction with
+    its own denominator, or conjugates an off-diagonal entry, so that the
+    cleared matrix differs from a Hermitian one at that entry only.
+    """
+    def part():
+        return Fraction(rng.integer(-4, 4), rng.integer(1, 7))
+
+    rows = [[ZERO] * n for _ in range(n)]
+    for a in range(n):
+        rows[a][a] = GR(part())
+        for b in range(a + 1, n):
+            c = GR(part(), part()) if rng.integer(0, 3) else ZERO
+            rows[a][b], rows[b][a] = c, c.conjugate()
+    for _ in range(rng.integer(0, 2)):
+        a, b = rng.integer(0, n - 1), rng.integer(0, n - 1)
+        x = rows[a][b]
+        kind = rng.integer(0, 2)
+        if kind == 0:
+            rows[a][b] = GR(x.re + Fraction(rng.integer(1, 3), rng.integer(2, 9)), x.im)
+        elif kind == 1:
+            rows[a][b] = GR(x.re, x.im - Fraction(rng.integer(1, 3), rng.integer(2, 9)))
+        else:
+            rows[a][b] = x.conjugate()
+    return rows
+
+
+def test_integer_hermitian_check_agrees_with_the_qi_check(monkeypatch):
+    rng = SplitMix64(0x4E7)
+    cases = [near_hermitian(rng, rng.integer(1, 5)) for _ in range(400)]
+    expected = [oracle_hermitian_failure(rows) for rows in cases]
+
+    def forbidden(*args):
+        raise AssertionError("the Hermitian check left the cleared ints")
+
+    monkeypatch.setattr(GaussianRational, "conjugate", forbidden)
+    seen = set()
+    for rows, failure in zip(cases, expected):
+        if failure is None:
+            assert HermitianMatrix(rows).rows == tuple(map(tuple, rows))
+        else:
+            message = rf"^not Hermitian at \({failure[0]},{failure[1]}\)$"
+            with pytest.raises(ValueError, match=message):
+                HermitianMatrix(rows)
+        seen.add(None if failure is None else failure[0] == failure[1])
+    # Hermitian matrices, and failures both on and off the diagonal
+    assert seen == {None, True, False}
+
+
 def test_float_rejected():
     with pytest.raises(TypeError):
         HermitianMatrix([[0.5]])

@@ -1,8 +1,10 @@
+import warnings
 from contextlib import nullcontext
 from itertools import permutations
 
 import pytest
 
+import lefcert.polymatroid as polymatroid_mod
 from lefcert.linalg import HermitianMatrix
 from lefcert.polymatroid import (
     RankFunction,
@@ -190,6 +192,24 @@ def test_hl_support_examples():
     assert hl_support([D([1, 1, 0]), D([0, 1, 1])], 3) == {(1, 1)}
     assert hl_support([D([1, 0]), D([0, 1])], 2) == {(1, 1)}
     assert hl_support([Id(4)], 4) == {(1,)}
+
+
+@pytest.mark.parametrize("mats, n, support", [
+    ([D([1, 1, 0]), D([0, 1, 1])], 3, {(1, 1)}),
+    ([D([1, 1, 0, 0]), Id(4)], 4, {(0, 2)}),  # the shifted table has a loop at 1
+])
+def test_hl_support_checks_the_shifted_table_once(monkeypatch, mats, n, support):
+    calls = []
+
+    def counting(r):
+        calls.append(r)
+        return check_axioms(r)
+
+    monkeypatch.setattr(polymatroid_mod, "check_axioms", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hl_support(mats, n) == support
+    assert len(calls) == 1 and calls[0].full_rank() == len(mats)
 
 
 def test_hl_support_empty_when_too_degenerate():
