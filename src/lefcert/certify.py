@@ -145,10 +145,7 @@ class PrimitiveSpace:
 def criterion_hl(inst: HLInstance) -> Certificate:
     """Subset numerical-dimension criterion: rank(A_I) >= |I| + p + q for all I."""
     failing = rank_deficient_subset(inst.forms, inst.p + inst.q)
-    if failing is None:
-        return Certificate("holds")
-    subset, deficit = failing
-    return Certificate("fails", failing_subset=subset, rank_deficit=deficit)
+    return Certificate("holds") if failing is None else Certificate("fails", *failing)
 
 
 def _witness_from_kernel(inst, omega, vector, d):

@@ -9,7 +9,9 @@ rank criteria and the polymatroid rank table is one walk over Gaussian
 integers.  Every member's cached Z[i] rows (HermitianMatrix clears each
 matrix once) are lifted to the family's lcm denominator L, and each sum is
 an element-wise int sum.  Ranks are invariant under the scaling by L, and
-determinants are scaled back by L^n once, at the end.
+determinants are scaled back by L^n once, at the end.  One Bareiss
+elimination per A_I gives mixed_discriminant and panov_positivity both
+its rank and its determinant; the rank tables and criterion_hl rank lazily.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import comb, factorial, lcm
 from operator import add
 
 from .exterior import _matrix_wedge, _volume_coefficient
-from .linalg import HermitianMatrix, InternalCheckError, _copy_rows, _det, _rank
+from .linalg import HermitianMatrix, InternalCheckError, _copy_rows, _eliminate, _rank
 from .rationals import GR, GaussianRational, Rat
 
 __all__ = [
@@ -121,26 +123,32 @@ def rank_deficient_subset(mats, shift=0):
     return None
 
 
-def mixed_discriminant(mats):
-    """D(A_1,...,A_n) by inclusion-exclusion over subset determinants.
+def _discriminant_walk(mats):
+    """(D(A_1,...,A_n), first (I, |I| - rank(A_I)) with rank(A_I) < |I|, or None).
 
-    Each det(L * A_I) is an exact Z[i] determinant; the signed sum is
-    divided by n! L^n once.
+    One elimination per L * A_I: its pivot count is the rank and, at full rank,
+    its signed last pivot det(L * A_I); D sums those signed determinants over n! L^n.
     """
-    mats, n = _check_tuple(mats)
+    n = len(mats)
     den, lifted = _lift(mats)
     total_re = total_im = 0  # the empty subset adds det(0) = 0
+    failing = None
     for subset, (re, im) in _walk(lifted):
-        dr, di = _det(_copy_rows(re), _copy_rows(im))
-        if (n - len(subset)) % 2:
-            total_re -= dr
-            total_im -= di
-        else:
-            total_re += dr
-            total_im += di
+        pivots, sign, (dr, di) = _eliminate(_copy_rows(re), _copy_rows(im), n)
+        if failing is None and len(pivots) < len(subset):
+            failing = subset, len(subset) - len(pivots)
+        if len(pivots) == n:
+            sign *= (-1) ** (n - len(subset))
+            total_re += sign * dr
+            total_im += sign * di
     if total_im:
         raise InternalCheckError("mixed discriminant has nonzero imaginary part")
-    return Rat(total_re, factorial(n) * den ** n)
+    return Rat(total_re, factorial(n) * den ** n), failing
+
+
+def mixed_discriminant(mats):
+    """D(A_1,...,A_n) by inclusion-exclusion over exact Z[i] subset determinants."""
+    return _discriminant_walk(_check_tuple(mats)[0])[0]
 
 
 def intersection_number(mats):
@@ -179,19 +187,19 @@ class PositivityCertificate:
 def panov_positivity(mats) -> PositivityCertificate:
     """D > 0 iff every subset sum A_I has rank at least |I| (PSD input).
 
-    On failure returns the first failing subset in size-then-lex order;
-    on success the mixed discriminant is cross-checked to be positive.
+    One elimination per A_I gives both the ranks and D.  On failure
+    returns the first failing subset in size-then-lex order, and D is
+    checked to be zero; on success D is checked to be positive.
     """
     mats, _ = _check_tuple(mats)
     for a in mats:
         if not a.is_psd():
             raise ValueError("panov_positivity requires PSD matrices")
-    failing = rank_deficient_subset(mats)
+    d, failing = _discriminant_walk(mats)
     if failing is not None:
-        if mixed_discriminant(mats) != 0:
+        if d != 0:
             raise InternalCheckError("rank criterion failed but D != 0")
         return PositivityCertificate(False, *failing)
-    d = mixed_discriminant(mats)
     if d <= 0:
         raise InternalCheckError("rank criterion held but D <= 0")
     return PositivityCertificate(True)

@@ -32,8 +32,8 @@ matrix; only when p divided a minor does the whole matrix follow.
 
 A HermitianMatrix is cleared once, at construction: the Hermitian check
 reads the cleared ints, the (re, im, L) rows are kept as int tuples, and
-rank, is_psd, the subset lattice of `discriminant` and the wedges of
-`exterior` read them (the eliminations on list copies).
+the methods (all but the pencils of char_poly_coefficients and is_m_positive),
+`discriminant`'s subset lattice and `exterior`'s wedges read them.
 
 No eigenvalue is ever computed.
 """
@@ -318,14 +318,16 @@ def _det_residue(re, im):
     return det % p, None
 
 
+def _exact_det(re, im, den):
+    """det(rows) from the Z[i] rows (re, im) of L * rows, eliminated in place."""
+    dr, di = _det(re, im)
+    scale = den ** len(re)
+    return GaussianRational(Fraction(dr, scale), Fraction(di, scale)) if dr or di else ZERO
+
+
 def mat_det(rows) -> GaussianRational:
     """Exact determinant: the last Bareiss pivot of L * rows over L^n."""
-    re, im, den = _gaussian_integer_rows(rows)
-    dr, di = _det(re, im)
-    if not (dr or di):
-        return ZERO
-    scale = den ** len(rows)
-    return GaussianRational(Fraction(dr, scale), Fraction(di, scale))
+    return _exact_det(*_gaussian_integer_rows(rows))
 
 
 def _kernel(re, im, ncols):
@@ -508,14 +510,22 @@ class HermitianMatrix:
         """
         return self._cleared
 
+    def _row_copies(self):
+        """List copies of the cleared (re, im) rows, for an elimination, and L."""
+        re, im, den = self._cleared
+        return _copy_rows(re), _copy_rows(im), den
+
     def rank(self) -> int:
         if self._rank is None:
-            re, im, _ = self._integer_rows()
-            object.__setattr__(self, "_rank", _rank(_copy_rows(re), _copy_rows(im), self.n))
+            re, im, _ = self._row_copies()
+            object.__setattr__(self, "_rank", _rank(re, im, self.n))
         return self._rank
 
     def kernel_basis(self):
-        return kernel_basis(self.rows)
+        if not self.n:
+            return kernel_basis(self.rows)  # refused: a 0 x 0 matrix names no ncols
+        vectors, d = _kernel(*self._row_copies()[:2], self.n)
+        return [_exact_vector(v, d) for v in vectors]
 
     def char_poly_coefficients(self):
         """Exact (e_1, ..., e_n); all real for Hermitian input."""
@@ -531,13 +541,12 @@ class HermitianMatrix:
 
     def is_psd(self) -> bool:
         if self._psd is None:
-            re, im, _ = self._integer_rows()
-            object.__setattr__(self, "_psd",
-                               _inertia(_copy_rows(re), _copy_rows(im))[1] == 0)
+            re, im, _ = self._row_copies()
+            object.__setattr__(self, "_psd", _inertia(re, im)[1] == 0)
         return self._psd
 
     def det(self) -> GaussianRational:
-        return mat_det(self.rows)
+        return _exact_det(*self._row_copies())
 
 
 def is_m_positive(mat: HermitianMatrix, omega: HermitianMatrix, m: int) -> bool:
@@ -552,7 +561,7 @@ def is_m_positive(mat: HermitianMatrix, omega: HermitianMatrix, m: int) -> bool:
         raise ValueError("dimension mismatch")
     if not 1 <= m <= n:
         raise ValueError("m must satisfy 1 <= m <= n")
-    if hermitian_signature(omega.rows) != (n, 0, 0):
+    if _inertia(*omega._row_copies()[:2]) != (n, 0, 0):
         raise NotPositiveDefiniteError("matrix is not positive definite")
     for c in _det_pencil(omega.rows, mat.rows)[1:m + 1]:
         if c.im:

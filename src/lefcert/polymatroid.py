@@ -9,7 +9,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .certify import HLInstance, criterion_hl
 from .discriminant import _subset_ranks, subsets_size_lex
 from .linalg import InternalCheckError
 
@@ -39,15 +38,20 @@ class RankFunction:
 
     def __post_init__(self):
         # only a genuine int passes: a bool or float is refused, never truncated
-        if type(self.m) is not int:
-            raise TypeError(f"rank table m must be an integer, got {self.m!r}")
+        m = self.m
+        if type(m) is not int:
+            raise TypeError(f"rank table m must be an integer, got {m!r}")
+        if m < 0:
+            raise ValueError(f"rank table m must be nonnegative, got {m}")
         table = {}
         for k, v in self.values.items():
             if type(v) is not int:
                 raise TypeError(f"rank of {sorted(k)} must be an integer, got {v!r}")
             table[frozenset(k)] = v
-        expected = set(_all_subsets(self.m))
-        if set(table) != expected:
+        # 2^m distinct subsets of [m] are all of them; the size is compared
+        # first, so 2^m is never formed for an m past the table's size
+        if (len(table) != 1 << min(m, len(table).bit_length())
+                or not set().union(*table) <= set(range(1, m + 1))):
             raise ValueError("rank table must contain every subset of [m]")
         if table[frozenset()] != 0:
             raise ValueError("rank of the empty set must be 0")
@@ -200,12 +204,14 @@ def _compositions(total, parts):
 
 
 def hl_support(mats, n: int):
-    """Exponent vectors n with sum m whose power product has HL.
+    """Exponent vectors vec with sum m whose power product has HL, from one rank walk.
 
-    Computed by running the subset rank criterion per candidate vector
-    on the repeated-matrix tuple; cross-checked against the polymatroid
-    enumeration of the offset rank table whenever that table is valid
-    and has full rank m (Theorem A makes the two agree).
+    The rank criterion of the repeated tuple: a position set with support
+    S sums to sum_{i in S} c_i A_i, all c_i >= 1, of rank rank(A_S) for PSD
+    members, and has up to vec(S) = sum_{i in S} vec_i positions.  So vec
+    is in the support iff rank(A_S) >= vec(S) + n - m for every nonempty S
+    inside supp(vec).  Where rank(A_S) - (n - m) is a polymatroid of full
+    rank m, its lattice points must be the support (Theorem A).
     """
     mats = list(mats)
     if not mats:
@@ -213,43 +219,22 @@ def hl_support(mats, n: int):
     m = len(mats)
     if m > n:
         raise ValueError("more factors than the ambient dimension")
-    pq = n - m
-    p = pq // 2
-    q = pq - p
-    support = set()
-    for vec in _compositions(m, m):
-        repeated = []
-        for a, count in zip(mats, vec):
-            repeated.extend([a] * count)
-        inst = HLInstance(n, p, q, tuple(repeated))
-        if criterion_hl(inst).holds:
-            support.add(vec)
-
-    # independent route: offset rank table + lattice-point inequalities
-    try:
-        table = rank_from_matrices(mats, offset=n - m)
-    except ValueError:
-        table = None
-    if table is not None and table.full_rank() == m:
-        full = frozenset(range(1, m + 1))
-        expected = {
-            vec
-            for vec in _compositions(m, m)
-            if all(
-                sum(vec[i - 1] for i in subset) <= table(subset)
-                for subset in table.values
-                if subset and subset != full
-            )
-        }
-        if expected != support:
-            raise InternalCheckError("HL support and rank-table inequalities disagree")
+    for a in reversed(mats):  # as the compositions (0,..,0,m), (0,..,1,m-1), ... meet them
+        if a.n != n:
+            raise ValueError("factor form has wrong dimension")
+        if not a.is_psd():
+            raise ValueError("factor forms must be positive semidefinite")
+    shift = n - m
+    ranks = dict(_subset_ranks(mats))
+    support = {vec for vec in _compositions(m, m)
+               if all(r >= sum(vec[i - 1] for i in subset) + shift
+                      for subset, r in ranks.items() if all(vec[i - 1] for i in subset))}
+    if min(ranks.values()) >= shift and ranks[tuple(range(1, m + 1))] - shift == m:
+        table = RankFunction(m, {(): 0, **{s: r - shift for s, r in ranks.items()}})
         # the shifted table is not always submodular; the polymatroid
         # enumeration only applies when it is
-        if check_axioms(table).is_polymatroid:
-            if set(_lattice_points(table)) != support:
-                raise InternalCheckError("HL support and polymatroid enumeration disagree")
-    elif table is not None and support:
-        raise InternalCheckError("deficient full rank must give empty HL support")
+        if check_axioms(table).is_polymatroid and set(_lattice_points(table)) != support:
+            raise InternalCheckError("HL support and polymatroid enumeration disagree")
     return support
 
 

@@ -302,7 +302,7 @@ def test_criterion_08_hl_support():
         mats = random_psd_family(seed + 70000, n, m)
         pq = n - m
         p = pq // 2
-        support = hl_support(mats, n)  # internally cross-checks both paths
+        support = hl_support(mats, n)  # one rank walk; lattice points checked when they apply
         # third, fully external route: per-vector criterion
         external = set()
         for vec in _compositions(m, m):

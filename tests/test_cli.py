@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -329,6 +330,28 @@ def test_malformed_rank_table_key_is_a_task_error(kind, m, values, message):
     assert not ok
     (error,) = report["results"]["0"].values()
     assert message in error and list(report["results"]["0"]) == ["error"]
+
+
+@pytest.mark.parametrize("kind", ["polymatroid-axioms", "enumerate-support"])
+@pytest.mark.parametrize("m, message", [
+    (64, "rank table must contain every subset of [m]"),
+    (10**9, "rank table must contain every subset of [m]"),
+    (-1, "rank table m must be nonnegative"),
+])
+def test_impossible_rank_table_is_refused_at_once(tmp_path, capsys, kind, m, message):
+    # one key cannot fill 2^m subsets; the table is refused before any 2^m-sized work
+    doc = {"schema": 1, "tasks": [{"kind": kind, "table": {"m": m, "values": {"[]": 0}},
+                                   "dim": 0}]}
+    start = time.perf_counter()
+    assert_task_error(tmp_path, capsys, doc, message)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_empty_ground_set_rank_table_is_accepted():
+    doc = {"schema": 1, "tasks": [{"kind": "polymatroid-axioms",
+                                   "table": {"m": 0, "values": {"[]": 0}}}]}
+    report, ok = run_instance(doc)
+    assert ok and report["results"]["0"]["is_matroid"]
 
 
 def test_rank_table_keys_are_read_in_any_order():

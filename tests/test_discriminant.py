@@ -4,6 +4,7 @@ from math import comb, factorial
 
 import pytest
 
+import lefcert.discriminant as discriminant_mod
 import lefcert.linalg as linalg_mod
 from lefcert.certify import HLInstance, criterion_hl
 from lefcert.discriminant import (
@@ -15,7 +16,13 @@ from lefcert.discriminant import (
     subset_sums,
     subsets_size_lex,
 )
-from lefcert.linalg import HermitianMatrix, _gaussian_integer_rows, mat_det, mat_rank
+from lefcert.linalg import (
+    HermitianMatrix,
+    _gaussian_integer_rows,
+    is_m_positive,
+    mat_det,
+    mat_rank,
+)
 from lefcert.polymatroid import hl_support, rank_from_matrices
 from lefcert.rationals import GR, ZERO, GaussianRational, Rat, as_rat
 
@@ -240,8 +247,15 @@ def test_each_matrix_is_cleared_once(monkeypatch):
     _exercise_shared(mats[:4])
     _exercise_shared(mats[2:])
     hl_support(mats[:3], 4)
+    for a in mats:
+        a.det()
+        a.kernel_basis()
     # every path reads the rows cleared at construction
     assert cleared == [] and built == []
+    # only the pencil det(omega + t A) clears, its two matrices jointly
+    omega = mats[-1]
+    is_m_positive(mats[0], omega, 2)
+    assert cleared == [[*omega.rows, *mats[0].rows]] and built == []
 
 
 # ---- intersection numbers ----
@@ -276,6 +290,26 @@ def test_panov_examples():
 
     rows = [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
     assert panov_positivity([D(r) for r in rows]).positive
+
+
+@pytest.mark.parametrize("mats, positive", [
+    ([Id(3)] * 3, True),
+    ([D([1, 0, 0]), D([1, 0, 0]), Id(3)], False),
+    (random_psd_family(905, 4, 4, max_rank=1), False),
+    ([a + Id(4) for a in random_psd_family(906, 4, 4)], True),
+])
+def test_panov_positivity_eliminates_each_subset_sum_once(monkeypatch, mats, positive):
+    calls = []
+    eliminate = linalg_mod._eliminate
+
+    def counting(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(linalg_mod, "_eliminate", counting)
+    monkeypatch.setattr(discriminant_mod, "_eliminate", counting, raising=False)
+    assert panov_positivity(mats).positive == positive
+    assert len(calls) == 2 ** len(mats) - 1
 
 
 def test_panov_rejects_non_psd():

@@ -76,3 +76,23 @@ def test_detector_flags_a_dead_private_def():
 def test_no_dead_private_defs():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert dead_private_defs(sources) == []
+
+
+def imported_modules(source):
+    """The modules a source imports from, relative ones as written ('.certify')."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module is None:  # from . import x
+            names.update("." * node.level + alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + node.module)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("name", ["polymatroid", "discriminant"])
+def test_rank_lattice_modules_do_not_import_certify(name):
+    # the subset-rank walk and its readers sit below certify, not beside it
+    imported = imported_modules((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    assert not imported & {".certify", "lefcert.certify", "certify"}

@@ -4,7 +4,10 @@ from itertools import permutations
 
 import pytest
 
+import lefcert.certify as certify_mod
+import lefcert.discriminant as discriminant_mod
 import lefcert.polymatroid as polymatroid_mod
+from lefcert.certify import HLInstance, criterion_hl
 from lefcert.linalg import HermitianMatrix
 from lefcert.polymatroid import (
     RankFunction,
@@ -18,7 +21,7 @@ from lefcert.polymatroid import (
 from lefcert.serialize import rank_function_from_json, rank_function_to_json
 
 from conftest import random_psd_family
-from lefcert.generate import SplitMix64
+from lefcert.generate import GeneratorSpec, SplitMix64, generate_psd
 
 D = HermitianMatrix.diagonal
 Id = HermitianMatrix.identity
@@ -35,11 +38,26 @@ def table(m, assignments):
 def test_rank_table_must_be_complete():
     with pytest.raises(ValueError):
         RankFunction(2, {frozenset(): 0, frozenset({1}): 1})
+    # refused on its size alone, before any 2^m-sized work
+    for m in (64, 10**9, 2**62 + 1):
+        with pytest.raises(ValueError, match=r"every subset of \[m\]"):
+            RankFunction(m, {frozenset(): 0})
+    # 2^m keys, but one of them is not a subset of [m]
+    with pytest.raises(ValueError, match=r"every subset of \[m\]"):
+        table(1, {(2,): 1})
     with pytest.raises(ValueError):
         table(1, {(1,): -1})
     bad = {frozenset(): 1, frozenset({1}): 1}
     with pytest.raises(ValueError):
         RankFunction(1, bad)
+
+
+def test_rank_table_m_must_be_nonnegative():
+    with pytest.raises(ValueError, match="nonnegative"):
+        RankFunction(-1, {frozenset(): 0})
+    with pytest.raises(ValueError, match="nonnegative"):
+        RankFunction(-1, {})
+    assert RankFunction(0, {frozenset(): 0}).full_rank() == 0
 
 
 @pytest.mark.parametrize("m, value", [(1.9, 1), (True, 1), (1, 1.7), (1, True), (1, "1")])
@@ -210,6 +228,63 @@ def test_hl_support_checks_the_shifted_table_once(monkeypatch, mats, n, support)
         warnings.simplefilter("error")
         assert hl_support(mats, n) == support
     assert len(calls) == 1 and calls[0].full_rank() == len(mats)
+
+
+def test_hl_support_reads_one_rank_walk(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("hl_support left the one rank walk")
+
+    for module in (certify_mod, polymatroid_mod):
+        monkeypatch.setattr(module, "HLInstance", forbidden, raising=False)
+        monkeypatch.setattr(module, "criterion_hl", forbidden, raising=False)
+    walks, ranks = [], []
+    walk, rank = discriminant_mod._walk, discriminant_mod._rank
+
+    def counting_walk(lifted):
+        walks.append(len(lifted))
+        return walk(lifted)
+
+    def counting_rank(*args):
+        ranks.append(args)
+        return rank(*args)
+
+    monkeypatch.setattr(discriminant_mod, "_walk", counting_walk)
+    monkeypatch.setattr(discriminant_mod, "_rank", counting_rank)
+    for seed, n, m in [(1, 3, 2), (2, 4, 3), (3, 4, 4), (4, 5, 3)]:
+        mats = random_psd_family(seed + 3100, n, m)
+        del walks[:], ranks[:]
+        hl_support(mats, n)
+        assert walks == [m] and len(ranks) == 2 ** m - 1
+
+
+def _shifted_table_case(mats, n):
+    """Which of the four kinds the table rank(A_S) - (n - m) is."""
+    m = len(mats)
+    ranks = rank_from_matrices(mats).values
+    if any(r < n - m for subset, r in ranks.items() if subset):
+        return "invalid"
+    shifted = RankFunction(m, {s: r - (n - m) if s else 0 for s, r in ranks.items()})
+    if shifted.full_rank() < m:
+        return "deficient"
+    return "polymatroid" if check_axioms(shifted).is_polymatroid else "not-polymatroid"
+
+
+def test_hl_support_matches_the_per_composition_criterion():
+    rng = SplitMix64(0x4C5)
+    cases = dict.fromkeys(["polymatroid", "not-polymatroid", "deficient", "invalid"], 0)
+    pairs = [(n, m) for n in range(2, 6) for m in range(1, min(n, 4) + 1) for _ in range(4)]
+    for k, (n, m) in enumerate(pairs):
+        # about one member in four has rank 0 or 1
+        profile = tuple(rng.integer(0, 1) if rng.integer(0, 3) == 0 else rng.integer(1, n)
+                        for _ in range(m))
+        mats = generate_psd(GeneratorSpec(seed=k + 5000, n=n, rank_profile=profile))
+        pq = n - m
+        oracle = {vec for vec in _compositions(m, m)
+                  if criterion_hl(HLInstance(n, pq // 2, pq - pq // 2, tuple(
+                      a for a, count in zip(mats, vec) for _ in range(count)))).holds}
+        assert hl_support(mats, n) == oracle
+        cases[_shifted_table_case(mats, n)] += 1
+    assert min(cases.values()) >= 2, cases
 
 
 def test_hl_support_empty_when_too_degenerate():
