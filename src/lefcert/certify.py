@@ -207,25 +207,24 @@ def _primitive_gram(omega, vectors, d, p, q):
     """Gram of Q(Phi,Psi) = c_{p,q} * vol(Omega ^ Phi ^ conj(Psi)) on the primitive basis.
 
     One Z[i] product c (M B)^T S conj(B) (see exterior._pairing_gram),
-    with B the Gaussian-integer vectors d * v.  Returns (exact, re, im):
-    the exact Gram, and an integer one, a positive multiple of it.
+    with B the Gaussian-integer vectors d * v.  Returns (form, re, im): the
+    exact Gram, and an integer one free of content, a positive multiple of it.
     """
     re, im, den = _pairing_gram(omega, p, q, vectors, vectors)
     c = cpq_constant(p, q)  # one of 1, -1, i, -i
     cr, ci = int(c.re), int(c.im)
     re, im = ([[cr * x - ci * y for x, y in zip(xs, ys)] for xs, ys in zip(re, im)],
               [[cr * y + ci * x for x, y in zip(xs, ys)] for xs, ys in zip(re, im)])
-    if _hermitian_failure(re, im):
-        raise InternalCheckError("Q Gram matrix is not Hermitian")
-    scale = den * (d[0] * d[0] + d[1] * d[1])
-    exact = [[GaussianRational(Rat(x, scale), Rat(y, scale)) for x, y in zip(xs, ys)]
-             for xs, ys in zip(re, im)]
+    try:
+        form = HermitianFormOnSpace._from_integer_rows(re, im, den * (d[0] ** 2 + d[1] ** 2))
+    except ValueError:
+        raise InternalCheckError("Q Gram matrix is not Hermitian") from None
     # a positive factor keeps the inertia and shortens the elimination
     g = gcd(*(x for xs in re for x in xs), *(y for ys in im for y in ys))
     if g > 1:
         re = [[x // g for x in xs] for xs in re]
         im = [[y // g for y in ys] for ys in im]
-    return exact, re, im
+    return form, re, im
 
 
 def hr_certify(inst: HLInstance):
@@ -247,7 +246,7 @@ def hr_certify(inst: HLInstance):
         )
     omega, basis, vectors, d = _primitive_space(inst)
     gram, re, im = _primitive_gram(omega, vectors, d, inst.p, inst.q)
-    space = PrimitiveSpace(basis=basis, gram=HermitianFormOnSpace(gram))
+    space = PrimitiveSpace(basis=basis, gram=gram)
     npos, nneg, nzero = _inertia(re, im)
     if nneg == 0 and nzero == 0:
         return Certificate("holds"), space

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import add
 
 from .exterior import _matrix_wedge, _volume_coefficient
-from .linalg import HermitianMatrix, InternalCheckError, _copy_rows, _eliminate, _rank
+from .linalg import HermitianMatrix, InternalCheckError, _copy_rows, _eliminate, _lift, _rank
 from .rationals import GR, GaussianRational, Rat
 
 __all__ = [
@@ -49,20 +49,6 @@ def _check_tuple(mats):
     return mats, n
 
 
-def _lift(mats):
-    """(L, [(re, im), ...]): each member's Z[i] rows over the family's lcm denominator L."""
-    cleared = [a._integer_rows() for a in mats]
-    den = lcm(*(d for _, _, d in cleared))
-    lifted = []
-    for re, im, d in cleared:
-        if d != den:
-            f = den // d
-            re = tuple(tuple(f * x for x in row) for row in re)
-            im = tuple(tuple(f * x for x in row) for row in im)
-        lifted.append((re, im))
-    return den, lifted
-
-
 def _add(a, b):
     """The (re, im) rows of A + B from those of A and B."""
     (ar, ai), (br, bi) = a, b
@@ -73,7 +59,7 @@ def _add(a, b):
 def _walk(lifted):
     """Yield (I, (re, im)) for every nonempty I in size-then-lex order, lazily.
 
-    The package's one subset-lattice walk, over the lifted rows of `_lift`.
+    The package's one subset-lattice walk, over the rows of `linalg._lift`.
     A_I is built only when the walk reaches it, as A_{I minus max I} +
     A_{max I}; the smaller sum came earlier and is memoised.  A singleton's
     rows are the member's own.  The yielded rows are shared with the memo
@@ -96,18 +82,16 @@ def _subset_ranks(mats):
 def subset_sums(mats):
     """Yield (I, A_I) for every nonempty I in size-then-lex order, lazily.
 
-    A view of the integer walk as HermitianMatrix values; no library code
-    calls it.  A singleton's sum is the matrix itself, and an empty family
-    yields nothing.
+    A view of the integer walk as HermitianMatrix values, built from its
+    Z[i] rows with no clearing; no library code calls it.  A singleton's
+    sum is the matrix itself, and an empty family yields nothing.
     """
     den, lifted = _lift(mats)
     for subset, (re, im) in _walk(lifted):
         if len(subset) == 1:
             yield subset, mats[subset[0] - 1]
         else:
-            yield subset, HermitianMatrix(
-                [[GaussianRational(Rat(x, den), Rat(y, den)) for x, y in zip(xr, yr)]
-                 for xr, yr in zip(re, im)])
+            yield subset, HermitianMatrix._from_integer_rows(re, im, den)
 
 
 def rank_deficient_subset(mats, shift=0):

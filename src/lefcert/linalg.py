@@ -32,8 +32,9 @@ matrix; only when p divided a minor does the whole matrix follow.
 
 A HermitianMatrix is cleared once, at construction: the Hermitian check
 reads the cleared ints, the (re, im, L) rows are kept as int tuples, and
-the methods (all but the pencils of char_poly_coefficients and is_m_positive),
-`discriminant`'s subset lattice and `exterior`'s wedges read them.
+the methods, the pencils, `discriminant`'s subset lattice and
+`exterior`'s wedges read them; one built from Z[i] rows the library
+holds (a Gram, a subset sum) is never cleared at all.
 
 No eigenvalue is ever computed.
 """
@@ -42,9 +43,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
-from .rationals import GR, ONE, ZERO, GaussianRational, as_rat
+from .rationals import GR, ZERO, GaussianRational, as_rat
 
 __all__ = [
     "HermitianMatrix",
@@ -227,19 +228,20 @@ def _inertia(re, im):
     return npos, nneg, nzero
 
 
-def _det_pencil(a, b):
+def _det_pencil(a, b, den):
     """Coefficients (c_0, ..., c_n) of det(a + t b) for n x n matrices a and b.
 
-    One lcm L clears both; v_t = det(L a + t L b) is a Bareiss determinant
+    a and b are the (re, im) Z[i] rows of L a and L b over one L = den,
+    and are only read.  v_t = det(L a + t L b) is a Bareiss determinant
     for t = 0..n, and Newton's forward differences interpolate it exactly:
     n! L^n det(a + t b) = sum_k (n! / k!) D^k v_0 t (t - 1) ... (t - k + 1).
     """
-    n = len(a)
-    re, im, den = _gaussian_integer_rows([*a, *b])
+    (ar, ai), (br, bi) = a, b
+    n = len(ar)
     values = []
     for t in range(n + 1):
-        mr = [[x + t * y for x, y in zip(re[i], re[n + i])] for i in range(n)]
-        mi = [[x + t * y for x, y in zip(im[i], im[n + i])] for i in range(n)]
+        mr = [[x + t * y for x, y in zip(xs, ys)] for xs, ys in zip(ar, br)]
+        mi = [[x + t * y for x, y in zip(xs, ys)] for xs, ys in zip(ai, bi)]
         pivots, sign, (dr, di) = _eliminate(mr, mi, n)
         values.append((sign * dr, sign * di) if len(pivots) == n else (0, 0))
     num_re = [0] * (n + 1)
@@ -418,6 +420,13 @@ def kernel_basis(rows, ncols=None):
     return [_exact_vector(v, d) for v in vectors]
 
 
+def _char_poly(re, im, den):
+    """(e_1, ..., e_n) of M from the Z[i] rows (re, im) of L * M, L = den: det(I + t M)."""
+    n = len(re)
+    identity = [[den if i == j else 0 for j in range(n)] for i in range(n)]
+    return _det_pencil((identity, [[0] * n] * n), (re, im), den)[1:]
+
+
 def char_poly_elementary(rows):
     """Signed characteristic-polynomial coefficients (e_1, ..., e_n).
 
@@ -425,9 +434,7 @@ def char_poly_elementary(rows):
     i.e. the sum of the k x k principal minors: the coefficient of t^k in
     det(I + t M).  Works for any square matrix.
     """
-    n = len(rows)
-    identity = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    return _det_pencil(identity, rows)[1:]
+    return _char_poly(*_gaussian_integer_rows(rows))
 
 
 class HermitianMatrix:
@@ -437,20 +444,38 @@ class HermitianMatrix:
 
     def __init__(self, entries):
         rows = tuple(tuple(_entry(x) for x in row) for row in entries)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
+        self._set(rows, *_gaussian_integer_rows(rows))
+
+    @classmethod
+    def _from_integer_rows(cls, re, im, den):
+        """The matrix (re + i im) / den, from Z[i] rows that are only read.
+
+        Dividing by gcd(den, all entries) leaves the (re, im, L) that
+        clearing its values would give, L the lcm of their denominators.
+        """
+        g = gcd(den, *(x for row in re for x in row), *(y for row in im for y in row))
+        if g > 1:
+            re = [[x // g for x in row] for row in re]
+            im = [[y // g for y in row] for row in im]
+            den //= g
+        rows = tuple(tuple(GaussianRational(Fraction(x, den), Fraction(y, den))
+                           for x, y in zip(xs, ys)) for xs, ys in zip(re, im))
+        return cls.__new__(cls)._set(rows, re, im, den)
+
+    def _set(self, rows, re, im, den):
+        if any(len(row) != len(re) for row in re):
             raise ValueError("matrix must be square")
         # L * x == L * y exactly when x == y, so the check reads the cleared ints
-        re, im, den = _gaussian_integer_rows(rows)
         failure = _hermitian_failure(re, im)
         if failure:
             raise ValueError("not Hermitian at ({},{})".format(*failure))
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", len(rows))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_cleared", (tuple(map(tuple, re)), tuple(map(tuple, im)), den))
         object.__setattr__(self, "_rank", None)
         object.__setattr__(self, "_psd", None)
         object.__setattr__(self, "_charpoly", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianMatrix is immutable")
@@ -498,7 +523,7 @@ class HermitianMatrix:
         return hash(self.rows)
 
     def __repr__(self):
-        return f"HermitianMatrix({self.n}x{self.n})"
+        return f"{type(self).__name__}({self.n}x{self.n})"
 
     def entry(self, j, k):
         return self.rows[j][k]
@@ -522,15 +547,13 @@ class HermitianMatrix:
         return self._rank
 
     def kernel_basis(self):
-        if not self.n:
-            return kernel_basis(self.rows)  # refused: a 0 x 0 matrix names no ncols
         vectors, d = _kernel(*self._row_copies()[:2], self.n)
         return [_exact_vector(v, d) for v in vectors]
 
     def char_poly_coefficients(self):
         """Exact (e_1, ..., e_n); all real for Hermitian input."""
         if self._charpoly is None:
-            es = char_poly_elementary(self.rows)
+            es = _char_poly(*self._cleared)
             reals = []
             for e in es:
                 if e.im:
@@ -549,6 +572,20 @@ class HermitianMatrix:
         return _exact_det(*self._row_copies())
 
 
+def _lift(mats):
+    """(L, [(re, im), ...]): the matrices' cached Z[i] rows over their lcm denominator L; read only."""
+    cleared = [a._integer_rows() for a in mats]
+    den = lcm(*(d for _, _, d in cleared))
+    lifted = []
+    for re, im, d in cleared:
+        if d != den:
+            f = den // d
+            re = tuple(tuple(f * x for x in row) for row in re)
+            im = tuple(tuple(f * x for x in row) for row in im)
+        lifted.append((re, im))
+    return den, lifted
+
+
 def is_m_positive(mat: HermitianMatrix, omega: HermitianMatrix, m: int) -> bool:
     """alpha^k wedge omega^(n-k) > 0 for all 1 <= k <= m, exactly.
 
@@ -563,7 +600,8 @@ def is_m_positive(mat: HermitianMatrix, omega: HermitianMatrix, m: int) -> bool:
         raise ValueError("m must satisfy 1 <= m <= n")
     if _inertia(*omega._row_copies()[:2]) != (n, 0, 0):
         raise NotPositiveDefiniteError("matrix is not positive definite")
-    for c in _det_pencil(omega.rows, mat.rows)[1:m + 1]:
+    den, (a, b) = _lift((omega, mat))
+    for c in _det_pencil(a, b, den)[1:m + 1]:
         if c.im:
             raise InternalCheckError("relative char-poly coefficient not real")
         if c.re <= 0:
@@ -572,53 +610,25 @@ def is_m_positive(mat: HermitianMatrix, omega: HermitianMatrix, m: int) -> bool:
 
 
 def hermitian_signature(gram):
-    """Exact inertia (n_plus, n_minus, n_zero) of a Hermitian matrix by congruence."""
-    re, im, _ = _gaussian_integer_rows(gram)
-    return _inertia(re, im)
+    """Exact inertia (n_plus, n_minus, n_zero) of a Hermitian matrix; ValueError if it is not one."""
+    return HermitianFormOnSpace(gram).signature()
 
 
-class HermitianFormOnSpace:
+class HermitianFormOnSpace(HermitianMatrix):
     """A Hermitian form on C^dim given by its Gram matrix in a fixed basis."""
 
-    __slots__ = ("dim", "gram")
-
-    def __init__(self, gram):
-        rows = [[_entry(x) for x in row] for row in gram]
-        dim = len(rows)
-        if any(len(r) != dim for r in rows):
-            raise ValueError("Gram matrix must be square")
-        if _hermitian_failure(*_gaussian_integer_rows(rows)[:2]):
-            raise ValueError("Gram matrix not Hermitian")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "gram", tuple(tuple(r) for r in rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HermitianFormOnSpace is immutable")
+    __slots__ = ()
+    dim, gram = HermitianMatrix.n, HermitianMatrix.rows  # the matrix's own slots
 
     def signature(self):
-        return hermitian_signature(self.gram)
+        return _inertia(*self._row_copies()[:2])
 
     def restrict(self, basis):
-        """Gram matrix of the form restricted to span(basis)."""
+        """Gram matrix of the form restricted to span(basis): conj(B) G B^T."""
         if mat_rank(basis) != len(basis):
             raise ValueError("basis vectors are linearly dependent")
-        k = len(basis)
-        out = []
-        for a in range(k):
-            row = []
-            va = basis[a]
-            for b in range(k):
-                vb = basis[b]
-                s = ZERO
-                for i in range(self.dim):
-                    if va[i]:
-                        vai = va[i].conjugate()
-                        for j in range(self.dim):
-                            if self.gram[i][j] and vb[j]:
-                                s = s + vai * self.gram[i][j] * vb[j]
-                row.append(s)
-            out.append(row)
-        return out
+        conj = [[_entry(x).conjugate() for x in v] for v in basis]
+        return mat_mul(mat_mul(conj, self.rows), [list(col) for col in zip(*basis)])
 
     def is_positive_definite_on(self, basis) -> bool:
         """Whether the restriction to span(basis) has inertia (len(basis), 0, 0)."""

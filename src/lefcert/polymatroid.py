@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 
 from .discriminant import _subset_ranks, subsets_size_lex
 from .linalg import InternalCheckError
@@ -114,15 +115,20 @@ def rank_from_matrices(mats, offset: int = 0) -> RankFunction:
 
 
 def check_axioms(r: RankFunction) -> AxiomReport:
-    """Exhaustive polymatroid axiom check on the full table."""
+    """Exhaustive polymatroid axiom check on the full table.
+
+    Submodularity in its equivalent local form r(A+x) + r(A+y) >= r(A+x+y) + r(A)
+    (Schrijver, Combinatorial Optimization, 44.1); a violation names (A+x, A+y).
+    """
     subsets = _all_subsets(r.m)
     violations = []
     submodular = True
     for a in subsets:
-        for b in subsets:
-            if r(a | b) + r(a & b) > r(a) + r(b):
+        for x, y in combinations([x for x in range(1, r.m + 1) if x not in a], 2):
+            ax, ay = a | {x}, a | {y}
+            if r(ax | {y}) + r(a) > r(ax) + r(ay):
                 submodular = False
-                violations.append(("submodularity", tuple(sorted(a)), tuple(sorted(b))))
+                violations.append(("submodularity", tuple(sorted(ax)), tuple(sorted(ay))))
     monotone = True
     for a in subsets:
         for x in range(1, r.m + 1):

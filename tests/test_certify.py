@@ -333,6 +333,8 @@ def test_hr_classical_surface_case():
     assert cert.holds
     assert len(space.basis) == 3
     assert space.gram.signature() == (3, 0, 0)
+    # a PrimitiveSpace compares its Gram by value
+    assert hr_certify(inst)[1] == space
 
 
 def test_hr_fails_with_criterion_witness():

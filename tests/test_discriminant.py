@@ -6,7 +6,7 @@ import pytest
 
 import lefcert.discriminant as discriminant_mod
 import lefcert.linalg as linalg_mod
-from lefcert.certify import HLInstance, criterion_hl
+from lefcert.certify import HLInstance, criterion_hl, hr_certify
 from lefcert.discriminant import (
     intersection_number,
     mixed_discriminant,
@@ -250,12 +250,12 @@ def test_each_matrix_is_cleared_once(monkeypatch):
     for a in mats:
         a.det()
         a.kernel_basis()
-    # every path reads the rows cleared at construction
+        a.char_poly_coefficients()
+    is_m_positive(mats[0], mats[-1], 2)
+    hr_certify(HLInstance(4, 1, 1, tuple(mats[:2]), eta=mats[-1]))
+    assert len(list(subset_sums(mats[:4]))) == 15
+    # every path reads the rows cleared at construction, pencils and sums too
     assert cleared == [] and built == []
-    # only the pencil det(omega + t A) clears, its two matrices jointly
-    omega = mats[-1]
-    is_m_positive(mats[0], omega, 2)
-    assert cleared == [[*omega.rows, *mats[0].rows]] and built == []
 
 
 # ---- intersection numbers ----

@@ -96,3 +96,50 @@ def test_rank_lattice_modules_do_not_import_certify(name):
     # the subset-rank walk and its readers sit below certify, not beside it
     imported = imported_modules((SRC / f"{name}.py").read_text(encoding="utf-8"))
     assert not imported & {".certify", "lefcert.certify", "certify"}
+
+
+def callers(sources, name):
+    """{'module.qualname'} of every function or method in `sources` (module name
+    -> source text) that calls `name`, as a plain name or as an attribute."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                    found.add(".".join(scope))
+            visit(child, scope)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), [module])
+    return found
+
+
+def test_detector_lists_every_caller():
+    source = ("def f(rows):\n    return g(_clear(rows))\n\n"
+              "class M:\n    def m(self):\n        def inner():\n"
+              "            return linalg._clear(self)\n        return inner\n\n"
+              "def h():\n    return _clear\n\n"
+              "_clear([])\n")
+    assert callers({"a": source}, "_clear") == {"a.f", "a.M.m.inner", "a"}
+
+
+# the entry points that take rows from outside the library; every other
+# path reads the Z[i] rows a HermitianMatrix cleared at construction
+CLEARING_ENTRY_POINTS = {
+    "linalg.HermitianMatrix.__init__",
+    "linalg.mat_rank",
+    "linalg.mat_det",
+    "linalg.kernel_basis",
+    "linalg.char_poly_elementary",
+    "exterior._integer_form",
+}
+
+
+def test_only_the_entry_points_clear_rows():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert callers(sources, "_gaussian_integer_rows") <= CLEARING_ENTRY_POINTS

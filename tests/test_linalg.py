@@ -393,6 +393,67 @@ def test_integer_hermitian_check_agrees_with_the_qi_check(monkeypatch):
     assert seen == {None, True, False}
 
 
+def _built_or_refused(build):
+    try:
+        m = build()
+    except ValueError as exc:
+        return str(exc)
+    return m.rows, m._cleared
+
+
+def test_matrix_from_integer_rows_matches_the_cleared_constructor():
+    rng = SplitMix64(0x1F7)
+    cases = [near_hermitian(rng, rng.integer(1, 5)) for _ in range(200)]
+    cases += [[], [[ZERO]], [[ZERO] * 3 for _ in range(3)], gr_rows([[2, 4], [4, 6]])]
+    seen = set()
+    for i, rows in enumerate(cases):
+        re, im, den = _gaussian_integer_rows(rows)
+        k = 1 + i % 5  # a common content factor for the divisor to remove
+        lifted = ([[k * x for x in row] for row in re], [[k * y for y in row] for row in im], k * den)
+        expected = _built_or_refused(lambda: HermitianMatrix(rows))
+        assert _built_or_refused(lambda: HermitianMatrix._from_integer_rows(*lifted)) == expected
+        form = _built_or_refused(lambda: HermitianFormOnSpace._from_integer_rows(*lifted))
+        assert form == expected
+        seen.add((isinstance(expected, str), k > 1, den > 1))
+    # refusals and matrices, with and without content, over mixed denominators
+    assert seen >= {(False, True, True), (True, True, True), (False, False, True),
+                    (True, False, True), (False, True, False)}
+
+
+def test_hermitian_form_on_space_is_a_hermitian_matrix():
+    assert "__init__" not in vars(HermitianFormOnSpace)
+    rows = gr_rows([[2, 1], [1, 3]])
+    form = HermitianFormOnSpace(rows)
+    assert isinstance(form, HermitianMatrix) and form == HermitianMatrix(rows)
+    assert (form.dim, form.gram) == (2, form.rows)
+    with pytest.raises(AttributeError):
+        form.dim = 3
+
+
+def oracle_restrict(gram, basis):
+    """sum_ij conj(va_i) g_ij vb_j, entry by entry."""
+    return [[sum((va[i].conjugate() * gram[i][j] * vb[j]
+                  for i in range(len(gram)) for j in range(len(gram))), ZERO)
+             for vb in basis] for va in basis]
+
+
+def test_restrict_matches_the_entrywise_oracle():
+    rng = SplitMix64(0x5E5)
+    for seed in range(20):
+        n = 1 + seed % 4
+        form = HermitianFormOnSpace(random_hermitian(seed + 500, n).rows)
+        basis = _random_matrix(rng, rng.integer(0, n), n, n)
+        if mat_rank(basis) == len(basis):
+            assert form.restrict(basis) == oracle_restrict(form.gram, basis)
+
+
+def test_hermitian_signature_refuses_non_hermitian_input():
+    # the upper triangle alone read (1, 1, 0) here, and its transpose (2, 0, 0)
+    for rows in (gr_rows([[1, 2], [0, 1]]), gr_rows([[1, 0], [2, 1]]), gr_rows([[1, 2]]), [[I]]):
+        with pytest.raises(ValueError, match="^(not Hermitian at|matrix must be square)"):
+            hermitian_signature(rows)
+
+
 def test_float_rejected():
     with pytest.raises(TypeError):
         HermitianMatrix([[0.5]])
@@ -510,6 +571,11 @@ def test_m_positive_general_omega_congruence():
 
 
 # ---- kernels ----
+
+def test_empty_matrix_has_an_empty_kernel():
+    empty = HermitianMatrix.zero(0)
+    assert empty.kernel_basis() == [] and (empty.det(), empty.rank()) == (ONE, 0)
+
 
 def test_kernel_examples():
     assert kernel_basis(gr_rows([[1, 0], [0, 1]])) == []

@@ -1,6 +1,6 @@
 import warnings
 from contextlib import nullcontext
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -94,6 +94,42 @@ def test_axioms_on_matrix_families():
         assert report.submodular and report.monotone and report.normalized
         if all(a.rank() > 0 for a in mats):
             assert report.loopless
+
+
+def _oracle_axioms(r):
+    """check_axioms' booleans with submodularity over all pairs of subsets."""
+    subsets = [frozenset(c) for k in range(r.m + 1) for c in combinations(range(1, r.m + 1), k)]
+    return (all(r(a | b) + r(a & b) <= r(a) + r(b) for a in subsets for b in subsets),
+            all(r(a) <= r(a | {x}) for a in subsets for x in range(1, r.m + 1)),
+            r(()) == 0,
+            all(r({i}) >= 1 for i in range(1, r.m + 1)),
+            all(r(a) <= len(a) for a in subsets))
+
+
+def test_local_submodularity_matches_the_all_pairs_oracle():
+    rng = SplitMix64(0x5B3)
+    tables = [rank_from_matrices(random_psd_family(seed + 150, 2 + seed % 4, 1 + seed % 4))
+              for seed in range(24)]
+    for _ in range(400):
+        m = rng.integer(0, 4)
+        values = {frozenset(c): rng.integer(0, 4) for k in range(1, m + 1)
+                  for c in combinations(range(1, m + 1), k)}
+        tables.append(RankFunction(m, {frozenset(): 0, **values}))
+    failing = 0
+    for r in tables:
+        report = check_axioms(r)
+        submodular, monotone, normalized, loopless, small = _oracle_axioms(r)
+        assert (report.submodular, report.monotone, report.normalized, report.loopless) == \
+            (submodular, monotone, normalized, loopless)
+        assert report.is_matroid == (submodular and monotone and normalized and small)
+        # each violation names (A+x, A+y) with r(A+x) + r(A+y) < r(A+x+y) + r(A)
+        pairs = [v[1:] for v in report.violations if v[0] == "submodularity"]
+        assert bool(pairs) == (not submodular)
+        for ax, ay in pairs:
+            a, (x,), (y,) = set(ax) & set(ay), set(ax) - set(ay), set(ay) - set(ax)
+            assert x < y and r(ax) + r(ay) < r(set(ax) | {y}) + r(a)
+        failing += not submodular
+    assert 100 <= failing <= len(tables) - 100
 
 
 def test_constructed_submodularity_violation():
