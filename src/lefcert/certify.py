@@ -20,8 +20,8 @@ Hodge-Riemann, the Lefschetz decomposition, the Lorentzian signature and
 the Hodge index theorem read one bilinear pairing,
 Q(Phi,Psi) = c_{p,q} * vol(Omega ^ Phi ^ conj(Psi)).  Its Gram matrix on
 a basis B is one product over Z[i], c * (M B)^T S conj(B): M is the
-operator matrix of the integer Omega on Lambda^{p,q} over its
-denominator, S the signed complementary pairing
+operator matrix of Omega on Lambda^{p,q} over its denominator, S the
+signed complementary pairing
 Lambda^{n-q,n-p} x Lambda^{q,p} -> Lambda^{n,n}, and B holds the basis as
 Gaussian-integer vectors (see exterior._pairing_gram).  The Lorentzian
 Gram on Herm_n is the case (p,q) = (1,1) with Omega = A_1 ^ ... ^ A_{n-2},
@@ -29,6 +29,9 @@ since D(A,B,A_1,...,A_{n-2}) = vol(alpha ^ beta ^ Omega) / n!.  Integer
 Grams differ from the exact ones by positive factors, so their inertia
 is the same.  The test suite keeps the per-entry wedge loop and the
 per-entry mixed discriminant as exact oracles for these Grams.
+
+Omega, the kernel witness and the primitive and image bases are PQForms,
+built from Z[i] terms and vectors (PQForm._from_vector) with no Q(i) scalar.
 """
 
 from __future__ import annotations
@@ -51,14 +54,13 @@ from .linalg import (
     HermitianFormOnSpace,
     HermitianMatrix,
     InternalCheckError,
-    _exact_vector,
     _first_kernel_vector,
     _hermitian_failure,
     _inertia,
     _kernel,
     _rank,
 )
-from .rationals import GR, I, GaussianRational, Rat, cpq_constant
+from .rationals import GR, I, cpq_constant
 
 __all__ = [
     "HLInstance",
@@ -110,8 +112,8 @@ class HLInstance:
                 raise ValueError("eta must be positive semidefinite")
 
     def omega(self) -> PQForm:
-        """(i A_1) ^ ... ^ (i A_k), wedged over Z[i] and converted to Q(i) once."""
-        return _matrix_wedge(self.forms, self.n).form()
+        """(i A_1) ^ ... ^ (i A_k), wedged over Z[i] from the factors' cached rows."""
+        return _matrix_wedge(self.forms, self.n)
 
 
 @dataclass(frozen=True)
@@ -149,14 +151,13 @@ def criterion_hl(inst: HLInstance) -> Certificate:
 
 
 def _witness_from_kernel(inst, omega, vector, d):
-    """The kernel vector d * phi as the (p,q)-form phi, re-checked against the integer omega.
+    """The kernel vector d * phi as the (p,q)-form phi, re-checked against omega.
 
     Entries past the end of vector are zero.
     """
     if not _annihilates(omega, inst.p, inst.q, vector):
         raise InternalCheckError("kernel witness is not annihilated by Omega")
-    keys = basis_indices(inst.n, inst.p, inst.q)
-    witness = PQForm(inst.n, inst.p, inst.q, dict(zip(keys, _exact_vector(vector, d))))
+    witness = PQForm._from_vector(inst.n, inst.p, inst.q, vector, d)
     if witness.is_zero():
         raise InternalCheckError("zero kernel witness")
     return witness
@@ -187,9 +188,9 @@ def direct_hl(inst: HLInstance) -> Certificate:
 def _primitive_space(inst: HLInstance):
     """ker(Omega ^ eta ^ .) inside Lambda^{p,q}: (Omega, basis, vectors, d).
 
-    Omega is the integer form of the factors.  The basis holds the exact
-    kernel forms; vectors holds the same vectors as Gaussian integers,
-    each d times its form's coefficients, and each is re-checked on ints.
+    Omega is the wedge of the factors.  The basis holds the exact kernel
+    forms; vectors holds the same vectors as Gaussian integers, each d
+    times its form's coefficients, and each is re-checked on ints.
     """
     n, p, q = inst.n, inst.p, inst.q
     omega = _matrix_wedge(inst.forms, n)
@@ -199,7 +200,7 @@ def _primitive_space(inst: HLInstance):
     for v in vectors:
         if not _annihilates(coupled, p, q, v):
             raise InternalCheckError("primitive basis element not annihilated")
-    basis = tuple(PQForm.from_coefficient_vector(n, p, q, _exact_vector(v, d)) for v in vectors)
+    basis = tuple(PQForm._from_vector(n, p, q, v, d) for v in vectors)
     return omega, basis, vectors, d
 
 
@@ -283,11 +284,7 @@ def lefschetz_decomposition(inst: HLInstance):
         # the columns of L * (eta ^ .) on Lambda^{p-1,q-1}
         re, im, den = _integer_operator_matrix(_matrix_wedge((inst.eta,), n), p - 1, q - 1)
         image_vectors = list(zip(zip(*re), zip(*im)))
-        image_basis = tuple(
-            PQForm.from_coefficient_vector(n, p, q, [
-                GaussianRational(Rat(a, den), Rat(b, den)) for a, b in zip(*v)])
-            for v in image_vectors
-        )
+        image_basis = tuple(PQForm._from_vector(n, p, q, v, (den, 0)) for v in image_vectors)
     dim_pq = len(basis_indices(n, p, q))
     dim_lower = len(basis_indices(n, p - 1, q - 1)) if (p >= 1 and q >= 1) else 0
     if len(prim_basis) != dim_pq - dim_lower:
@@ -341,7 +338,7 @@ def _real_basis_vectors(n):
 def _intersection_gram(omega, vectors):
     """(rows, L): L times [vol(alpha_a ^ alpha_b ^ Omega)] over Z[i].
 
-    Omega is an (n-2,n-2) _IntegerForm, vectors are Gaussian-integer coefficient
+    Omega is an (n-2,n-2)-form, vectors are Gaussian-integer coefficient
     vectors of real (1,1)-forms alpha_a, and L is Omega's denominator.
     The pairing of real forms is real and symmetric, and the integer rows
     are checked to be so.
@@ -408,7 +405,7 @@ def hodge_index_check(forms, alpha: HermitianMatrix, beta: HermitianMatrix) -> b
         raise PreconditionError("Q(alpha,alpha) must be positive")
     if qab != 0:
         raise PreconditionError("alpha and beta must be Q-orthogonal")
-    vanishes = not _matrix_wedge((beta,), n, omega).terms
+    vanishes = _matrix_wedge((beta,), n, omega).is_zero()
     return qbb <= 0 and ((qbb == 0) == vanishes)
 
 

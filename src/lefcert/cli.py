@@ -97,9 +97,6 @@ def _task_hl_certify(ctx, task):
     out = certificate_to_json(cert)
     if direct.kernel_witness is not None:
         out.update(certificate_to_json(direct))
-        out.update({"failing_subset": sorted(cert.failing_subset)})
-        if cert.rank_deficit is not None:
-            out["rank_deficit"] = cert.rank_deficit
     return out
 
 

@@ -12,6 +12,8 @@ an element-wise int sum.  Ranks are invariant under the scaling by L, and
 determinants are scaled back by L^n once, at the end.  One Bareiss
 elimination per A_I gives mixed_discriminant and panov_positivity both
 its rank and its determinant; the rank tables and criterion_hl rank lazily.
+intersection_number wedges the PQForm (i A_1) ^ ... ^ (i A_n) from the same
+cached rows and reads it with volume_scalar.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from itertools import combinations
 from math import comb, factorial
 from operator import add
 
-from .exterior import _matrix_wedge, _volume_coefficient
+from .exterior import _matrix_wedge, volume_scalar
 from .linalg import HermitianMatrix, InternalCheckError, _copy_rows, _eliminate, _lift, _rank
-from .rationals import GR, GaussianRational, Rat
+from .rationals import GR, Rat
 
 __all__ = [
     "mixed_discriminant",
@@ -138,16 +140,11 @@ def mixed_discriminant(mats):
 def intersection_number(mats):
     """The torus intersection number alpha_1 ... alpha_n = n! * D.
 
-    The top form is wedged over Z[i] from the matrices' cached rows, and
-    its one coefficient is divided by the volume coefficient once.
+    The top form is wedged over Z[i] from the matrices' cached rows and
+    read against the volume element by volume_scalar.
     """
     mats, n = _check_tuple(mats)
-    top = _matrix_wedge(mats, n)
-    full = tuple(range(1, n + 1))
-    if any(k != (full, full) for k in top.terms):
-        raise InternalCheckError("(n,n)-form carries a non-top basis term")
-    re, im = top.terms.get((full, full), (0, 0))
-    value = GaussianRational(Rat(re, top.den), Rat(im, top.den)) / _volume_coefficient(n)
+    value = volume_scalar(_matrix_wedge(mats, n))
     if value.im:
         raise InternalCheckError("intersection number has nonzero imaginary part")
     return value.re

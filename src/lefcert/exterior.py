@@ -9,19 +9,20 @@ The canonical positive volume element is
 vol = (i dz_1 ^ dzbar_1) ^ ... ^ (i dz_n ^ dzbar_n), so positivity of an
 (n,n)-form is the sign of one rational number.
 
-Wedges multiply coefficients over Z[i] in one fold (_fold) of
-_IntegerForm operands, Gaussian-integer terms over one denominator: the
-pair loop multiplies and adds Python ints only, and the result is reduced
-by one gcd.  wedge and wedge_many clear each PQForm once and convert the
-result back to Q(i) once.
+A PQForm holds Gaussian-integer terms {(I, J): (re, im)} over one positive
+denominator, reduced, so equal forms hold equal terms.  Its constructor is
+the one place that clears Q(i) coefficients; coeffs is a read-only Q(i)
+view built on first read.  Sums, scalings, conjugates and wedges run on
+the terms in Python ints: a wedge is one fold (_fold) whose pair loop
+multiplies and adds ints, reduced by one gcd at the end.
 
 The library's Omega = (i A_1) ^ ... ^ (i A_k) never visits Q(i): the same
 fold reads each factor as the (1,1)-form i A from the Z[i] rows its
-HermitianMatrix cleared at construction (_matrix_terms, which also backs
-form_from_matrix).  The operator matrix of Phi -> omega ^ Phi is filled by
-index arithmetic in one place (_operator_columns), each entry +c or -c for
-a term c of omega.  Its Gaussian-integer form feeds the determinant and
-kernel routes, and, with the signed complementary pairing
+HermitianMatrix cleared at construction (_matrix_form).  The operator
+matrix of Phi -> omega ^ Phi is filled by index arithmetic in one place
+(_operator_columns), each entry +c or -c for a term c of omega.  Its
+Gaussian-integer form feeds the determinant and kernel routes, and, with
+the signed complementary pairing
 Lambda^{n-q,n-p} x Lambda^{q,p} -> Lambda^{n,n}, the Gram matrix of
 (Phi, Psi) -> vol(omega ^ Phi ^ conj(Psi)) as one product (M B)^T S conj(B).
 """
@@ -30,10 +31,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
+from types import MappingProxyType
 
 from .linalg import HermitianMatrix, InternalCheckError, _gaussian_integer_rows
-from .rationals import GR, I, ONE, ZERO, GaussianRational, Rat
+from .rationals import GR, ONE, ZERO, GaussianRational, Rat
 
 __all__ = [
     "PQForm",
@@ -97,10 +99,22 @@ def basis_indices(n, p, q):
     )
 
 
-class PQForm:
-    """Sparse element of Lambda^{p,q}(C^n); absent keys are zero."""
+def _reduce(terms, den):
+    """(terms, den) divided by the gcd of den and every part of the nonzero Z[i] terms."""
+    g = gcd(den, *(c for pair in terms.values() for c in pair))
+    if g > 1:
+        den //= g
+        terms = {k: (re // g, im // g) for k, (re, im) in terms.items()}
+    return terms, den
 
-    __slots__ = ("n", "p", "q", "coeffs")
+
+class PQForm:
+    """Sparse element of Lambda^{p,q}(C^n); absent keys are zero.
+
+    terms maps (I, J) to den times its nonzero coefficient, (re, im) in Z[i]; den > 0 is reduced.
+    """
+
+    __slots__ = ("n", "p", "q", "terms", "den", "_coeffs")
 
     def __init__(self, n, p, q, coeffs=None):
         if not (0 <= p <= n and 0 <= q <= n):
@@ -111,16 +125,44 @@ class PQForm:
             j = _check_multi_index(j, n)
             if len(i) != p or len(j) != q:
                 raise ValueError(f"index pair {(i, j)} has wrong degree for ({p},{q})")
-            c = c if isinstance(c, GaussianRational) else GR(c)
-            if c:
-                clean[(i, j)] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "coeffs", clean)
+            clean[(i, j)] = c if isinstance(c, GaussianRational) else GR(c)
+        # the lcm of reduced denominators shares no factor with every part
+        (re,), (im,), den = _gaussian_integer_rows([list(clean.values())])
+        self._set(n, p, q, {k: (a, b) for k, a, b in zip(clean, re, im) if a or b}, den)
+
+    def _set(self, n, p, q, terms, den):
+        for name, value in zip(PQForm.__slots__, (n, p, q, terms, den, None)):
+            object.__setattr__(self, name, value)
+        return self
+
+    @classmethod
+    def _from_terms(cls, n, p, q, terms, den):
+        """The form of reduced nonzero Z[i] terms over den, taken as they are."""
+        return cls.__new__(cls)._set(n, p, q, terms, den)
+
+    @classmethod
+    def _from_vector(cls, n, p, q, vector, d):
+        """The form with coefficient vector v / d: v (re, im) int lists, d != 0 in Z[i].
+
+        Entries past the end of v are zero; the terms are v * conj(d) over |d|^2, reduced.
+        """
+        dr, di = d
+        terms = {k: (a * dr + b * di, b * dr - a * di)
+                 for k, a, b in zip(basis_indices(n, p, q), *vector) if a or b}
+        return cls._from_terms(n, p, q, *_reduce(terms, dr * dr + di * di))
 
     def __setattr__(self, name, value):
         raise AttributeError("PQForm is immutable")
+
+    @property
+    def coeffs(self):
+        """Read-only {(I, J): GaussianRational} of the nonzero coefficients."""
+        if self._coeffs is None:
+            den = self.den
+            object.__setattr__(self, "_coeffs", MappingProxyType({
+                k: GaussianRational(Rat(re, den), Rat(im, den))
+                for k, (re, im) in self.terms.items()}))
+        return self._coeffs
 
     @classmethod
     def zero(cls, n, p, q):
@@ -135,43 +177,42 @@ class PQForm:
         return cls(n, len(tuple(i)), len(tuple(j)), {(tuple(i), tuple(j)): coeff})
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.terms
 
     def coefficient(self, i, j):
         return self.coeffs.get((tuple(i), tuple(j)), ZERO)
 
     def __add__(self, other):
         self._compat(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, ZERO) + c
-            if s:
-                out[k] = s
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {k: (a * re, a * im) for k, (re, im) in self.terms.items()}
+        for k, (re, im) in other.terms.items():
+            r0, i0 = out.get(k, (0, 0))
+            re, im = r0 + b * re, i0 + b * im
+            if re or im:
+                out[k] = re, im
             else:
-                out.pop(k, None)
-        return PQForm(self.n, self.p, self.q, out)
+                del out[k]
+        return PQForm._from_terms(self.n, self.p, self.q, *_reduce(out, den))
 
     def __sub__(self, other):
-        return self + other.scale(GR(-1))
+        return self + other.scale(-1)
 
     def scale(self, c):
-        c = c if isinstance(c, GaussianRational) else GR(c)
-        if not c:
-            return PQForm(self.n, self.p, self.q)
-        return PQForm(self.n, self.p, self.q, {k: v * c for k, v in self.coeffs.items()})
+        """c * self, the wedge with the scalar form of c."""
+        return _fold(self.n, (PQForm.scalar(self.n, c), self))
 
     def __neg__(self):
-        return self.scale(GR(-1))
+        return self.scale(-1)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PQForm)
-            and (self.n, self.p, self.q) == (other.n, other.p, other.q)
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, PQForm) and (
+            (self.n, self.p, self.q, self.den, self.terms)
+            == (other.n, other.p, other.q, other.den, other.terms))
 
     def __hash__(self):
-        return hash((self.n, self.p, self.q, frozenset(self.coeffs.items())))
+        return hash((self.n, self.p, self.q, self.den, frozenset(self.terms.items())))
 
     def _compat(self, other):
         if not isinstance(other, PQForm):
@@ -191,29 +232,24 @@ class PQForm:
         return cls(n, p, q, {k: c for k, c in zip(keys, vec) if c})
 
     def __repr__(self):
-        return f"PQForm(n={self.n}, p={self.p}, q={self.q}, terms={len(self.coeffs)})"
+        return f"PQForm(n={self.n}, p={self.p}, q={self.q}, terms={len(self.terms)})"
 
 
-def _matrix_terms(a: HermitianMatrix):
-    """({(I, J): (re, im)}, L): the (1,1)-form i A over Z[i], from A's cached rows.
+def _matrix_form(a: HermitianMatrix) -> PQForm:
+    """The (1,1)-form i A from A's cached rows.
 
-    Entry re + i im at (j, k) of L A gives the term (-im, re) at ((j,), (k,)).
+    Entry re + i im at (j, k) of L A gives the term (-im, re) at ((j,), (k,)) over L.
     """
     re, im, den = a._integer_rows()
-    return {((j + 1,), (k + 1,)): (-y, x)
-            for j, (xs, ys) in enumerate(zip(re, im))
-            for k, (x, y) in enumerate(zip(xs, ys)) if x or y}, den
+    return PQForm._from_terms(a.n, 1, 1, {
+        ((j + 1,), (k + 1,)): (-y, x)
+        for j, (xs, ys) in enumerate(zip(re, im))
+        for k, (x, y) in enumerate(zip(xs, ys)) if x or y}, den)
 
 
 def form_from_matrix(a: HermitianMatrix) -> PQForm:
     """The real (1,1)-form i * sum a_jk dz_j ^ dzbar_k of a Hermitian matrix."""
-    return _IntegerForm(a.n, 1, 1, *_matrix_terms(a)).form()
-
-
-def _integer_form(phi: PQForm):
-    """phi as an _IntegerForm: its coefficients as Gaussian integers over their lcm denominator."""
-    (re,), (im,), den = _gaussian_integer_rows([list(phi.coeffs.values())])
-    return _IntegerForm(phi.n, phi.p, phi.q, dict(zip(phi.coeffs, zip(re, im))), den)
+    return _matrix_form(a)
 
 
 def _wedge_terms(a, b, negate):
@@ -252,35 +288,15 @@ def wedge(phi: PQForm, psi: PQForm) -> PQForm:
 
 
 def wedge_many(forms, n=None) -> PQForm:
-    """Left fold of wedge; the empty product is the scalar 1 in Lambda^{0,0}.
-
-    The fold runs on Gaussian integers and converts to Q(i) once.
-    """
+    """Left fold of wedge; the empty product is the scalar 1 in Lambda^{0,0}."""
     forms = list(forms)
-    if not forms:
-        if n is None:
-            raise ValueError("ambient dimension required for an empty product")
-        return PQForm.scalar(n, ONE)
-    return _fold(forms[0].n, map(_integer_form, forms)).form()
-
-
-class _IntegerForm:
-    """A (p,q)-form as Gaussian integers: terms {(I, J): (re, im)} over one denominator."""
-
-    __slots__ = ("n", "p", "q", "terms", "den")
-
-    def __init__(self, n, p, q, terms, den):
-        self.n, self.p, self.q, self.terms, self.den = n, p, q, terms, den
-
-    def form(self) -> PQForm:
-        den = self.den
-        return PQForm(self.n, self.p, self.q, {
-            k: GaussianRational(Rat(re, den), Rat(im, den)) for k, (re, im) in self.terms.items()
-        })
+    if not forms and n is None:
+        raise ValueError("ambient dimension required for an empty product")
+    return _fold(forms[0].n if forms else n, forms)
 
 
 def _fold(n, factors, omega=None):
-    """omega ^ f_1 ^ ... ^ f_k over Z[i], for _IntegerForm factors on C^n.
+    """omega ^ f_1 ^ ... ^ f_k over Z[i], for PQForm factors on C^n.
 
     Without omega the fold starts from the first factor itself, and the
     empty product is the scalar 1.  Terms are multiplied in ints over the
@@ -304,26 +320,17 @@ def _fold(n, factors, omega=None):
             terms = _wedge_terms(terms, f.terms, negate)
             den *= f.den
     if terms is None:
-        return _IntegerForm(n, 0, 0, {((), ()): (1, 0)}, 1)
-    g = gcd(den, *(c for pair in terms.values() for c in pair))
-    if g > 1:
-        den //= g
-        terms = {k: (re // g, im // g) for k, (re, im) in terms.items()}
-    return _IntegerForm(n, p, q, terms, den)
+        return PQForm._from_terms(n, 0, 0, {((), ()): (1, 0)}, 1)
+    return PQForm._from_terms(n, p, q, *_reduce(terms, den))
 
 
 def _matrix_wedge(mats, n, omega=None):
-    """omega ^ (i A_1) ^ ... ^ (i A_k) over Z[i], read from each matrix's cached rows.
-
-    omega is an _IntegerForm, the scalar 1 when omega is None.  The result
-    holds exactly the terms and the lcm denominator that _integer_form
-    reads from the Q(i) wedge_many of the forms form_from_matrix(A).
-    """
-    return _fold(n, (_IntegerForm(a.n, 1, 1, *_matrix_terms(a)) for a in mats), omega)
+    """omega ^ (i A_1) ^ ... ^ (i A_k), read from each matrix's cached rows; omega None is 1."""
+    return _fold(n, map(_matrix_form, mats), omega)
 
 
 def _annihilates(omega, p, q, vector):
-    """Whether omega ^ phi = 0, for an _IntegerForm omega and phi in Lambda^{p,q}.
+    """Whether omega ^ phi = 0, for a PQForm omega and phi in Lambda^{p,q}.
 
     vector is phi's coefficient vector, or any nonzero multiple of it, as
     an (re, im) pair of int lists; entries past its end are zero.
@@ -343,14 +350,16 @@ def _matrix_vector(a):
 
 
 @lru_cache(maxsize=None)
-def _volume_coefficient(n) -> GaussianRational:
-    vol = wedge_many(
-        [PQForm(n, 1, 1, {((k,), (k,)): I}) for k in range(1, n + 1)], n
-    )
+def _volume_unit(n):
+    """(re, im): the inverse of vol's coefficient on dz_[n] ^ dzbar_[n], a unit of Z[i]."""
     full = tuple(range(1, n + 1))
-    if len(vol.coeffs) != 1:
+    vol = _fold(n, (PQForm._from_terms(n, 1, 1, {((k,), (k,)): (0, 1)}, 1) for k in full))
+    if list(vol.terms) != [(full, full)]:
         raise InternalCheckError("volume element is not a single basis term")
-    return vol.coeffs[(full, full)]
+    (re, im), = vol.terms.values()
+    if vol.den != 1 or re * re + im * im != 1:
+        raise InternalCheckError("volume coefficient is not a unit of Z[i]")
+    return re, -im
 
 
 def volume_scalar(phi: PQForm) -> GaussianRational:
@@ -359,9 +368,11 @@ def volume_scalar(phi: PQForm) -> GaussianRational:
     if phi.p != n or phi.q != n:
         raise ValueError(f"volume_scalar needs an (n,n)-form, got ({phi.p},{phi.q})")
     full = tuple(range(1, n + 1))
-    if any(k != (full, full) for k in phi.coeffs):
+    if any(k != (full, full) for k in phi.terms):
         raise InternalCheckError("(n,n)-form carries a non-top basis term")
-    return phi.coeffs.get((full, full), ZERO) / _volume_coefficient(n)
+    re, im = phi.terms.get((full, full), (0, 0))
+    ur, ui = _volume_unit(n)
+    return GaussianRational(Rat(re * ur - im * ui, phi.den), Rat(re * ui + im * ur, phi.den))
 
 
 def conjugate_form(phi: PQForm) -> PQForm:
@@ -371,13 +382,9 @@ def conjugate_form(phi: PQForm) -> PQForm:
     unbarred factors past the p-block of barred ones costs p*q adjacent
     transpositions, hence the sign below.
     """
-    inversions = phi.p * phi.q
-    sign = -1 if inversions % 2 else 1
-    out = {}
-    for (i, j), c in phi.coeffs.items():
-        cc = c.conjugate()
-        out[(j, i)] = -cc if sign < 0 else cc
-    return PQForm(phi.n, phi.q, phi.p, out)
+    sign = -1 if (phi.p * phi.q) % 2 else 1
+    return PQForm._from_terms(phi.n, phi.q, phi.p, {
+        (j, i): (sign * re, -sign * im) for (i, j), (re, im) in phi.terms.items()}, phi.den)
 
 
 def is_real_form(phi: PQForm) -> bool:
@@ -390,7 +397,7 @@ def is_real_form(phi: PQForm) -> bool:
 def _operator_columns(omega, p: int, q: int):
     """Sparse columns of L times Phi -> omega ^ Phi from Lambda^{p,q}, by index arithmetic.
 
-    omega is an _IntegerForm over the denominator L.  Returns (nrows,
+    omega is a PQForm over the denominator L.  Returns (nrows,
     columns): columns[col] lists (row, re, im) for each term (re, im) of
     omega whose indices (I', J') are disjoint from the source index (I, J);
     it lands at the row of the merged (I' + I, J' + J) with the merge
@@ -422,7 +429,7 @@ def _operator_columns(omega, p: int, q: int):
 
 
 def _integer_operator_matrix(omega, p: int, q: int):
-    """(re, im, L): dense int rows of L times the matrix of Phi -> omega ^ Phi, omega an _IntegerForm."""
+    """(re, im, L): dense int rows of L times the matrix of Phi -> omega ^ Phi, omega over L."""
     nrows, columns = _operator_columns(omega, p, q)
     re = [[0] * len(columns) for _ in range(nrows)]
     im = [[0] * len(columns) for _ in range(nrows)]
@@ -449,8 +456,8 @@ def _complementary_pairing(n, p, q):
     Phi in Lambda^{p,q}
         vol(Psi ^ conj(Phi)) = unit * sum_t sign_t * Psi_t * conj(Phi_{s_t}).
     The sign is merge(I, I^c) * merge(J, J^c) times (-1)^((n-p)q) for
-    moving dzbar_J past dz_{I^c} and (-1)^(pq) from conj; unit is the
-    inverse of the volume coefficient, a unit of Z[i].
+    moving dzbar_J past dz_{I^c} and (-1)^(pq) from conj; unit is
+    _volume_unit(n).
     """
     full = range(1, n + 1)
     src = _positions(n, p, q)
@@ -462,18 +469,15 @@ def _complementary_pairing(n, p, q):
         si, _ = _merge_sign(i, ic)
         sj, _ = _merge_sign(j, jc)
         partners.append((src[jc, ic], si * sj * block))
-    inv = ONE / _volume_coefficient(n)
-    if inv.re.denominator != 1 or inv.im.denominator != 1:
-        raise InternalCheckError("volume coefficient is not a unit of Z[i]")
-    return tuple(partners), (int(inv.re), int(inv.im))
+    return tuple(partners), _volume_unit(n)
 
 
 def _pairing_gram(omega, p: int, q: int, left, right):
     """L * vol(omega ^ Phi_a ^ conj(Psi_b)) over Z[i], for all a, b: (re, im, L).
 
     left and right hold Gaussian-integer coefficient vectors of
-    Lambda^{p,q}, each an (re, im) pair of int lists, and omega must be an
-    _IntegerForm over L of bidegree (n-p-q, n-p-q).  This is (M Phi)^T S conj(Psi) for M the
+    Lambda^{p,q}, each an (re, im) pair of int lists, and omega must be a
+    PQForm over L of bidegree (n-p-q, n-p-q).  This is (M Phi)^T S conj(Psi) for M the
     integer operator matrix of omega (over L) and S the signed pairing of
     _complementary_pairing; only the nonzero entries are visited.
     """
@@ -526,14 +530,13 @@ def wedge_operator_matrix(omega: PQForm, p: int, q: int):
     term c dz_I' ^ dzbar_J' of omega whose indices are disjoint from it, at
     the row of the merged (I' + I, J' + J); no coefficient is multiplied.
     """
-    form = _integer_form(omega)
-    den = form.den
+    den = omega.den
     value = {}  # +c and -c for each term c of omega
-    for re, im in form.terms.values():
+    for re, im in omega.terms.values():
         for sign in (1, -1):
             value[sign * re, sign * im] = GaussianRational(Rat(sign * re, den),
                                                            Rat(sign * im, den))
-    nrows, columns = _operator_columns(form, p, q)
+    nrows, columns = _operator_columns(omega, p, q)
     rows = [[ZERO] * len(columns) for _ in range(nrows)]
     for col, entries in enumerate(columns):
         for row, re, im in entries:

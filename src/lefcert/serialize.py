@@ -9,6 +9,7 @@ Rationals travel as "p/q" strings with q > 0, complex values as
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .certify import Certificate
@@ -31,6 +32,8 @@ __all__ = [
     "certificate_to_json",
 ]
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 def rat_to_str(x) -> str:
     x = as_rat(x)
@@ -38,17 +41,19 @@ def rat_to_str(x) -> str:
 
 
 def rat_from_str(s):
+    """An int, or an integer or "p/q" string matched in linear time, as a Fraction."""
     if isinstance(s, float):
         raise TypeError("floating-point input rejected")
     if isinstance(s, bool):
         raise TypeError(f"boolean {s!r} is not a rational")
     if isinstance(s, int):
         return as_rat(s)
+    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+        raise ValueError(f"rational {s!r} is not an integer or a 'p/q' string")
     try:
-        frac = Fraction(s)
+        return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
-    return as_rat(frac)
 
 
 def complex_to_json(c: GaussianRational) -> dict:

@@ -51,7 +51,7 @@ from lefcert.linalg import (
     kernel_basis,
     mat_rank,
 )
-from lefcert.rationals import GR, I, ONE, cpq_constant
+from lefcert.rationals import GR, I, ONE, GaussianRational, cpq_constant
 
 from conftest import random_hermitian, random_psd_family
 from lefcert.generate import SplitMix64
@@ -746,3 +746,32 @@ def test_determinant_route_never_reads_the_rank_code(monkeypatch):
     monkeypatch.setattr(certify_mod, "_rank", forbidden)
     monkeypatch.setattr(HermitianMatrix, "rank", forbidden)
     assert routes() == expected
+
+
+def test_route_paths_build_no_qi_scalars(monkeypatch):
+    # direct_hl and lefschetz_decomposition read the Z[i] rows and return
+    # forms that hold Z[i] terms, so no GaussianRational is ever built
+    direct, split = [], []
+    for seed in range(12):
+        for n in (3, 4):
+            for p, q in ((1, 0), (0, 1), (1, 1), (2, 1)):
+                if p + q > n:
+                    continue
+                *forms, eta = random_psd_family(seed, n, n - p - q + 1)
+                inst = HLInstance(n, p, q, tuple(forms), eta=eta)
+                direct.append((inst, direct_hl(inst)))
+                try:
+                    split.append((inst, lefschetz_decomposition(inst)))
+                except PreconditionError:
+                    pass
+    verdicts = {cert.verdict for _, cert in direct}
+    assert verdicts == {"holds", "fails"} and any(dims[0] for _, (_, _, dims) in split)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a GaussianRational was built on a route path")
+
+    monkeypatch.setattr(GaussianRational, "__init__", forbidden)
+    for inst, expected in direct:
+        assert direct_hl(inst) == expected
+    for inst, expected in split:
+        assert lefschetz_decomposition(inst) == expected

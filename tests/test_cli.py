@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from lefcert.cli import main, run_instance
 from lefcert.linalg import HermitianMatrix
+from lefcert.rationals import GR
 from lefcert.serialize import matrix_from_json, matrix_to_json
 
 D = HermitianMatrix.diagonal
@@ -438,6 +440,20 @@ def test_repeated_generated_name_is_a_task_error(tmp_path, capsys):
 def test_zero_denominator_is_a_document_error(tmp_path, capsys):
     doc = {"schema": 1, "n": 1, "matrices": {"a": {"entries": [[{"re": "1/0"}]]}}, "tasks": []}
     assert_document_error(tmp_path, capsys, doc, "zero denominator")
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "1.5", "1_0"])
+def test_non_rational_string_is_a_document_error_at_once(tmp_path, capsys, text):
+    doc = {"schema": 1, "n": 1, "matrices": {"a": {"entries": [[{"re": text}]]}}, "tasks": []}
+    t0 = time.perf_counter()
+    assert_document_error(tmp_path, capsys, doc, "'p/q'")
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_integer_and_fraction_strings_still_parse():
+    mat = matrix_from_json({"entries": [["7", {"re": "-3/4", "im": "+2"}],
+                                        [{"re": "-3/4", "im": "-2"}, "0/5"]]})
+    assert mat.rows == ((GR(7), GR(Fraction(-3, 4), 2)), (GR(Fraction(-3, 4), -2), GR(0)))
 
 
 def test_empty_hl_support_family_is_a_task_error(tmp_path, capsys):

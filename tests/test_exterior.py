@@ -558,7 +558,7 @@ def test_matrix_wedge_equals_the_qi_build_term_for_term():
         terms, den, bideg = oracle_matrix_wedge(mats, n)
         assert omega.terms == terms and list(omega.terms) == list(terms)
         assert omega.den == den and (omega.p, omega.q) == bideg and omega.n == n
-        assert omega.form() == oracle_matrix_omega(mats, n)
+        assert omega == oracle_matrix_omega(mats, n)
         kinds.add((not mats, not terms, den > 1))
     # the empty family, zero products, integral and rational Omegas
     assert {(True, False, False), (False, True, False), (False, False, True),
@@ -615,7 +615,7 @@ def test_annihilates_agrees_with_the_wedge():
             for c in phi.coeffs.values():
                 scale = scale * c.re.denominator * c.im.denominator
             vector = tuple([int(x * scale) for x in xs] for xs in vector)
-            expected = wedge(omega.form(), phi).is_zero()
+            expected = wedge(omega, phi).is_zero()
             assert exterior._annihilates(omega, p, q, vector) == expected
             seen.add(expected)
     assert seen == {True, False}
@@ -624,3 +624,85 @@ def test_annihilates_agrees_with_the_wedge():
 def test_merge_memo_is_bounded():
     # index pairs grow as 4^n, so the merge memo must have a fixed size
     assert exterior._merge_sign.cache_info().maxsize is not None
+
+
+# ---- the Z[i] PQForm against plain Q(i) arithmetic on its coeffs ----
+
+def oracle_sum(phi, psi, sign=1):
+    out = dict(phi.coeffs)
+    for k, c in psi.coeffs.items():
+        out[k] = out.get(k, ZERO) + c * sign
+    return {k: c for k, c in out.items() if c}
+
+
+def oracle_conjugate(phi):
+    sign = (-1) ** (phi.p * phi.q)
+    return {(j, i): c.conjugate() * sign for (i, j), c in phi.coeffs.items()}
+
+
+def form_pairs():
+    """Seeded same-space pairs with mixed denominators, some cancelling in part or whole."""
+    rng = SplitMix64(0x2F0E)
+    for count in range(150):
+        n = rng.integer(1, 4)
+        p, q = rng.integer(0, n), rng.integer(0, n)
+        phi = random_rational_form(rng, n, p, q, density=rng.integer(0, 4))
+        psi = random_rational_form(rng, n, p, q, density=rng.integer(0, 4))
+        if count % 3 == 0:  # psi cancels phi on a part of its terms, or on all of them
+            keep = rng.integer(0, 1)
+            psi = PQForm(n, p, q, {**psi.coeffs, **{k: -c for k, c in phi.coeffs.items()
+                                                    if keep or rng.integer(0, 1)}})
+        yield phi, psi
+
+
+def test_integer_form_matches_the_qi_oracle():
+    scalars = [GR(Fraction(3, 4)), GR(Fraction(-2, 9), Fraction(5, 6)), I, ZERO, 0, 7,
+               Fraction(-1, 3)]
+    seen = set()
+    for phi, psi in form_pairs():
+        n, p, q = phi.n, phi.p, phi.q
+        for form in (phi, psi):
+            # reduced Z[i] terms over the lcm of the coefficients' denominators
+            den = lcm(*(x.denominator for c in form.coeffs.values() for x in (c.re, c.im)))
+            assert form.den == den
+            assert form.terms == {k: (int(c.re * den), int(c.im * den))
+                                  for k, c in form.coeffs.items()}
+        total, diff = phi + psi, phi - psi
+        assert total.coeffs == oracle_sum(phi, psi) and diff.coeffs == oracle_sum(phi, psi, -1)
+        assert (total - psi) == phi and hash(total - psi) == hash(phi)
+        if not oracle_sum(phi, psi):
+            assert total.is_zero() and total == PQForm.zero(n, p, q) and total.den == 1
+            assert hash(total) == hash(PQForm.zero(n, p, q))
+        seen.add((total.is_zero(), len(total.terms) < len(phi.terms) + len(psi.terms)))
+        for c in scalars:
+            expected = {k: v * c for k, v in phi.coeffs.items() if v * c}
+            assert phi.scale(c).coeffs == expected
+            assert phi.scale(c) == PQForm(n, p, q, expected)
+        assert (-phi).coeffs == {k: -c for k, c in phi.coeffs.items()}
+        conj = conjugate_form(phi)
+        assert (conj.p, conj.q) == (q, p) and conj.coeffs == oracle_conjugate(phi)
+        assert is_real_form(phi) == (p == q and oracle_conjugate(phi) == dict(phi.coeffs))
+        assert p != q or is_real_form(phi + conj)
+        reordered = PQForm(n, p, q, dict(reversed(list(phi.coeffs.items()))))
+        assert reordered == phi and hash(reordered) == hash(phi)
+        assert (phi == psi) == (dict(phi.coeffs) == dict(psi.coeffs))
+        keys = basis_indices(n, p, q)
+        assert [phi.coefficient(i, j) for i, j in keys] == [phi.coeffs.get(k, ZERO) for k in keys]
+        assert phi.coefficient_vector() == [phi.coeffs.get(k, ZERO) for k in keys]
+        assert PQForm.from_coefficient_vector(n, p, q, phi.coefficient_vector()) == phi
+        record = form_to_json(phi)
+        assert [GR(Fraction(t["c"]["re"]), Fraction(t["c"]["im"])) for t in record["terms"]] \
+            == [phi.coeffs[k] for k in sorted(phi.coeffs)]
+        assert form_from_json(record) == phi
+    # sums that cancel wholly, in part, and not at all
+    assert {(True, True), (False, True), (False, False)} <= seen
+
+
+def test_coeffs_is_a_read_only_view():
+    phi = PQForm(2, 1, 1, {((1,), (2,)): GR(Fraction(1, 2), 3)})
+    with pytest.raises(TypeError):
+        phi.coeffs[((1,), (2,))] = ONE
+    with pytest.raises(TypeError):
+        phi.coeffs[((2,), (1,))] = ONE
+    assert phi.coeffs == {((1,), (2,)): GR(Fraction(1, 2), 3)}
+    assert phi.terms == {((1,), (2,)): (1, 6)} and phi.den == 2

@@ -136,7 +136,7 @@ CLEARING_ENTRY_POINTS = {
     "linalg.mat_det",
     "linalg.kernel_basis",
     "linalg.char_poly_elementary",
-    "exterior._integer_form",
+    "exterior.PQForm.__init__",
 }
 
 
