@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
 from .discriminant import rank_deficient_subset
 from .exterior import (
@@ -208,8 +207,7 @@ def _primitive_gram(omega, vectors, d, p, q):
     """Gram of Q(Phi,Psi) = c_{p,q} * vol(Omega ^ Phi ^ conj(Psi)) on the primitive basis.
 
     One Z[i] product c (M B)^T S conj(B) (see exterior._pairing_gram),
-    with B the Gaussian-integer vectors d * v.  Returns (form, re, im): the
-    exact Gram, and an integer one free of content, a positive multiple of it.
+    with B the Gaussian-integer vectors d * v, over L |d|^2.
     """
     re, im, den = _pairing_gram(omega, p, q, vectors, vectors)
     c = cpq_constant(p, q)  # one of 1, -1, i, -i
@@ -217,15 +215,9 @@ def _primitive_gram(omega, vectors, d, p, q):
     re, im = ([[cr * x - ci * y for x, y in zip(xs, ys)] for xs, ys in zip(re, im)],
               [[cr * y + ci * x for x, y in zip(xs, ys)] for xs, ys in zip(re, im)])
     try:
-        form = HermitianFormOnSpace._from_integer_rows(re, im, den * (d[0] ** 2 + d[1] ** 2))
+        return HermitianFormOnSpace._from_integer_rows(re, im, den * (d[0] ** 2 + d[1] ** 2))
     except ValueError:
         raise InternalCheckError("Q Gram matrix is not Hermitian") from None
-    # a positive factor keeps the inertia and shortens the elimination
-    g = gcd(*(x for xs in re for x in xs), *(y for ys in im for y in ys))
-    if g > 1:
-        re = [[x // g for x in xs] for xs in re]
-        im = [[y // g for y in ys] for ys in im]
-    return form, re, im
 
 
 def hr_certify(inst: HLInstance):
@@ -234,8 +226,8 @@ def hr_certify(inst: HLInstance):
     Returns (Certificate, PrimitiveSpace).  Requires rank(eta) >= p + q;
     a smaller rank is outside the theorem's scope and raises
     PreconditionError rather than returning a failing verdict.  The
-    verdict reads the inertia of the integer Gram, a positive multiple
-    of the exact one kept in the PrimitiveSpace.
+    verdict reads the inertia of the Gram kept in the PrimitiveSpace,
+    from its Z[i] rows.
     """
     if inst.eta is None:
         raise ValueError("hr_certify needs an eta form")
@@ -246,9 +238,9 @@ def hr_certify(inst: HLInstance):
             f"rank(eta)={r_eta} below p+q={need} (deficit {need - r_eta})"
         )
     omega, basis, vectors, d = _primitive_space(inst)
-    gram, re, im = _primitive_gram(omega, vectors, d, inst.p, inst.q)
+    gram = _primitive_gram(omega, vectors, d, inst.p, inst.q)
     space = PrimitiveSpace(basis=basis, gram=gram)
-    npos, nneg, nzero = _inertia(re, im)
+    npos, nneg, nzero = gram.signature()
     if nneg == 0 and nzero == 0:
         return Certificate("holds"), space
     # Theorem A: HR failure must come with a failing rank subset.

@@ -17,9 +17,9 @@ the terms in Python ints: a wedge is one fold (_fold) whose pair loop
 multiplies and adds ints, reduced by one gcd at the end.
 
 The library's Omega = (i A_1) ^ ... ^ (i A_k) never visits Q(i): the same
-fold reads each factor as the (1,1)-form i A from the Z[i] rows its
-HermitianMatrix cleared at construction (_matrix_form).  The operator
-matrix of Phi -> omega ^ Phi is filled by index arithmetic in one place
+fold reads each factor as the (1,1)-form i A (form_from_matrix) from the
+Z[i] rows its HermitianMatrix holds.  The operator matrix of
+Phi -> omega ^ Phi is filled by index arithmetic in one place
 (_operator_columns), each entry +c or -c for a term c of omega.  Its
 Gaussian-integer form feeds the determinant and kernel routes, and, with
 the signed complementary pairing
@@ -235,21 +235,17 @@ class PQForm:
         return f"PQForm(n={self.n}, p={self.p}, q={self.q}, terms={len(self.terms)})"
 
 
-def _matrix_form(a: HermitianMatrix) -> PQForm:
-    """The (1,1)-form i A from A's cached rows.
+def form_from_matrix(a: HermitianMatrix) -> PQForm:
+    """The real (1,1)-form i * sum a_jk dz_j ^ dzbar_k of a Hermitian matrix.
 
-    Entry re + i im at (j, k) of L A gives the term (-im, re) at ((j,), (k,)) over L.
+    Entry re + i im at (j, k) of A's rows L A gives the term (-im, re) at
+    ((j,), (k,)) over L; those rows are reduced, so the form is too.
     """
-    re, im, den = a._integer_rows()
+    re, im, den = a._cleared
     return PQForm._from_terms(a.n, 1, 1, {
         ((j + 1,), (k + 1,)): (-y, x)
         for j, (xs, ys) in enumerate(zip(re, im))
         for k, (x, y) in enumerate(zip(xs, ys)) if x or y}, den)
-
-
-def form_from_matrix(a: HermitianMatrix) -> PQForm:
-    """The real (1,1)-form i * sum a_jk dz_j ^ dzbar_k of a Hermitian matrix."""
-    return _matrix_form(a)
 
 
 def _wedge_terms(a, b, negate):
@@ -326,7 +322,7 @@ def _fold(n, factors, omega=None):
 
 def _matrix_wedge(mats, n, omega=None):
     """omega ^ (i A_1) ^ ... ^ (i A_k), read from each matrix's cached rows; omega None is 1."""
-    return _fold(n, map(_matrix_form, mats), omega)
+    return _fold(n, map(form_from_matrix, mats), omega)
 
 
 def _annihilates(omega, p, q, vector):
@@ -345,7 +341,7 @@ def _matrix_vector(a):
 
     The basis ((j,), (k,)) of Lambda^{1,1} is ordered row by row.
     """
-    re, im, den = a._integer_rows()
+    re, im, den = a._cleared
     return ([-y for ys in im for y in ys], [x for xs in re for x in xs]), den
 
 

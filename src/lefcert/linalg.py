@@ -30,11 +30,11 @@ are independent mod p, hence over Q, so the exact kernel of the leading
 columns gives the first reduced row echelon kernel vector of the whole
 matrix; only when p divided a minor does the whole matrix follow.
 
-A HermitianMatrix is cleared once, at construction: the Hermitian check
-reads the cleared ints, the (re, im, L) rows are kept as int tuples, and
-the methods, the pencils, `discriminant`'s subset lattice and
-`exterior`'s wedges read them; one built from Z[i] rows the library
-holds (a Gram, a subset sum) is never cleared at all.
+A HermitianMatrix holds only its reduced Z[i] rows, cleared once from
+outside input, where the Hermitian check reads them; one built from rows
+the library holds (a Gram, a subset sum, B B^H, a sum, a scaling) is not
+cleared.  The methods, the pencils, `discriminant`'s subset lattice and
+`exterior`'s wedges read those rows; `rows` is a Q(i) view built on first read.
 
 No eigenvalue is ever computed.
 """
@@ -44,8 +44,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from operator import add, mul
 
-from .rationals import GR, ZERO, GaussianRational, as_rat
+from .rationals import ZERO, GaussianRational, as_rat
 
 __all__ = [
     "HermitianMatrix",
@@ -70,12 +71,13 @@ class InternalCheckError(ArithmeticError):
     """An internal consistency check failed; signals a bug, not bad input."""
 
 
-def _entry(x) -> GaussianRational:
+def _parts(x):
+    """(re, im) rationals of a GaussianRational, a {"re", "im"} dict or a rational."""
     if isinstance(x, GaussianRational):
-        return x
+        return x.re, x.im
     if isinstance(x, dict):
-        return GaussianRational(x.get("re", 0), x.get("im", 0))
-    return GR(as_rat(x))
+        return as_rat(x.get("re", 0)), as_rat(x.get("im", 0))
+    return as_rat(x), 0
 
 
 def mat_mul(a, b):
@@ -98,12 +100,14 @@ def mat_mul(a, b):
 # ---- the integer kernel over Z[i] ----
 
 def _gaussian_integer_rows(rows):
-    """(re, im, L): int rows with re + i*im = L * rows, L the lcm of all denominators."""
-    entries = [[_entry(x) for x in row] for row in rows]
-    den = lcm(*{x.re.denominator for row in entries for x in row},
-              *{x.im.denominator for row in entries for x in row})
-    re = [[x.re.numerator * (den // x.re.denominator) for x in row] for row in entries]
-    im = [[x.im.numerator * (den // x.im.denominator) for x in row] for row in entries]
+    """(re, im, L): int rows with re + i*im = L * rows, L the lcm of all denominators.
+
+    gcd(L, every part) = 1: each prime's full power in L divides some entry's denominator.
+    """
+    entries = [[_parts(x) for x in row] for row in rows]
+    den = lcm(*{x.denominator for row in entries for pair in row for x in pair})
+    re = [[x.numerator * (den // x.denominator) for x, _ in row] for row in entries]
+    im = [[y.numerator * (den // y.denominator) for _, y in row] for row in entries]
     return re, im, den
 
 
@@ -438,17 +442,20 @@ def char_poly_elementary(rows):
 
 
 class HermitianMatrix:
-    """Exact n x n Hermitian matrix, the coordinate form of a real (1,1)-form."""
+    """Exact n x n Hermitian matrix, the coordinate form of a real (1,1)-form.
 
-    __slots__ = ("n", "rows", "_cleared", "_rank", "_psd", "_charpoly")
+    _cleared = (re, im, L) holds L A as int tuples, L > 0 and gcd(L, every
+    part) = 1, so equal matrices hold equal rows; `rows` is a read-only view.
+    """
+
+    __slots__ = ("n", "_cleared", "_rows", "_rank", "_psd", "_charpoly")
 
     def __init__(self, entries):
-        rows = tuple(tuple(_entry(x) for x in row) for row in entries)
-        self._set(rows, *_gaussian_integer_rows(rows))
+        self._set(*_gaussian_integer_rows(entries))
 
     @classmethod
     def _from_integer_rows(cls, re, im, den):
-        """The matrix (re + i im) / den, from Z[i] rows that are only read.
+        """The matrix (re + i im) / den, den > 0, from Z[i] rows that are only read.
 
         Dividing by gcd(den, all entries) leaves the (re, im, L) that
         clearing its values would give, L the lcm of their denominators.
@@ -458,27 +465,32 @@ class HermitianMatrix:
             re = [[x // g for x in row] for row in re]
             im = [[y // g for y in row] for row in im]
             den //= g
-        rows = tuple(tuple(GaussianRational(Fraction(x, den), Fraction(y, den))
-                           for x, y in zip(xs, ys)) for xs, ys in zip(re, im))
-        return cls.__new__(cls)._set(rows, re, im, den)
+        return cls.__new__(cls)._set(re, im, den)
 
-    def _set(self, rows, re, im, den):
+    def _set(self, re, im, den):
         if any(len(row) != len(re) for row in re):
             raise ValueError("matrix must be square")
         # L * x == L * y exactly when x == y, so the check reads the cleared ints
         failure = _hermitian_failure(re, im)
         if failure:
             raise ValueError("not Hermitian at ({},{})".format(*failure))
-        object.__setattr__(self, "n", len(rows))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_cleared", (tuple(map(tuple, re)), tuple(map(tuple, im)), den))
-        object.__setattr__(self, "_rank", None)
-        object.__setattr__(self, "_psd", None)
-        object.__setattr__(self, "_charpoly", None)
+        cleared = (tuple(map(tuple, re)), tuple(map(tuple, im)), den)
+        for name, value in zip(HermitianMatrix.__slots__, (len(re), cleared) + (None,) * 4):
+            object.__setattr__(self, name, value)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianMatrix is immutable")
+
+    @property
+    def rows(self):
+        """The entries as a tuple of GaussianRational row tuples, built on first read."""
+        if self._rows is None:
+            re, im, den = self._cleared
+            object.__setattr__(self, "_rows", tuple(
+                tuple(GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in zip(xs, ys))
+                for xs, ys in zip(re, im)))
+        return self._rows
 
     @classmethod
     def diagonal(cls, values):
@@ -496,44 +508,44 @@ class HermitianMatrix:
 
     @classmethod
     def from_generator(cls, b_rows):
-        """B * B^H for a rectangular exact matrix B; always PSD."""
-        b = [[_entry(x) for x in row] for row in b_rows]
-        n = len(b)
-        bh = [[b[i][j].conjugate() for i in range(n)] for j in range(len(b[0]) if b else 0)]
-        return cls(mat_mul(b, bh)) if b and b[0] else cls.zero(n)
+        """B * B^H for a rectangular exact matrix B, as (L B)(L B)^H over L^2; always PSD."""
+        re, im, den = _gaussian_integer_rows(b_rows)
+        if len(set(map(len, re))) > 1:
+            raise ValueError("generator rows must have equal length")
+        rows = list(zip(re, im))
+        # entry (j, k) sums (a + i b)(c - i d) = ac + bd + i(bc - ad) along rows j and k
+        return cls._from_integer_rows(
+            [[sum(map(mul, ar, cr)) + sum(map(mul, ai, ci)) for cr, ci in rows] for ar, ai in rows],
+            [[sum(map(mul, ai, cr)) - sum(map(mul, ar, ci)) for cr, ci in rows] for ar, ai in rows],
+            den * den)
 
     def __add__(self, other):
         if not isinstance(other, HermitianMatrix):
             return NotImplemented
         if other.n != self.n:
             raise ValueError("dimension mismatch")
-        return HermitianMatrix(
-            [[self.rows[i][j] + other.rows[i][j] for j in range(self.n)] for i in range(self.n)]
-        )
+        den, (a, b) = _lift((self, other))
+        return HermitianMatrix._from_integer_rows(*_add(a, b), den)
 
     def scale(self, c):
         """Multiply by a real rational scalar (keeps Hermitian-ness)."""
         c = as_rat(c)
-        return HermitianMatrix([[x * GR(c) for x in row] for row in self.rows])
+        (re, im, den), k = self._cleared, c.numerator
+        return HermitianMatrix._from_integer_rows(
+            [[k * x for x in row] for row in re], [[k * y for y in row] for row in im],
+            den * c.denominator)
 
     def __eq__(self, other):
-        return isinstance(other, HermitianMatrix) and self.rows == other.rows
+        return isinstance(other, HermitianMatrix) and self._cleared == other._cleared
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self._cleared)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.n}x{self.n})"
 
     def entry(self, j, k):
         return self.rows[j][k]
-
-    def _integer_rows(self):
-        """(re, im, L) of L * rows as tuples of int tuples, cleared once, at construction.
-
-        The rows are shared by every caller; eliminate a list copy of them.
-        """
-        return self._cleared
 
     def _row_copies(self):
         """List copies of the cleared (re, im) rows, for an elimination, and L."""
@@ -572,9 +584,16 @@ class HermitianMatrix:
         return _exact_det(*self._row_copies())
 
 
+def _add(a, b):
+    """The (re, im) rows of A + B from those of A and B."""
+    (ar, ai), (br, bi) = a, b
+    return (tuple(tuple(map(add, x, y)) for x, y in zip(ar, br)),
+            tuple(tuple(map(add, x, y)) for x, y in zip(ai, bi)))
+
+
 def _lift(mats):
     """(L, [(re, im), ...]): the matrices' cached Z[i] rows over their lcm denominator L; read only."""
-    cleared = [a._integer_rows() for a in mats]
+    cleared = [a._cleared for a in mats]
     den = lcm(*(d for _, _, d in cleared))
     lifted = []
     for re, im, d in cleared:
@@ -627,7 +646,7 @@ class HermitianFormOnSpace(HermitianMatrix):
         """Gram matrix of the form restricted to span(basis): conj(B) G B^T."""
         if mat_rank(basis) != len(basis):
             raise ValueError("basis vectors are linearly dependent")
-        conj = [[_entry(x).conjugate() for x in v] for v in basis]
+        conj = [[GaussianRational(re, -im) for re, im in map(_parts, v)] for v in basis]
         return mat_mul(mat_mul(conj, self.rows), [list(col) for col in zip(*basis)])
 
     def is_positive_definite_on(self, basis) -> bool:

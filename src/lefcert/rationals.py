@@ -8,23 +8,28 @@ rejected outright: nothing in this library is approximate.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 Rat = Fraction
 
 __all__ = ["Rat", "as_rat", "GaussianRational", "GR", "ZERO", "ONE", "I", "cpq_constant"]
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 def as_rat(x):
     """Coerce x to a Fraction.
 
-    Accepts ints, Fractions and "p/q" strings.  Floats are rejected rather
-    than rationalized.  A Fraction is returned as is.
+    Accepts ints, Fractions and integer or "p/q" strings (any other string is
+    a ValueError); floats are rejected rather than rationalized.  A Fraction is returned as is.
     """
     if type(x) is Fraction:
         return x
     if isinstance(x, float):
         raise TypeError(f"floating-point value {x!r} rejected; use int, Fraction or 'p/q'")
+    if isinstance(x, str) and not _RATIONAL.fullmatch(x):
+        raise ValueError(f"rational {x!r} is not an integer or a 'p/q' string")
     return Fraction(x)
 
 

@@ -9,8 +9,6 @@ Rationals travel as "p/q" strings with q > 0, complex values as
 from __future__ import annotations
 
 import json
-import re
-from fractions import Fraction
 
 from .certify import Certificate
 from .exterior import PQForm
@@ -32,8 +30,6 @@ __all__ = [
     "certificate_to_json",
 ]
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
 
 def rat_to_str(x) -> str:
     x = as_rat(x)
@@ -41,17 +37,15 @@ def rat_to_str(x) -> str:
 
 
 def rat_from_str(s):
-    """An int, or an integer or "p/q" string matched in linear time, as a Fraction."""
+    """A JSON int, or an integer or "p/q" string in `as_rat`'s grammar, as a Fraction."""
     if isinstance(s, float):
         raise TypeError("floating-point input rejected")
     if isinstance(s, bool):
         raise TypeError(f"boolean {s!r} is not a rational")
-    if isinstance(s, int):
-        return as_rat(s)
-    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+    if not isinstance(s, (int, str)):
         raise ValueError(f"rational {s!r} is not an integer or a 'p/q' string")
     try:
-        return Fraction(s)
+        return as_rat(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
 

@@ -24,9 +24,8 @@ from lefcert.certify import (
     products_preserve_hl,
 )
 import lefcert.discriminant as discriminant_mod
-from lefcert.discriminant import panov_positivity
+from lefcert.discriminant import panov_positivity, subset_sums
 from lefcert.discriminant import mixed_discriminant
-import lefcert.exterior as exterior_mod
 import lefcert.linalg as linalg_mod
 from lefcert.exterior import (
     PQForm,
@@ -208,10 +207,10 @@ def test_direct_builds_omega_once_on_a_failing_instance(monkeypatch):
     def forbidden(*args):
         raise AssertionError("direct_hl built Omega over Q(i)")
 
+    a = D([1, 1, 0])
     monkeypatch.setattr(certify_mod, "_matrix_wedge", counted)
     monkeypatch.setattr(HLInstance, "omega", forbidden)
-    monkeypatch.setattr(exterior_mod, "form_from_matrix", forbidden)
-    a = D([1, 1, 0])
+    monkeypatch.setattr(GaussianRational, "__init__", forbidden)
     cert = direct_hl(HLInstance(3, 1, 0, (a, a)))
     assert not cert.holds and cert.kernel_witness is not None
     assert len(calls) == 1
@@ -687,7 +686,7 @@ def _recording(monkeypatch):
 
 
 def _cleared(mat):
-    re, im, _ = mat._integer_rows()
+    re, im, _ = mat._cleared
     return re, im
 
 
@@ -746,6 +745,37 @@ def test_determinant_route_never_reads_the_rank_code(monkeypatch):
     monkeypatch.setattr(certify_mod, "_rank", forbidden)
     monkeypatch.setattr(HermitianMatrix, "rank", forbidden)
     assert routes() == expected
+
+
+def _counted_scalars(monkeypatch):
+    """A one-element list that counts every GaussianRational built from now on."""
+    count = [0]
+    init = GaussianRational.__init__
+
+    def counting(self, *args):
+        count[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(GaussianRational, "__init__", counting)
+    return count
+
+
+def test_hr_verdict_and_subset_walk_build_no_qi_scalars(monkeypatch):
+    cases = []
+    for seed in range(4):
+        forms = tuple(a + HermitianMatrix.identity(4) for a in random_psd_family(seed, 4, 2))
+        eta = HermitianMatrix.identity(4)
+        cases.append((HLInstance(4, 1, 1, forms, eta=eta), forms + (eta,)))
+    count = _counted_scalars(monkeypatch)
+    cpq_constant(1, 1)
+    allowed, count[0] = count[0], 0
+    for inst, mats in cases:
+        cert, space = hr_certify(inst)
+        assert cert.holds and len(space.basis) == 15
+        # the bidegree constant c_{1,1} is the only Q(i) scalar on the verdict
+        assert count[0] <= allowed
+        count[0] = 0
+        assert len(list(subset_sums(mats))) == 7 and count[0] == 0
 
 
 def test_route_paths_build_no_qi_scalars(monkeypatch):

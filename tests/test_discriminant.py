@@ -161,7 +161,7 @@ def test_mixed_denominator_families_exercise_the_lift():
     lifted = complex_entries = positive = 0
     for seed, n in FAMILIES:
         mats = _mixed_denominator_family(seed, n, n)
-        lifted += len({a._integer_rows()[2] for a in mats}) > 1
+        lifted += len({a._cleared[2] for a in mats}) > 1
         complex_entries += any(x.im for a in mats for row in a.rows for x in row)
         positive += mixed_discriminant(mats) > 0
     assert min(lifted, complex_entries) >= len(FAMILIES) * 3 // 4
@@ -215,16 +215,21 @@ def test_cached_clearing_survives_every_consumer(seed, n):
     _exercise_shared(mats)
     for a in mats:
         re, im, den = _gaussian_integer_rows(a.rows)
-        assert a._integer_rows() == (tuple(map(tuple, re)), tuple(map(tuple, im)), den)
+        assert a._cleared == (tuple(map(tuple, re)), tuple(map(tuple, im)), den)
 
 
 def test_each_matrix_is_cleared_once(monkeypatch):
     built, cleared = [], []
     init, clear = HermitianMatrix.__init__, linalg_mod._gaussian_integer_rows
+    generate = HermitianMatrix.from_generator.__func__
 
     def counting_init(self, entries):
+        built.append(entries)
         init(self, entries)
-        built.append(self.rows)
+
+    def counting_generator(cls, b_rows):
+        built.append(b_rows)
+        return generate(cls, b_rows)
 
     def counting(rows):
         cleared.append(rows)
@@ -234,12 +239,15 @@ def test_each_matrix_is_cleared_once(monkeypatch):
         raise AssertionError("the subset lattice left the integer walk")
 
     monkeypatch.setattr(HermitianMatrix, "__init__", counting_init)
+    monkeypatch.setattr(HermitianMatrix, "from_generator", classmethod(counting_generator))
     monkeypatch.setattr(linalg_mod, "_gaussian_integer_rows", counting)
     mats = _mixed_denominator_family(77, 4, 4) + [Id(4)] * 2
-    # one clearing per construction, of the matrix's own rows, and no other
+    # one clearing per construction, of the constructor's own argument, and no other
     assert len(cleared) == len(built) >= 5
     assert all(rows is own for rows, own in zip(cleared, built))
-    assert all(any(a.rows is own for own in built) for a in mats)
+    for a in mats:
+        re, im, den = clear(a.rows)
+        assert a._cleared == (tuple(map(tuple, re)), tuple(map(tuple, im)), den)
     del built[:], cleared[:]
     for name in ("mat_det", "mat_rank", "hermitian_signature"):
         monkeypatch.setattr(linalg_mod, name, forbidden)

@@ -132,6 +132,7 @@ def test_detector_lists_every_caller():
 # path reads the Z[i] rows a HermitianMatrix cleared at construction
 CLEARING_ENTRY_POINTS = {
     "linalg.HermitianMatrix.__init__",
+    "linalg.HermitianMatrix.from_generator",
     "linalg.mat_rank",
     "linalg.mat_det",
     "linalg.kernel_basis",

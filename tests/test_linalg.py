@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, islice
+from math import gcd
 
 import pytest
 
@@ -418,6 +419,66 @@ def test_matrix_from_integer_rows_matches_the_cleared_constructor():
     # refusals and matrices, with and without content, over mixed denominators
     assert seen >= {(False, True, True), (True, True, True), (False, False, True),
                     (True, False, True), (False, True, False)}
+
+
+def _q_view(mat):
+    """The GaussianRational rows of a matrix, read from its cleared ints by Fraction(x, den)."""
+    re, im, den = mat._cleared
+    return tuple(tuple(GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in zip(xs, ys))
+                 for xs, ys in zip(re, im))
+
+
+def _random_generator(rng, n, r):
+    """A seeded n x r matrix over denominators 1, 2, 3 and 6, with a zero column now and then."""
+    dens = (1, 2, 3, 6)
+
+    def part():
+        return Fraction(rng.integer(-3, 3), dens[rng.integer(0, 3)])
+
+    zero = rng.integer(-1, r - 1) if r else -1
+    return [[ZERO if t == zero else GaussianRational(part(), part()) for t in range(r)]
+            for _ in range(n)]
+
+
+def test_matrix_values_are_equal_exactly_when_their_cleared_rows_are():
+    rng = SplitMix64(0xA11CE)
+    shapes = [(0, 0), (1, 0), (3, 0)] + [(rng.integer(1, 4), rng.integer(1, 4)) for _ in range(60)]
+    for n, r in shapes:
+        b = _random_generator(rng, n, r)
+        # B B^H multiplied out in Q(i), as the oracle
+        bh = [[x.conjugate() for x in col] for col in zip(*b)]
+        expected = HermitianMatrix(mat_mul(b, bh)) if b and b[0] else HermitianMatrix.zero(n)
+        other = HermitianMatrix([[GR(rng.integer(-2, 2)) if j == k else ZERO for k in range(n)]
+                                 for j in range(n)])
+        rest = HermitianMatrix([[x - y for x, y in zip(xs, ys)]
+                                for xs, ys in zip(expected.rows, other.rows)])
+        re, im, den = expected._cleared
+        assert den > 0 and gcd(den, *(x for xs in re + im for x in xs)) == 1
+        built = [HermitianMatrix.from_generator(b), HermitianMatrix(expected.rows),
+                 HermitianFormOnSpace(expected.rows), other + rest, rest + other]
+        for k in range(1, 6):
+            built.append(HermitianMatrix._from_integer_rows(
+                [[k * x for x in xs] for xs in re], [[k * y for y in ys] for ys in im], k * den))
+        for m in built:
+            assert m == expected and hash(m) == hash(expected) and m._cleared == expected._cleared
+            assert m.rows == _q_view(m) == expected.rows and m.n == n
+        if expected.rank():
+            assert expected.scale(2) != expected
+    for ragged in ([[1], [1, 5]], [[1, 5], [1]]):
+        with pytest.raises(ValueError, match="generator rows must have equal length"):
+            HermitianMatrix.from_generator(ragged)
+
+
+def test_matrix_rows_are_a_read_only_view():
+    rows = gr_rows([[2, GR(Fraction(1, 2), 1)], [GR(Fraction(1, 2), -1), Fraction(1, 3)]])
+    form = HermitianFormOnSpace(rows)
+    assert form._cleared == (((12, 3), (3, 2)), ((0, 6), (-6, 0)), 6)
+    assert form.rows == tuple(map(tuple, rows)) == _q_view(form)
+    assert form.gram is form.rows and form.rows is form.rows
+    for name in ("rows", "gram", "_cleared"):
+        with pytest.raises(AttributeError):
+            setattr(form, name, form._cleared)
+    assert HermitianMatrix(rows)._rows is None  # nothing is built until it is read
 
 
 def test_hermitian_form_on_space_is_a_hermitian_matrix():

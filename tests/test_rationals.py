@@ -33,6 +33,30 @@ def test_as_rat_returns_rational_values_unchanged():
         as_rat(0.75)
 
 
+NON_RATIONAL_STRINGS = ("1.5", " 1_0 ", "1e3", "1e10000000")
+
+
+def test_strings_outside_the_rational_grammar_are_refused_at_once():
+    from time import perf_counter
+
+    from lefcert.exterior import PQForm
+    from lefcert.linalg import HermitianMatrix
+
+    builders = (as_rat, GaussianRational, lambda s: GaussianRational(0, s),
+                lambda s: HermitianMatrix([[s]]), lambda s: PQForm(1, 0, 0, {((), ()): s}))
+    start = perf_counter()
+    for s in NON_RATIONAL_STRINGS:
+        for build in builders:
+            with pytest.raises(ValueError, match="is not an integer or a 'p/q' string"):
+                build(s)
+    assert perf_counter() - start < 0.5
+    for s, value in (("2/4", Fraction(1, 2)), ("-5/6", Fraction(-5, 6)), ("7", Fraction(7))):
+        assert as_rat(s) == value
+        assert GaussianRational(s, s) == GaussianRational(value, value)
+        assert HermitianMatrix([[s]]).entry(0, 0) == value
+        assert PQForm(1, 0, 0, {((), ()): s}).coefficient((), ()) == value
+
+
 def test_basic_arithmetic():
     assert I * I == GR(-1)
     assert (GR(1, 2) * GR(3, -1)) == GR(5, 5)
