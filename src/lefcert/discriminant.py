@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
+from operator import add
 
 from .exterior import _matrix_wedge, volume_scalar
-from .linalg import (HermitianMatrix, InternalCheckError, _add, _copy_rows, _eliminate, _lift,
-                     _rank)
+from .linalg import HermitianMatrix, InternalCheckError, _copy_rows, _eliminate, _lift, _rank
 from .rationals import GR, Rat
 
 __all__ = [
@@ -49,6 +49,13 @@ def _check_tuple(mats):
     if len(mats) != n:
         raise ValueError(f"need exactly n={n} matrices, got {len(mats)}")
     return mats, n
+
+
+def _add(a, b):
+    """The (re, im) rows of A + B from those of A and B."""
+    (ar, ai), (br, bi) = a, b
+    return (tuple(tuple(map(add, x, y)) for x, y in zip(ar, br)),
+            tuple(tuple(map(add, x, y)) for x, y in zip(ai, bi)))
 
 
 def _walk(lifted):

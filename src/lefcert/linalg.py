@@ -32,9 +32,10 @@ matrix; only when p divided a minor does the whole matrix follow.
 
 A HermitianMatrix holds only its reduced Z[i] rows, cleared once from
 outside input, where the Hermitian check reads them; one built from rows
-the library holds (a Gram, a subset sum, B B^H, a sum, a scaling) is not
-cleared.  The methods, the pencils, `discriminant`'s subset lattice and
-`exterior`'s wedges read those rows; `rows` is a Q(i) view built on first read.
+the library holds (a Gram, a subset sum, B B^H) is not cleared.  The
+methods, the pencils, `discriminant`'s subset lattice and `exterior`'s
+wedges read those rows.  `rows` is a Q(i) view built on first read, and
+`+` and `scale` work on it, as the oracle of the integer subset walk.
 
 No eigenvalue is ever computed.
 """
@@ -44,9 +45,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from operator import add, mul
+from operator import mul
 
-from .rationals import ZERO, GaussianRational, as_rat
+from .rationals import GR, ZERO, GaussianRational, as_rat
 
 __all__ = [
     "HermitianMatrix",
@@ -474,9 +475,10 @@ class HermitianMatrix:
         failure = _hermitian_failure(re, im)
         if failure:
             raise ValueError("not Hermitian at ({},{})".format(*failure))
-        cleared = (tuple(map(tuple, re)), tuple(map(tuple, im)), den)
-        for name, value in zip(HermitianMatrix.__slots__, (len(re), cleared) + (None,) * 4):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "n", len(re))
+        object.__setattr__(self, "_cleared", (tuple(map(tuple, re)), tuple(map(tuple, im)), den))
+        for name in ("_rows", "_rank", "_psd", "_charpoly"):
+            object.__setattr__(self, name, None)
         return self
 
     def __setattr__(self, name, value):
@@ -524,16 +526,14 @@ class HermitianMatrix:
             return NotImplemented
         if other.n != self.n:
             raise ValueError("dimension mismatch")
-        den, (a, b) = _lift((self, other))
-        return HermitianMatrix._from_integer_rows(*_add(a, b), den)
+        return HermitianMatrix(
+            [[self.rows[i][j] + other.rows[i][j] for j in range(self.n)] for i in range(self.n)]
+        )
 
     def scale(self, c):
         """Multiply by a real rational scalar (keeps Hermitian-ness)."""
         c = as_rat(c)
-        (re, im, den), k = self._cleared, c.numerator
-        return HermitianMatrix._from_integer_rows(
-            [[k * x for x in row] for row in re], [[k * y for y in row] for row in im],
-            den * c.denominator)
+        return HermitianMatrix([[x * GR(c) for x in row] for row in self.rows])
 
     def __eq__(self, other):
         return isinstance(other, HermitianMatrix) and self._cleared == other._cleared
@@ -584,13 +584,6 @@ class HermitianMatrix:
         return _exact_det(*self._row_copies())
 
 
-def _add(a, b):
-    """The (re, im) rows of A + B from those of A and B."""
-    (ar, ai), (br, bi) = a, b
-    return (tuple(tuple(map(add, x, y)) for x, y in zip(ar, br)),
-            tuple(tuple(map(add, x, y)) for x, y in zip(ai, bi)))
-
-
 def _lift(mats):
     """(L, [(re, im), ...]): the matrices' cached Z[i] rows over their lcm denominator L; read only."""
     cleared = [a._cleared for a in mats]
@@ -637,7 +630,7 @@ class HermitianFormOnSpace(HermitianMatrix):
     """A Hermitian form on C^dim given by its Gram matrix in a fixed basis."""
 
     __slots__ = ()
-    dim, gram = HermitianMatrix.n, HermitianMatrix.rows  # the matrix's own slots
+    dim, gram = HermitianMatrix.n, HermitianMatrix.rows  # aliases of n and the rows view
 
     def signature(self):
         return _inertia(*self._row_copies()[:2])
