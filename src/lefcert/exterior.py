@@ -13,16 +13,25 @@ A PQForm holds Gaussian-integer terms {(I, J): (re, im)} over one positive
 denominator, reduced, so equal forms hold equal terms.  Its constructor is
 the one place that clears Q(i) coefficients; coeffs is a read-only Q(i)
 view built on first read.  Sums, scalings, conjugates and wedges run on
-the terms in Python ints: a wedge is one fold (_fold) whose pair loop
-multiplies and adds ints, reduced by one gcd at the end.
+the terms in Python ints.
+
+Which basis indices of two bidegrees meet, where each pair lands and with
+which sign depend only on n and the bidegrees, never on the forms.  They
+are read from one cached table of rows per pair of bidegrees (_rows): the
+row of a left index lists the disjoint right positions, each with the
+position of the merged index and the sign, and is built on first read
+from the combinations of that index's complement, with _merge_sign as the
+one sign rule.  A wedge is one fold (_fold) over these rows whose pair
+loop (_wedge_rows) multiplies and adds ints, reduced by one gcd at the
+end; the check that omega annihilates a vector (_annihilates) runs the
+same loop.
 
 The library's Omega = (i A_1) ^ ... ^ (i A_k) never visits Q(i): the same
 fold reads each factor as the (1,1)-form i A (form_from_matrix) from the
 Z[i] rows its HermitianMatrix holds.  The operator matrix of
-Phi -> omega ^ Phi is filled by index arithmetic in one place
-(_operator_columns), each entry +c or -c for a term c of omega.  Its
-Gaussian-integer form feeds the determinant and kernel routes, and, with
-the signed complementary pairing
+Phi -> omega ^ Phi is read from the same rows (_operator_columns), each
+entry +c or -c for a term c of omega.  Its Gaussian-integer form feeds the
+determinant and kernel routes, and, with the signed complementary pairing
 Lambda^{n-q,n-p} x Lambda^{q,p} -> Lambda^{n,n}, the Gram matrix of
 (Phi, Psi) -> vol(omega ^ Phi ^ conj(Psi)) as one product (M B)^T S conj(B).
 """
@@ -31,11 +40,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from types import MappingProxyType
 
 from .linalg import HermitianMatrix, InternalCheckError, _gaussian_integer_rows
-from .rationals import GR, ONE, ZERO, GaussianRational, Rat
+from .rationals import GR, ONE, ZERO, GaussianRational, Rat, as_rat
 
 __all__ = [
     "PQForm",
@@ -63,9 +72,9 @@ def _check_multi_index(idx, n):
     return t
 
 
-# Wedges and operator matrices merge the same few index pairs again and
-# again.  The pairs grow as 4^n, so the memo is bounded: 4096 holds every
-# pair of subsets of {1..6}.
+# Row builds and the complementary pairing merge the same index pairs for
+# many bidegrees.  The pairs grow as 4^n, so the memo is bounded: 4096 holds
+# every pair of subsets of {1..6}.
 @lru_cache(maxsize=4096)
 def _merge_sign(a, b):
     """Merge two disjoint increasing tuples; (sign, merged) or (0, None) on overlap."""
@@ -125,7 +134,7 @@ class PQForm:
             j = _check_multi_index(j, n)
             if len(i) != p or len(j) != q:
                 raise ValueError(f"index pair {(i, j)} has wrong degree for ({p},{q})")
-            clean[(i, j)] = c if isinstance(c, GaussianRational) else GR(c)
+            clean[(i, j)] = c if isinstance(c, GaussianRational) else as_rat(c)
         # the lcm of reduced denominators shares no factor with every part
         (re,), (im,), den = _gaussian_integer_rows([list(clean.values())])
         self._set(n, p, q, {k: (a, b) for k, a, b in zip(clean, re, im) if a or b}, den)
@@ -248,34 +257,95 @@ def form_from_matrix(a: HermitianMatrix) -> PQForm:
         for k, (x, y) in enumerate(zip(xs, ys)) if x or y}, den)
 
 
-def _wedge_terms(a, b, negate):
-    """a ^ b over Z[i] for integer term dicts {(I, J): (re, im)}.
+@lru_cache(maxsize=None)
+def _index_positions(n, k):
+    """(tuples, {tuple: position}): the increasing k-tuples of 1..n, ordered lexicographically."""
+    tuples = tuple(combinations(range(1, n + 1), k))
+    return tuples, {i: a for a, i in enumerate(tuples)}
 
-    `negate` is the block sign of moving a's barred factors past b's
-    unbarred ones.  The pair loop multiplies and adds Python ints only.
-    Zero sums are dropped.
+
+class _Rows(dict):
+    """{(I, J): row} for the wedge Lambda^{p1,q1} x Lambda^{p2,q2} on C^n; rows built on first read.
+
+    The row of a left index (I, J) maps the position s of each right index
+    (I2, J2) disjoint from it, in the basis of Lambda^{p2,q2} and in that
+    order, to the position t of the merged (I + I2, J + J2) in the basis
+    of Lambda^{p1+p2,q1+q2}, stored as t for the sign +1 and as ~t = -1 - t
+    for -1.  The sign is the two merge signs times (-1)^(p2 q1), for moving
+    dzbar_J past dz_{I2}.  A row is built from the combinations of the
+    complements of I and J only.
     """
-    block = -1 if negate else 1
+
+    __slots__ = ("n", "p2", "q2", "block", "right", "target")
+
+    def __init__(self, n, p1, q1, p2, q2):
+        super().__init__()
+        self.n, self.p2, self.q2 = n, p2, q2
+        self.block = -1 if (p2 * q1) % 2 else 1
+        # (index tuples and positions of I, of J, number of J) of each basis
+        self.right = _index_positions(n, p2), _index_positions(n, q2), comb(n, q2)
+        self.target = (_index_positions(n, p1 + p2), _index_positions(n, q1 + q2),
+                       comb(n, q1 + q2))
+
+    def _merges(self, a, k):
+        """(b, sign, merged) for each increasing k-tuple b of 1..n disjoint from a, in order."""
+        rest = [x for x in range(1, self.n + 1) if x not in a]
+        return [(b, *_merge_sign(a, b)) for b in combinations(rest, k)]
+
+    def __missing__(self, key):
+        i, j = key
+        (_, pi), (_, pj), width = self.right
+        (_, ti), (_, tj), twidth = self.target
+        js = [(pj[j2], tj[mj], sj * self.block) for j2, sj, mj in self._merges(j, self.q2)]
+        row = self[key] = {}
+        for i2, si, mi in self._merges(i, self.p2):
+            s, t = pi[i2] * width, ti[mi] * twidth
+            for s2, t2, sign in js:
+                row[s + s2] = t + t2 if si * sign > 0 else ~(t + t2)
+        return row
+
+
+# One table per (n, left bidegree, right bidegree), each with at most one row
+# per left index; the bound caps how many tables stay cached.
+@lru_cache(maxsize=1024)
+def _rows(n, p1, q1, p2, q2):
+    return _Rows(n, p1, q1, p2, q2)
+
+
+def _wedge_rows(rows, a, b):
+    """a ^ b over Z[i]: a {(I, J): (re, im)} on the left of rows, b [(s, re, im)] on its right.
+
+    Pairs are visited in the order of a and then of b, and each merged
+    index is placed where it is first reached; the loop multiplies and
+    adds Python ints only.  Zero sums are dropped.
+    """
     out = {}
-    for (i1, j1), (r1, m1) in a.items():
-        for (i2, j2), (r2, m2) in b.items():
-            si, mi = _merge_sign(i1, i2)
-            if not si:
-                continue
-            sj, mj = _merge_sign(j1, j2)
-            if not sj:
+    for key, (r1, m1) in a.items():
+        row = rows[key]
+        for s, r2, m2 in b:
+            t = row.get(s)
+            if t is None:
                 continue
             re = r1 * r2 - m1 * m2
             im = r1 * m2 + m1 * r2
-            if si * sj * block < 0:
-                re, im = -re, -im
-            acc = out.get((mi, mj))
+            if t < 0:
+                t, re, im = ~t, -re, -im
+            acc = out.get(t)
             if acc is None:
-                out[mi, mj] = [re, im]
+                out[t] = [re, im]
             else:
                 acc[0] += re
                 acc[1] += im
-    return {k: (re, im) for k, (re, im) in out.items() if re or im}
+    (ti, _), (tj, _), width = rows.target
+    return {(ti[t // width], tj[t % width]): (re, im) for t, (re, im) in out.items() if re or im}
+
+
+def _wedge_terms(n, a, p1, q1, b, p2, q2):
+    """a ^ b over Z[i] for term dicts a of Lambda^{p1,q1} and b of Lambda^{p2,q2} on C^n."""
+    rows = _rows(n, p1, q1, p2, q2)
+    (_, pi), (_, pj), width = rows.right
+    return _wedge_rows(rows, a, [(pi[i] * width + pj[j], re, im)
+                                 for (i, j), (re, im) in b.items()])
 
 
 def wedge(phi: PQForm, psi: PQForm) -> PQForm:
@@ -305,16 +375,15 @@ def _fold(n, factors, omega=None):
     for f in factors:
         if f.n != n:
             raise ValueError("forms live on different ambient spaces")
-        # moving dzbar_J (q factors) past dz_I' (f.p factors)
-        negate = (f.p * q) % 2
-        p, q = p + f.p, q + f.q
-        if p > n or q > n:
-            p, q, terms = min(p, n), min(q, n), {}
-        elif terms is None:
+        if p + f.p > n or q + f.q > n:
+            p, q, terms = min(p + f.p, n), min(q + f.q, n), {}
+            continue
+        if terms is None:
             terms, den = f.terms, f.den
         elif terms:
-            terms = _wedge_terms(terms, f.terms, negate)
+            terms = _wedge_terms(n, terms, p, q, f.terms, f.p, f.q)
             den *= f.den
+        p, q = p + f.p, q + f.q
     if terms is None:
         return PQForm._from_terms(n, 0, 0, {((), ()): (1, 0)}, 1)
     return PQForm._from_terms(n, p, q, *_reduce(terms, den))
@@ -331,9 +400,8 @@ def _annihilates(omega, p, q, vector):
     vector is phi's coefficient vector, or any nonzero multiple of it, as
     an (re, im) pair of int lists; entries past its end are zero.
     """
-    phi = {k: (a, b) for k, a, b in zip(basis_indices(omega.n, p, q), *vector) if a or b}
-    # moving omega's barred factors past dz_I (p factors)
-    return not _wedge_terms(omega.terms, phi, (p * omega.q) % 2)
+    phi = [(s, a, b) for s, (a, b) in enumerate(zip(*vector)) if a or b]
+    return not _wedge_rows(_rows(omega.n, omega.p, omega.q, p, q), omega.terms, phi)
 
 
 def _matrix_vector(a):
@@ -391,37 +459,26 @@ def is_real_form(phi: PQForm) -> bool:
 
 
 def _operator_columns(omega, p: int, q: int):
-    """Sparse columns of L times Phi -> omega ^ Phi from Lambda^{p,q}, by index arithmetic.
+    """Sparse columns of L times Phi -> omega ^ Phi from Lambda^{p,q}, read from the wedge rows.
 
     omega is a PQForm over the denominator L.  Returns (nrows,
-    columns): columns[col] lists (row, re, im) for each term (re, im) of
-    omega whose indices (I', J') are disjoint from the source index (I, J);
-    it lands at the row of the merged (I' + I, J' + J) with the merge
-    sign.  No coefficient is multiplied.  If the target degree overflows n
-    the map is zero and nrows is 0.
+    columns): columns[col] lists (row, re, im), in the order of omega's
+    terms, for each term (re, im) of omega whose indices (I', J') are
+    disjoint from the source index (I, J); it lands at the row of the
+    merged (I' + I, J' + J) with the merge sign.  No coefficient is
+    multiplied.  If the target degree overflows n the map is zero and
+    nrows is 0.
     """
     n = omega.n
-    src = basis_indices(n, p, q)
+    columns = [[] for _ in range(comb(n, p) * comb(n, q))]
     tp, tq = p + omega.p, q + omega.q
     if tp > n or tq > n:
-        return 0, [[] for _ in src]
-    tgt_pos = _positions(n, tp, tq)
-    # moving dzbar_{J'} (omega.q factors) past dz_I (p factors)
-    block = -1 if (p * omega.q) % 2 else 1
-    terms = list(omega.terms.items())
-    columns = []
-    for i, j in src:
-        col = []
-        for (i1, j1), (re, im) in terms:
-            si, mi = _merge_sign(i1, i)
-            if not si:
-                continue
-            sj, mj = _merge_sign(j1, j)
-            if sj:
-                sign = si * sj * block
-                col.append((tgt_pos[mi, mj], sign * re, sign * im))
-        columns.append(col)
-    return len(tgt_pos), columns
+        return 0, columns
+    rows = _rows(n, omega.p, omega.q, p, q)
+    for key, (re, im) in omega.terms.items():
+        for col, t in rows[key].items():
+            columns[col].append((t, re, im) if t >= 0 else (~t, -re, -im))
+    return comb(n, tp) * comb(n, tq), columns
 
 
 def _integer_operator_matrix(omega, p: int, q: int):
@@ -434,12 +491,6 @@ def _integer_operator_matrix(omega, p: int, q: int):
             re[row][col] = a
             im[row][col] = b
     return re, im, omega.den
-
-
-@lru_cache(maxsize=None)
-def _positions(n, p, q):
-    """{(I, J): position} in the ordered basis of Lambda^{p,q}."""
-    return {k: a for a, k in enumerate(basis_indices(n, p, q))}
 
 
 @lru_cache(maxsize=None)
@@ -456,7 +507,7 @@ def _complementary_pairing(n, p, q):
     _volume_unit(n).
     """
     full = range(1, n + 1)
-    src = _positions(n, p, q)
+    (_, pi), (_, pj), width = _index_positions(n, p), _index_positions(n, q), comb(n, q)
     block = -1 if ((n - p) * q + p * q) % 2 else 1
     partners = []
     for i, j in basis_indices(n, n - q, n - p):
@@ -464,7 +515,7 @@ def _complementary_pairing(n, p, q):
         jc = tuple(k for k in full if k not in j)
         si, _ = _merge_sign(i, ic)
         sj, _ = _merge_sign(j, jc)
-        partners.append((src[jc, ic], si * sj * block))
+        partners.append((pi[jc] * width + pj[ic], si * sj * block))
     return tuple(partners), _volume_unit(n)
 
 

@@ -626,6 +626,135 @@ def test_merge_memo_is_bounded():
     assert exterior._merge_sign.cache_info().maxsize is not None
 
 
+# ---- the cached wedge rows against the per-pair oracles ----
+
+def oracle_first_reached(phi, psi):
+    """The merged indices of phi ^ psi in the order the pairs (phi's terms, then psi's) reach them."""
+    reached = {}
+    for i1, j1 in phi.terms:
+        for i2, j2 in psi.terms:
+            si, mi = oracle_merge(i1, i2)
+            sj, mj = oracle_merge(j1, j2)
+            if si and sj:
+                reached.setdefault((mi, mj), None)
+    return list(reached)
+
+
+def oracle_operator_columns(omega, p, q):
+    """The per-pair column loop: each source index against each term of omega, in omega's order."""
+    n = omega.n
+    src = basis_indices(n, p, q)
+    tp, tq = p + omega.p, q + omega.q
+    if tp > n or tq > n:
+        return 0, [[] for _ in src]
+    tgt_pos = {k: a for a, k in enumerate(basis_indices(n, tp, tq))}
+    # moving dzbar_{J'} (omega.q factors) past dz_I (p factors)
+    block = -1 if (p * omega.q) % 2 else 1
+    columns = []
+    for i, j in src:
+        col = []
+        for (i1, j1), (re, im) in omega.terms.items():
+            si, mi = oracle_merge(i1, i)
+            if not si:
+                continue
+            sj, mj = oracle_merge(j1, j)
+            if sj:
+                sign = si * sj * block
+                col.append((tgt_pos[mi, mj], sign * re, sign * im))
+        columns.append(col)
+    return len(tgt_pos), columns
+
+
+def test_row_wedges_match_the_qi_oracle_on_every_pair_of_bidegrees():
+    rng = SplitMix64(0x50A4)
+    kinds = set()
+    for n in range(1, 6):
+        for p1, q1 in bidegrees(n):
+            for p2, q2 in bidegrees(n):
+                density = 3 if n < 4 else 1
+                f = random_rational_form(rng, n, p1, q1, density * rng.integer(0, 1))
+                g = random_rational_form(rng, n, p2, q2, density)
+                # right terms out of basis order, and a sum that cancels part of g
+                g = PQForm(n, p2, q2, dict(reversed(list(g.coeffs.items()))))
+                h = g - PQForm(n, p2, q2, {k: c for k, c in g.coeffs.items() if rng.integer(0, 1)})
+                # f ^ f vanishes term by term when f has odd degree, so f ^ (f + g) = f ^ g
+                for right in (g, h, f) + ((f + g,) if (p1, q1) == (p2, q2) else ()):
+                    got = wedge(f, right)
+                    assert got == oracle_wedge(f, right)
+                    assert (got.p, got.q) == (min(f.p + right.p, n), min(f.q + right.q, n))
+                    reached = oracle_first_reached(f, right)
+                    assert list(got.terms) == [k for k in reached if k in got.terms]
+                    overflow = f.p + right.p > n or f.q + right.q > n
+                    kinds.add((overflow, f.is_zero() or right.is_zero(),
+                               not overflow and len(got.terms) < len(reached), got.is_zero()))
+                e = random_rational_form(rng, n, *bidegrees(n)[rng.integer(0, (n + 1) ** 2 - 1)])
+                assert wedge_many([f, h, e]) == oracle_wedge_many([f, h, e])
+    # overflowing degrees, zero factors, sums that cancel wholly or in part, and none
+    assert {(True, False, False, True), (False, True, False, True), (False, False, True, True),
+            (False, False, True, False), (False, False, False, False)} <= kinds
+
+
+def test_operator_columns_match_the_per_pair_loop():
+    rng = SplitMix64(0xC01)
+    for n in range(1, 6):
+        for bideg in bidegrees(n):
+            omega = random_rational_form(rng, n, *bideg, density=2 if n < 5 else 1)
+            if bideg == (1, 1):
+                omega = PQForm.zero(n, 1, 1)
+            for p, q in bidegrees(n):
+                assert exterior._operator_columns(omega, p, q) == \
+                    oracle_operator_columns(omega, p, q)
+
+
+def test_wedge_rows_are_bounded_and_built_lazily():
+    assert exterior._rows.cache_info().maxsize is not None
+    exterior._rows.cache_clear()
+    n = 10
+    f = PQForm(n, 3, 3, {((1, 2, 3), (1, 2, 3)): GR(1, 2), ((4, 5, 6), (2, 5, 9)): GR(-3)})
+    g = PQForm(n, 1, 1, {((7,), (7,)): ONE, ((1,), (10,)): I})
+    assert wedge(f, g) == oracle_wedge(f, g)
+    assert exterior._rows.cache_info().currsize == 1
+    table = exterior._rows(n, 3, 3, 1, 1)
+    # one row per left index the loop reached, each listing the 7 * 7 disjoint (1,1) indices
+    assert len(table) <= 2 and set(table) <= set(f.terms)
+    assert all(len(row) == 49 for row in table.values())
+
+
+# ---- PQForm construction ----
+
+def test_form_from_int_coefficients_builds_no_gaussian_rational(monkeypatch):
+    keys = basis_indices(3, 1, 1)
+    count = [0]
+    init = GaussianRational.__init__
+
+    def counting(self, *args):
+        count[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(GaussianRational, "__init__", counting)
+    phi = PQForm(3, 1, 1, {k: v - 4 for v, k in enumerate(keys)})
+    assert count[0] == 0
+    assert phi.terms == {k: (v - 4, 0) for v, k in enumerate(keys) if v != 4} and phi.den == 1
+    monkeypatch.undo()
+    mixed = {keys[0]: 3, keys[1]: Fraction(-2, 6), keys[2]: "5/10", keys[3]: GR(1, 2)}
+    assert PQForm(3, 1, 1, mixed) == PQForm(3, 1, 1, {k: GR(c) for k, c in mixed.items()})
+
+
+@pytest.mark.parametrize("coeff, error, message", [
+    ({"re": 1, "im": 2}, TypeError, None),
+    (1.5, TypeError, "floating-point value 1.5 rejected"),
+    (None, TypeError, None),
+    ("1.5", ValueError, "rational '1.5' is not an integer or a 'p/q' string"),
+])
+def test_form_coefficient_errors_are_those_of_a_gaussian_rational(coeff, error, message):
+    with pytest.raises(error) as got:
+        PQForm(2, 1, 0, {((1,), ()): coeff})
+    with pytest.raises(error) as scalar:
+        GR(coeff)
+    assert str(got.value) == str(scalar.value)
+    assert message is None or str(got.value).startswith(message)
+
+
 # ---- the Z[i] PQForm against plain Q(i) arithmetic on its coeffs ----
 
 def oracle_sum(phi, psi, sign=1):
