@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import certify, discriminant, polymatroid
 from .generate import GeneratorSpec, generate_psd
@@ -245,7 +246,9 @@ def run_instance(doc, seed=None):
     return {"schema": SCHEMA_VERSION, "results": results}, ok
 
 
-def main(argv=None) -> int:
+@cache
+def _parser():
+    """The argument parser, built on the first call and reused: parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="lefcert",
         description="Exact Lefschetz/Hodge-Riemann certification for Hermitian form families",
@@ -255,7 +258,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="default seed for generate-psd tasks")
     parser.add_argument("--pretty", action="store_true", help="indent the JSON report")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         with open(args.input, encoding="utf-8") as fh:

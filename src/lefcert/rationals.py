@@ -13,7 +13,8 @@ from fractions import Fraction
 
 Rat = Fraction
 
-__all__ = ["Rat", "as_rat", "GaussianRational", "GR", "ZERO", "ONE", "I", "cpq_constant"]
+__all__ = ["Rat", "as_rat", "rat_from_str", "rat_pair", "GaussianRational", "GR", "ZERO", "ONE",
+           "I", "cpq_constant"]
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
@@ -31,6 +32,42 @@ def as_rat(x):
     if isinstance(x, str) and not _RATIONAL.fullmatch(x):
         raise ValueError(f"rational {x!r} is not an integer or a 'p/q' string")
     return Fraction(x)
+
+
+def rat_from_str(s):
+    """A JSON int, or an integer or "p/q" string in `as_rat`'s grammar, as a Fraction."""
+    if isinstance(s, float):
+        raise TypeError("floating-point input rejected")
+    if isinstance(s, bool):
+        raise TypeError(f"boolean {s!r} is not a rational")
+    if not isinstance(s, (int, str)):
+        raise ValueError(f"rational {s!r} is not an integer or a 'p/q' string")
+    try:
+        return as_rat(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
+
+
+def rat_pair(s):
+    """(p, q) ints, q > 0, with p / q the rational `rat_from_str` reads from s.
+
+    An exact int or a string in `as_rat`'s grammar is split by int() alone,
+    so a "p/q" keeps any factor p and q share.  Everything else, a zero
+    denominator or a digit string past int()'s length limit included, goes
+    through `rat_from_str`, which raises its errors.
+    """
+    if type(s) is int:
+        return s, 1
+    if type(s) is str and _RATIONAL.fullmatch(s):
+        num, _, den = s.partition("/")
+        try:
+            q = int(den) if den else 1
+            if q:
+                return int(num), q
+        except ValueError:
+            pass
+    x = rat_from_str(s)
+    return x.numerator, x.denominator
 
 
 class GaussianRational:

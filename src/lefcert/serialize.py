@@ -9,12 +9,13 @@ Rationals travel as "p/q" strings with q > 0, complex values as
 from __future__ import annotations
 
 import json
+from math import lcm
 
 from .certify import Certificate
 from .exterior import PQForm
 from .linalg import HermitianMatrix
 from .polymatroid import RankFunction
-from .rationals import GaussianRational, as_rat
+from .rationals import GaussianRational, as_rat, rat_from_str, rat_pair
 
 __all__ = [
     "rat_to_str",
@@ -36,20 +37,6 @@ def rat_to_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def rat_from_str(s):
-    """A JSON int, or an integer or "p/q" string in `as_rat`'s grammar, as a Fraction."""
-    if isinstance(s, float):
-        raise TypeError("floating-point input rejected")
-    if isinstance(s, bool):
-        raise TypeError(f"boolean {s!r} is not a rational")
-    if not isinstance(s, (int, str)):
-        raise ValueError(f"rational {s!r} is not an integer or a 'p/q' string")
-    try:
-        return as_rat(s)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {s!r}") from None
-
-
 def complex_to_json(c: GaussianRational) -> dict:
     return {"re": rat_to_str(c.re), "im": rat_to_str(c.im)}
 
@@ -67,11 +54,30 @@ def matrix_to_json(m: HermitianMatrix) -> dict:
     }
 
 
+def _complex_pairs(obj):
+    """The (p, q) pairs of an entry's real and imaginary parts, as `complex_from_json` reads it."""
+    if not isinstance(obj, dict):
+        return rat_pair(obj), (0, 1)
+    return rat_pair(obj.get("re", 0)), rat_pair(obj.get("im", 0))
+
+
 def matrix_from_json(obj) -> HermitianMatrix:
+    """A matrix from its JSON record, read straight into Z[i] rows.
+
+    Each entry's parts become (p, q) int pairs; the rows are lifted to
+    the lcm L of all q, and `_from_integer_rows` divides out the one gcd
+    they share with L.  No scalar object is built per entry.
+    """
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("a matrix must be a JSON object with 'entries'")
-    entries = [[complex_from_json(x) for x in row] for row in obj["entries"]]
-    mat = HermitianMatrix(entries)
+    rows = obj["entries"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise TypeError("entries must be a list of rows, each a JSON array")
+    pairs = [[_complex_pairs(x) for x in row] for row in rows]
+    den = lcm(*{d for row in pairs for (_, a), (_, b) in row for d in (a, b)})
+    mat = HermitianMatrix._from_integer_rows(
+        [[p * (den // q) for (p, q), _ in row] for row in pairs],
+        [[r * (den // s) for _, (r, s) in row] for row in pairs], den)
     n = obj.get("n", mat.n)
     if type(n) is not int or n != mat.n:
         raise ValueError("matrix dimension field disagrees with entries")

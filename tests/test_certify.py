@@ -29,6 +29,7 @@ from lefcert.discriminant import mixed_discriminant
 import lefcert.linalg as linalg_mod
 from lefcert.exterior import (
     PQForm,
+    _annihilates,
     _integer_operator_matrix,
     _matrix_wedge,
     basis_indices,
@@ -41,6 +42,7 @@ from lefcert.exterior import (
 )
 from lefcert.linalg import (
     _P,
+    HermitianFormOnSpace,
     HermitianMatrix,
     InternalCheckError,
     _det_residue,
@@ -341,6 +343,41 @@ def test_hr_fails_with_criterion_witness():
     cert, _ = hr_certify(inst)
     assert not cert.holds
     assert cert.failing_subset == (1, 2)
+
+
+# ---- fault injection: each in-library check fires when one component lies ----
+
+def test_hr_negative_inertia_while_the_criterion_holds_is_an_internal_error(monkeypatch):
+    inst = HLInstance(2, 1, 1, (), eta=Id(2))
+    assert criterion_hl(inst).holds and hr_certify(inst)[0].holds
+    signature = HermitianFormOnSpace.signature
+
+    def one_negative(self):
+        npos, nneg, nzero = signature(self)
+        return npos - 1, nneg + 1, nzero
+
+    monkeypatch.setattr(HermitianFormOnSpace, "signature", one_negative)
+    with pytest.raises(InternalCheckError, match="rank criterion holds"):
+        hr_certify(inst)
+
+
+def test_primitive_basis_element_outside_the_kernel_is_an_internal_error(monkeypatch):
+    import lefcert.certify as certify_mod
+
+    inst = HLInstance(2, 1, 1, (), eta=Id(2))
+    coupled = _matrix_wedge((inst.eta,), 2, _matrix_wedge((), 2))
+    ncols = len(basis_indices(2, 1, 1))
+    units = [([int(j == k) for j in range(ncols)], [0] * ncols) for k in range(ncols)]
+    stray = next(u for u in units if not _annihilates(coupled, 1, 1, u))
+    kernel = certify_mod._kernel
+
+    def with_stray(re, im, ncols):
+        vectors, d = kernel(re, im, ncols)
+        return vectors + [stray], d
+
+    monkeypatch.setattr(certify_mod, "_kernel", with_stray)
+    with pytest.raises(InternalCheckError, match="primitive basis element not annihilated"):
+        hr_certify(inst)
 
 
 def test_hr_eta_rank_precondition():

@@ -215,6 +215,23 @@ def test_pretty_output_same_content(tmp_path):
     assert plain == pretty
 
 
+def test_the_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    doc = {"schema": 1, "n": 2, "tasks": [{"kind": "generate-psd", "rank_profile": [1]}]}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--input", str(path), "--pretty", "--seed", "99"]) == 0
+    pretty = capsys.readouterr().out
+    assert pretty.count("\n") > 1 and "gen0" in pretty
+    assert main(["--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 1 and err == ""
+    assert json.loads(out)["results"]["0"]["error"].startswith("generate-psd needs a seed")
+    with pytest.raises(SystemExit) as exc:
+        main(["--pretty"])
+    assert exc.value.code == 2
+    assert "--input" in capsys.readouterr().err
+
+
 # ---- malformed input: exit 2 for the document, 1 for a task, never a traceback ----
 
 def run_raw(tmp_path, capsys, doc):
@@ -448,6 +465,14 @@ def test_non_rational_string_is_a_document_error_at_once(tmp_path, capsys, text)
     t0 = time.perf_counter()
     assert_document_error(tmp_path, capsys, doc, "'p/q'")
     assert time.perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize("entries", [["12", "21"], [{"re": "1"}, {"re": "2"}], 5],
+                         ids=["string-rows", "object-rows", "number"])
+def test_rows_that_are_not_arrays_are_a_document_error(tmp_path, capsys, entries):
+    doc = {"schema": 1, "n": 2, "matrices": {"a": {"entries": entries}},
+           "tasks": [{"kind": "psd-check", "matrix": "a"}]}
+    assert_document_error(tmp_path, capsys, doc, "matrix 'a': entries must be a list of rows")
 
 
 def test_integer_and_fraction_strings_still_parse():

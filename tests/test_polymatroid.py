@@ -8,7 +8,7 @@ import lefcert.certify as certify_mod
 import lefcert.discriminant as discriminant_mod
 import lefcert.polymatroid as polymatroid_mod
 from lefcert.certify import HLInstance, criterion_hl
-from lefcert.linalg import HermitianMatrix
+from lefcert.linalg import HermitianMatrix, InternalCheckError
 from lefcert.polymatroid import (
     RankFunction,
     _compositions,
@@ -264,6 +264,19 @@ def test_hl_support_checks_the_shifted_table_once(monkeypatch, mats, n, support)
         warnings.simplefilter("error")
         assert hl_support(mats, n) == support
     assert len(calls) == 1 and calls[0].full_rank() == len(mats)
+
+
+def test_hl_support_lattice_point_disagreement_is_an_internal_error(monkeypatch):
+    mats = [Id(2), Id(2)]
+    assert hl_support(mats, 2) == {(0, 2), (1, 1), (2, 0)}
+    points = polymatroid_mod._lattice_points
+
+    def shifted(r):
+        return [(v[0] + 1,) + v[1:] for v in points(r)]
+
+    monkeypatch.setattr(polymatroid_mod, "_lattice_points", shifted)
+    with pytest.raises(InternalCheckError, match="polymatroid enumeration disagree"):
+        hl_support(mats, 2)
 
 
 def test_hl_support_reads_one_rank_walk(monkeypatch):
