@@ -370,7 +370,7 @@ def lorentzian_signature(forms, n=None):
         raise ValueError(f"need n-2={n - 2} factor matrices, got {len(forms)}")
     _check_factors(forms, n)
     rows, _ = _intersection_gram(_matrix_wedge(forms, n), _real_basis_vectors(n))
-    return _inertia(rows, [[0] * len(rows) for _ in rows])
+    return _inertia(rows, [[0] * len(rows) for _ in rows])[:3]
 
 
 def hodge_index_check(forms, alpha: HermitianMatrix, beta: HermitianMatrix) -> bool:

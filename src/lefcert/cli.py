@@ -211,7 +211,7 @@ def run_instance(doc, seed=None):
     for name, obj in declared.items():
         try:
             mat = matrix_from_json(obj)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"matrix {name!r}: {exc}") from None
         if n is not None and mat.n != n:
             raise ValueError(f"matrix {name!r} is not {n}x{n}")

@@ -9,9 +9,11 @@ rank criteria and the polymatroid rank table is one walk over Gaussian
 integers.  Every member's cached Z[i] rows (HermitianMatrix clears each
 matrix once) are lifted to the family's lcm denominator L, and each sum is
 an element-wise int sum.  Ranks are invariant under the scaling by L, and
-determinants are scaled back by L^n once, at the end.  One Bareiss
-elimination per A_I gives mixed_discriminant and panov_positivity both
-its rank and its determinant; the rank tables and criterion_hl rank lazily.
+determinants are scaled back by L^n once, at the end.  Each A_I is
+Hermitian, so one Hermitian elimination (linalg._inertia) per A_I gives
+mixed_discriminant and panov_positivity both its rank and its
+determinant, and gives the rank tables and criterion_hl, which rank
+lazily, the rank; no subset walk runs the general Bareiss elimination.
 intersection_number wedges the PQForm (i A_1) ^ ... ^ (i A_n) from the same
 cached rows and reads it with volume_scalar.
 """
@@ -24,7 +26,7 @@ from math import comb, factorial
 from operator import add
 
 from .exterior import _matrix_wedge, volume_scalar
-from .linalg import HermitianMatrix, InternalCheckError, _copy_rows, _eliminate, _lift, _rank
+from .linalg import HermitianMatrix, InternalCheckError, _copy_rows, _inertia, _lift
 from .rationals import GR, Rat
 
 __all__ = [
@@ -78,7 +80,8 @@ def _walk(lifted):
 def _subset_ranks(mats):
     """Yield (I, rank(A_I)) along the walk; nothing is summed or ranked ahead of the caller."""
     for subset, (re, im) in _walk(_lift(mats)[1]):
-        yield subset, _rank(_copy_rows(re), _copy_rows(im), len(re))
+        npos, nneg, _, _ = _inertia(_copy_rows(re), _copy_rows(im))
+        yield subset, npos + nneg
 
 
 def subset_sums(mats):
@@ -112,24 +115,21 @@ def rank_deficient_subset(mats, shift=0):
 def _discriminant_walk(mats):
     """(D(A_1,...,A_n), first (I, |I| - rank(A_I)) with rank(A_I) < |I|, or None).
 
-    One elimination per L * A_I: its pivot count is the rank and, at full rank,
-    its signed last pivot det(L * A_I); D sums those signed determinants over n! L^n.
+    One Hermitian elimination (linalg._inertia) per L * A_I: npos + nneg is
+    the rank and, at full rank, its last pivot is det(L * A_I), a real
+    integer; D sums those determinants, signed by inclusion-exclusion, over n! L^n.
     """
     n = len(mats)
     den, lifted = _lift(mats)
-    total_re = total_im = 0  # the empty subset adds det(0) = 0
+    total = 0  # the empty subset adds det(0) = 0
     failing = None
     for subset, (re, im) in _walk(lifted):
-        pivots, sign, (dr, di) = _eliminate(_copy_rows(re), _copy_rows(im), n)
-        if failing is None and len(pivots) < len(subset):
-            failing = subset, len(subset) - len(pivots)
-        if len(pivots) == n:
-            sign *= (-1) ** (n - len(subset))
-            total_re += sign * dr
-            total_im += sign * di
-    if total_im:
-        raise InternalCheckError("mixed discriminant has nonzero imaginary part")
-    return Rat(total_re, factorial(n) * den ** n), failing
+        npos, nneg, _, det = _inertia(_copy_rows(re), _copy_rows(im))
+        if failing is None and npos + nneg < len(subset):
+            failing = subset, len(subset) - npos - nneg
+        if det:
+            total += -det if (n - len(subset)) % 2 else det
+    return Rat(total, factorial(n) * den ** n), failing
 
 
 def mixed_discriminant(mats):

@@ -23,17 +23,18 @@ position of the merged index and the sign, and is built on first read
 from the combinations of that index's complement, with _merge_sign as the
 one sign rule.  A wedge is one fold (_fold) over these rows whose pair
 loop (_wedge_rows) multiplies and adds ints, reduced by one gcd at the
-end; the check that omega annihilates a vector (_annihilates) runs the
-same loop.
+end; the check that omega annihilates a vector (_annihilates) and the
+library's Omega = (i A_1) ^ ... ^ (i A_k) (_matrix_wedge) run the same
+loop.  Omega never visits Q(i): it starts from the scalar 1 and reads
+each factor i A as positions and Z[i] terms straight from the rows its
+HermitianMatrix holds, with no (1,1)-form built in between.
 
-The library's Omega = (i A_1) ^ ... ^ (i A_k) never visits Q(i): the same
-fold reads each factor as the (1,1)-form i A (form_from_matrix) from the
-Z[i] rows its HermitianMatrix holds.  The operator matrix of
-Phi -> omega ^ Phi is read from the same rows (_operator_columns), each
-entry +c or -c for a term c of omega.  Its Gaussian-integer form feeds the
-determinant and kernel routes, and, with the signed complementary pairing
-Lambda^{n-q,n-p} x Lambda^{q,p} -> Lambda^{n,n}, the Gram matrix of
-(Phi, Psi) -> vol(omega ^ Phi ^ conj(Psi)) as one product (M B)^T S conj(B).
+The operator matrix of Phi -> omega ^ Phi is read from the same rows
+(_operator_columns), each entry +c or -c for a term c of omega.  Its
+Gaussian-integer form feeds the determinant and kernel routes, and, with
+the signed complementary pairing Lambda^{n-q,n-p} x Lambda^{q,p} ->
+Lambda^{n,n}, the Gram matrix of (Phi, Psi) -> vol(omega ^ Phi ^ conj(Psi))
+as one product (M B)^T S conj(B).
 """
 
 from __future__ import annotations
@@ -361,17 +362,16 @@ def wedge_many(forms, n=None) -> PQForm:
     return _fold(forms[0].n if forms else n, forms)
 
 
-def _fold(n, factors, omega=None):
-    """omega ^ f_1 ^ ... ^ f_k over Z[i], for PQForm factors on C^n.
+def _fold(n, factors):
+    """f_1 ^ ... ^ f_k over Z[i], for PQForm factors on C^n.
 
-    Without omega the fold starts from the first factor itself, and the
-    empty product is the scalar 1.  Terms are multiplied in ints over the
-    product of the denominators, which is reduced by one gcd at the end.
-    A degree beyond n gives the zero form of the clamped bidegree; every
-    factor's ambient dimension is still checked.
+    The fold starts from the first factor itself, and the empty product
+    is the scalar 1.  Terms are multiplied in ints over the product of the
+    denominators, which is reduced by one gcd at the end.  A degree beyond
+    n gives the zero form of the clamped bidegree; every factor's ambient
+    dimension is still checked.
     """
-    p, q, terms, den = (0, 0, None, 1) if omega is None else (
-        omega.p, omega.q, omega.terms, omega.den)
+    p, q, terms, den = 0, 0, None, 1
     for f in factors:
         if f.n != n:
             raise ValueError("forms live on different ambient spaces")
@@ -390,8 +390,30 @@ def _fold(n, factors, omega=None):
 
 
 def _matrix_wedge(mats, n, omega=None):
-    """omega ^ (i A_1) ^ ... ^ (i A_k), read from each matrix's cached rows; omega None is 1."""
-    return _fold(n, map(form_from_matrix, mats), omega)
+    """omega ^ (i A_1) ^ ... ^ (i A_k), read from each matrix's cached rows; omega None is 1.
+
+    The fold starts from omega, or the scalar 1, and takes each factor i A
+    straight from the rows of L A: entry re + i im at (j, k) is the term
+    (-im, re) at position j n + k of the basis of Lambda^{1,1}, over L.
+    Degrees and dimensions are treated as _fold treats them.
+    """
+    p, q, terms, den = (0, 0, {((), ()): (1, 0)}, 1) if omega is None else (
+        omega.p, omega.q, omega.terms, omega.den)
+    for a in mats:
+        if a.n != n:
+            raise ValueError("forms live on different ambient spaces")
+        if p == n or q == n:
+            p, q, terms = min(p + 1, n), min(q + 1, n), {}
+            continue
+        if terms:
+            re, im, d = a._cleared
+            terms = _wedge_rows(_rows(n, p, q, 1, 1), terms, [
+                (j * n + k, -y, x)
+                for j, (xs, ys) in enumerate(zip(re, im))
+                for k, (x, y) in enumerate(zip(xs, ys)) if x or y])
+            den *= d
+        p, q = p + 1, q + 1
+    return PQForm._from_terms(n, p, q, *_reduce(terms, den))
 
 
 def _annihilates(omega, p, q, vector):

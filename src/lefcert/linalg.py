@@ -1,25 +1,31 @@
 """Exact linear algebra over the Gaussian rationals.
 
 Dense matrices are plain lists of lists of GaussianRational.  Every
-elimination runs on one integer kernel: a matrix is scaled by the lcm L
-of its entries' denominators and stored as rows of Gaussian integers,
-one list of real and one of imaginary int parts, and eliminated
-fraction-free (Bareiss 1968).  Every step divides exactly in Z[i] by the
-previous pivot; a nonzero remainder raises InternalCheckError.  Values
-become GaussianRational again only on the way out:
+elimination runs on integer rows: a matrix is scaled by the lcm L of its
+entries' denominators and stored as rows of Gaussian integers, one list
+of real and one of imaginary int parts, and eliminated fraction-free
+(Bareiss 1968).  Every step divides exactly in Z[i] by the previous
+pivot; a nonzero remainder raises InternalCheckError.  There are two
+eliminations.  The general one (_eliminate) runs on any rectangular
+matrix, with row swaps and complex pivots:
 
-* mat_det is the last Bareiss pivot over L^n, signed by the row swaps;
-* mat_rank counts the pivots;
-* kernel_basis back-substitutes over the Bareiss echelon rows: each
-  vector is d times an exact kernel vector, d the last pivot, and its
-  entries are those of the fraction-free Gauss-Jordan form (Nakos, Turner
-  and Williams 1997), so every division is exact in Z[i] as well;
-* hermitian_signature, HermitianMatrix.is_psd and
-  HermitianFormOnSpace.is_positive_definite_on read one inertia from a
-  symmetric elimination on diagonal pivots, in which the k-th LDL*
-  diagonal is p_k / p_(k-1);
+* mat_det is its last pivot over L^n, signed by the row swaps;
+* mat_rank counts its pivots;
+* kernel_basis back-substitutes over its echelon rows: each vector is d
+  times an exact kernel vector, d the last pivot, and its entries are
+  those of the fraction-free Gauss-Jordan form (Nakos, Turner and
+  Williams 1997), so every division is exact in Z[i] as well;
 * char_poly_elementary and is_m_positive read the coefficients of
-  det(a + t b), interpolated exactly from n + 1 Bareiss determinants.
+  det(a + t b), interpolated exactly from n + 1 of its determinants.
+
+The Hermitian one (_inertia) is symmetric, on real diagonal pivots and
+the upper triangle only; the k-th LDL* diagonal is p_k / p_(k-1), and the
+last pivot is the determinant.  One call gives the inertia, the rank and
+the determinant of a Hermitian matrix: HermitianMatrix.rank, is_psd and
+det fill one cache from it, hermitian_signature and
+HermitianFormOnSpace.is_positive_definite_on read its inertia, and
+`discriminant`'s subset walks rank and determine every sum A_I with it.
+Values become GaussianRational again only on the way out.
 
 _det_residue maps the same int rows to F_p by i -> s, s^2 = -1 modulo
 one prime p = 1 (mod 4), and eliminates there: a ring homomorphism, so
@@ -178,18 +184,23 @@ def _eliminate(re, im, ncols):
 
 
 def _inertia(re, im):
-    """(npos, nneg, nzero) of a Hermitian Z[i] matrix by symmetric fraction-free elimination.
+    """(npos, nneg, nzero, det) of a Hermitian Z[i] matrix by symmetric fraction-free elimination.
 
-    The rows (re, im) are eliminated in place; a positive multiple of a
-    Hermitian matrix has its inertia, so any cleared form will do.
-    Only the upper triangle is kept; entry (i, k) below it is the conjugate
-    of (k, i).  Pivots are the diagonal entries in order and stay real; the
-    k-th LDL* diagonal is p_k / p_prev, so its sign is sign(p_k) * sign(p_prev).
+    The package's one Hermitian kernel.  The rows (re, im) are eliminated
+    in place; a positive multiple of a Hermitian matrix has its inertia, so
+    any cleared form will do.  Only the upper triangle is kept; entry
+    (i, k) below it is the conjugate of (k, i).  Pivots are the diagonal
+    entries in order and stay real; the k-th LDL* diagonal is p_k / p_prev,
+    so its sign is sign(p_k) * sign(p_prev).  A row whose entry in the
+    pivot column is zero is only rescaled by p_k / p_prev.
     A zero pivot whose remaining row is zero adds to nzero.  One whose row
     has a nonzero entry c at column l is made nonzero by the unimodular
     congruence row_k += t row_l, col_k += conj(t) col_l: the new diagonal
     is a_ll + 2 Re(conj(t) c), nonzero for one of t = 1, -1, i, -i, and
     every later division stays exact.
+    Each pivot is the leading principal minor of its order of the matrix
+    after the congruences, whose determinant is 1, so det is the last
+    pivot when nzero is 0, and 0 otherwise.
     """
     n = len(re)
     npos = nneg = nzero = 0
@@ -221,16 +232,25 @@ def _inertia(re, im):
         for i in range(k + 1, n):
             xr_row, xi_row = re[i], im[i]
             ar, ai = rk[i], -ik[i]
-            for j in range(i, n):
-                c, e = rk[j], ik[j]
-                qr, rem_r = divmod(p * xr_row[j] - ar * c + ai * e, prev)
-                qi, rem_i = divmod(p * xi_row[j] - ar * e - ai * c, prev)
-                if rem_r or rem_i:
-                    raise _inexact()
-                xr_row[j] = qr
-                xi_row[j] = qi
+            if ar or ai:
+                for j in range(i, n):
+                    c, e = rk[j], ik[j]
+                    qr, rem_r = divmod(p * xr_row[j] - ar * c + ai * e, prev)
+                    qi, rem_i = divmod(p * xi_row[j] - ar * e - ai * c, prev)
+                    if rem_r or rem_i:
+                        raise _inexact()
+                    xr_row[j] = qr
+                    xi_row[j] = qi
+            else:
+                for j in range(i, n):
+                    qr, rem_r = divmod(p * xr_row[j], prev)
+                    qi, rem_i = divmod(p * xi_row[j], prev)
+                    if rem_r or rem_i:
+                        raise _inexact()
+                    xr_row[j] = qr
+                    xi_row[j] = qi
         prev = p
-    return npos, nneg, nzero
+    return npos, nneg, nzero, 0 if nzero else prev
 
 
 def _det_pencil(a, b, den):
@@ -449,7 +469,7 @@ class HermitianMatrix:
     part) = 1, so equal matrices hold equal rows; `rows` is a read-only view.
     """
 
-    __slots__ = ("n", "_cleared", "_rows", "_rank", "_psd", "_charpoly")
+    __slots__ = ("n", "_cleared", "_rows", "_signs", "_charpoly")
 
     def __init__(self, entries):
         self._set(*_gaussian_integer_rows(entries))
@@ -477,7 +497,7 @@ class HermitianMatrix:
             raise ValueError("not Hermitian at ({},{})".format(*failure))
         object.__setattr__(self, "n", len(re))
         object.__setattr__(self, "_cleared", (tuple(map(tuple, re)), tuple(map(tuple, im)), den))
-        for name in ("_rows", "_rank", "_psd", "_charpoly"):
+        for name in ("_rows", "_signs", "_charpoly"):
             object.__setattr__(self, name, None)
         return self
 
@@ -552,11 +572,15 @@ class HermitianMatrix:
         re, im, den = self._cleared
         return _copy_rows(re), _copy_rows(im), den
 
+    def _elimination(self):
+        """(npos, nneg, nzero, det(L A)) from one _inertia of the cleared rows, computed once."""
+        if self._signs is None:
+            object.__setattr__(self, "_signs", _inertia(*self._row_copies()[:2]))
+        return self._signs
+
     def rank(self) -> int:
-        if self._rank is None:
-            re, im, _ = self._row_copies()
-            object.__setattr__(self, "_rank", _rank(re, im, self.n))
-        return self._rank
+        npos, nneg, _, _ = self._elimination()
+        return npos + nneg
 
     def kernel_basis(self):
         vectors, d = _kernel(*self._row_copies()[:2], self.n)
@@ -575,13 +599,11 @@ class HermitianMatrix:
         return self._charpoly
 
     def is_psd(self) -> bool:
-        if self._psd is None:
-            re, im, _ = self._row_copies()
-            object.__setattr__(self, "_psd", _inertia(re, im)[1] == 0)
-        return self._psd
+        return self._elimination()[1] == 0
 
     def det(self) -> GaussianRational:
-        return _exact_det(*self._row_copies())
+        d = self._elimination()[3]
+        return GaussianRational(Fraction(d, self._cleared[2] ** self.n)) if d else ZERO
 
 
 def _lift(mats):
@@ -610,7 +632,7 @@ def is_m_positive(mat: HermitianMatrix, omega: HermitianMatrix, m: int) -> bool:
         raise ValueError("dimension mismatch")
     if not 1 <= m <= n:
         raise ValueError("m must satisfy 1 <= m <= n")
-    if _inertia(*omega._row_copies()[:2]) != (n, 0, 0):
+    if omega._elimination()[:3] != (n, 0, 0):
         raise NotPositiveDefiniteError("matrix is not positive definite")
     den, (a, b) = _lift((omega, mat))
     for c in _det_pencil(a, b, den)[1:m + 1]:
@@ -633,7 +655,7 @@ class HermitianFormOnSpace(HermitianMatrix):
     dim, gram = HermitianMatrix.n, HermitianMatrix.rows  # aliases of n and the rows view
 
     def signature(self):
-        return _inertia(*self._row_copies()[:2])
+        return self._elimination()[:3]
 
     def restrict(self, basis):
         """Gram matrix of the form restricted to span(basis): conj(B) G B^T."""

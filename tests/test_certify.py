@@ -40,6 +40,7 @@ from lefcert.exterior import (
     wedge,
     wedge_many,
 )
+from lefcert.polymatroid import hl_support, rank_from_matrices
 from lefcert.linalg import (
     _P,
     HermitianFormOnSpace,
@@ -707,18 +708,18 @@ def _recording(monkeypatch):
     denominator; ranked rows are copied before the elimination runs.
     """
     built, ranked = [], []
-    add_rows, rank = discriminant_mod._add, discriminant_mod._rank
+    add_rows, inertia = discriminant_mod._add, discriminant_mod._inertia
 
     def recording_add(a, b):
         built.append(add_rows(a, b))
         return built[-1]
 
-    def recording_rank(re, im, ncols):
+    def recording_inertia(re, im):
         ranked.append((tuple(map(tuple, re)), tuple(map(tuple, im))))
-        return rank(re, im, ncols)
+        return inertia(re, im)
 
     monkeypatch.setattr(discriminant_mod, "_add", recording_add)
-    monkeypatch.setattr(discriminant_mod, "_rank", recording_rank)
+    monkeypatch.setattr(discriminant_mod, "_inertia", recording_inertia)
     return built, ranked
 
 
@@ -781,7 +782,53 @@ def test_determinant_route_never_reads_the_rank_code(monkeypatch):
     monkeypatch.setattr(linalg_mod, "_rank", forbidden)
     monkeypatch.setattr(certify_mod, "_rank", forbidden)
     monkeypatch.setattr(HermitianMatrix, "rank", forbidden)
+    # nor the Hermitian kernel the subset walks rank and determine with
+    for module in (linalg_mod, certify_mod, discriminant_mod):
+        monkeypatch.setattr(module, "_inertia", forbidden)
+    monkeypatch.setattr(HermitianMatrix, "_elimination", forbidden)
     assert routes() == expected
+
+
+def test_rank_routes_never_read_the_general_elimination(monkeypatch):
+    import lefcert.linalg as linalg_mod
+
+    def entries(mats):
+        return [a.rows for a in mats]
+
+    cases = []
+    for seed in range(8):
+        n = 3 + seed % 2
+        cases.append((n, seed % 2,
+                      entries(psd_tuple(seed + 610, n, n - 1 - seed % 2)),
+                      entries(random_psd_family(seed + 3200, n, 2 + seed % 2)),
+                      entries(random_psd_family(seed + 3300, n, n, max_rank=1 + seed % n)),
+                      entries(random_hermitian(seed + 3400 + k, n) for k in range(n))))
+
+    def build(rows):
+        return [HermitianMatrix(r) for r in rows]
+
+    def verdicts():
+        # matrices built afresh on every call, so no cached inertia hides an elimination
+        out = []
+        for n, p, forms, family, psd, indefinite in cases:
+            out.append(criterion_hl(HLInstance(n, p, 1, tuple(build(forms)))))
+            out.append(rank_from_matrices(build(family)).values)
+            out.append(hl_support(build(family), n))
+            out.append(panov_positivity(build(psd)))
+            out.append(mixed_discriminant(build(indefinite)))
+        out.append(mixed_discriminant([HermitianMatrix([[0, 1], [1, 0]]), D([1, -1])]))
+        return out
+
+    expected = verdicts()
+    assert {c.verdict for c in expected[0:40:5]} == {"holds", "fails"}
+    assert {c.positive for c in expected[3:40:5]} == {True, False}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a subset walk ran the general elimination")
+
+    monkeypatch.setattr(linalg_mod, "_eliminate", forbidden)
+    monkeypatch.setattr(discriminant_mod, "_eliminate", forbidden, raising=False)
+    assert verdicts() == expected
 
 
 def _counted_scalars(monkeypatch):

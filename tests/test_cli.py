@@ -454,6 +454,21 @@ def test_repeated_generated_name_is_a_task_error(tmp_path, capsys):
     assert "undefined matrix name(s): a" in report["results"]["1"]["error"]
 
 
+@pytest.mark.parametrize("record, message", [
+    ({"entries": [[1, 2], [3, 1]]}, "not Hermitian at (0,1)"),
+    ({"entries": [[1, 0]]}, "matrix must be square"),
+    ({"entries": [[{"re": "1/0"}, 0], [0, 1]]}, "zero denominator in '1/0'"),
+    ({"n": 3, "entries": [[1, 0], [0, 1]]}, "matrix dimension field disagrees with entries"),
+], ids=["not-hermitian", "not-square", "zero-denominator", "wrong-n"])
+def test_bad_second_matrix_error_names_the_matrix(tmp_path, capsys, record, message):
+    doc = {"schema": 1, "n": 2, "matrices": {"a": diag_json([1, 1]), "b": record},
+           "tasks": [{"kind": "psd-check", "matrix": "a"}]}
+    code, out, err = run_raw(tmp_path, capsys, doc)
+    assert (code, out) == (2, "")
+    assert err == f"invalid instance file: matrix 'b': {message}\n"
+    assert "Traceback" not in err
+
+
 def test_zero_denominator_is_a_document_error(tmp_path, capsys):
     doc = {"schema": 1, "n": 1, "matrices": {"a": {"entries": [[{"re": "1/0"}]]}}, "tasks": []}
     assert_document_error(tmp_path, capsys, doc, "zero denominator")

@@ -18,6 +18,7 @@ from lefcert.discriminant import (
 )
 from lefcert.linalg import (
     HermitianMatrix,
+    InternalCheckError,
     _gaussian_integer_rows,
     is_m_positive,
     mat_det,
@@ -307,17 +308,32 @@ def test_panov_examples():
     ([a + Id(4) for a in random_psd_family(906, 4, 4)], True),
 ])
 def test_panov_positivity_eliminates_each_subset_sum_once(monkeypatch, mats, positive):
+    for a in mats:
+        a.is_psd()  # fill the members' caches, so every count below is the walk's
     calls = []
-    eliminate = linalg_mod._eliminate
+    inertia = linalg_mod._inertia
 
     def counting(*args):
         calls.append(args)
-        return eliminate(*args)
+        return inertia(*args)
 
-    monkeypatch.setattr(linalg_mod, "_eliminate", counting)
-    monkeypatch.setattr(discriminant_mod, "_eliminate", counting, raising=False)
+    monkeypatch.setattr(linalg_mod, "_inertia", counting)
+    monkeypatch.setattr(discriminant_mod, "_inertia", counting)
     assert panov_positivity(mats).positive == positive
     assert len(calls) == 2 ** len(mats) - 1
+
+
+def test_a_non_real_diagonal_reaching_the_walk_is_an_internal_error():
+    # the Hermitian check keeps such rows out of every HermitianMatrix; one
+    # that slips past it must stop both walks, not give a determinant
+    re, im = ((1, 0), (0, 1)), ((1, 0), (0, 0))  # entry (0, 0) is 1 + i
+    bad = HermitianMatrix.__new__(HermitianMatrix)
+    for name, value in zip(HermitianMatrix.__slots__, (2, (re, im, 1), None, None, None)):
+        object.__setattr__(bad, name, value)
+    for walk in (lambda: mixed_discriminant([Id(2), bad]),
+                 lambda: rank_deficient_subset([Id(2), bad])):
+        with pytest.raises(InternalCheckError, match="non-real diagonal"):
+            walk()
 
 
 def test_panov_rejects_non_psd():

@@ -12,11 +12,14 @@ from lefcert.linalg import (
     HermitianMatrix,
     InternalCheckError,
     NotPositiveDefiniteError,
+    _copy_rows,
     _det,
     _det_residue,
+    _eliminate,
     _exact_vector,
     _first_kernel_vector,
     _gaussian_integer_rows,
+    _inertia,
     _kernel,
     char_poly_elementary,
     hermitian_signature,
@@ -1113,6 +1116,64 @@ def test_signature_matches_qi_oracle():
         assert HermitianFormOnSpace(rows).is_positive_definite_on(basis) == (sig == (n, 0, 0))
         seen.add(tuple(min(x, 1) for x in sig))
     assert seen == {(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)} - {(0, 0, 0)}
+
+
+def _hermitian_integer_cases():
+    """Seeded Hermitian Z[i] rows up to 6x6, then the cleared rows of _hermitian_cases.
+
+    Kinds in turn: dense; zero diagonal with sparse coupling, where every
+    pivot starts at zero; sparse; and sums of +-v v* over r < n Gaussian
+    integer vectors v, rank-deficient and indefinite.
+    """
+    rng = SplitMix64(0x1ED1A9)
+    for count in range(3000):
+        n = rng.integer(0, 6)
+        kind = count % 4
+        re, im = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+        if kind == 3:
+            for _ in range(rng.integer(0, n - 1) if n else 0):
+                sign = 1 - 2 * rng.integer(0, 1)
+                v = [(rng.integer(-2, 2), rng.integer(-2, 2)) for _ in range(n)]
+                for i, (a, b) in enumerate(v):
+                    for j, (c, d) in enumerate(v):
+                        # v_i conj(v_j) = (a + ib)(c - id)
+                        re[i][j] += sign * (a * c + b * d)
+                        im[i][j] += sign * (b * c - a * d)
+            yield re, im
+            continue
+        for i in range(n):
+            for j in range(i, n):
+                if kind == 1 and (i == j or rng.integer(0, 1)) or kind == 2 and rng.integer(0, 2):
+                    continue
+                re[i][j] = re[j][i] = rng.integer(-3, 3)
+                if i != j:
+                    im[i][j] = rng.integer(-3, 3)
+                    im[j][i] = -im[i][j]
+        yield re, im
+    for rows in _hermitian_cases():
+        yield _gaussian_integer_rows(rows)[:2]
+
+
+def test_hermitian_kernel_rank_and_det_match_bareiss():
+    seen = set()
+    for re, im in _hermitian_integer_cases():
+        n = len(re)
+        npos, nneg, nzero, det = _inertia(_copy_rows(re), _copy_rows(im))
+        pivots, sign, (dr, di) = _eliminate(_copy_rows(re), _copy_rows(im), n)
+        assert npos + nneg + nzero == n
+        assert npos + nneg == len(pivots)
+        assert (det, 0) == ((sign * dr, sign * di) if len(pivots) == n else (0, 0))
+        seen.add((any(not re[k][k] for k in range(n)), (det > 0) - (det < 0), nneg > 0))
+    # every kind but those PSD forbids: det < 0, or det > 0 with a zero diagonal entry
+    assert seen == {(z, d, neg) for z in (False, True) for d in (-1, 0, 1) for neg in (False, True)
+                    } - {(False, -1, False), (True, -1, False), (True, 1, False)}
+
+
+def test_hermitian_kernel_returns_the_determinant_of_the_cached_rows():
+    for rows in _hermitian_cases():
+        mat = HermitianMatrix(rows)
+        assert mat.det() == mat_det(rows)
+        assert (mat.rank(), mat.is_psd()) == (mat_rank(rows), hermitian_signature(rows)[1] == 0)
 
 
 def test_char_poly_matches_faddeev_oracle():
