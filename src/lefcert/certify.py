@@ -43,9 +43,9 @@ from .discriminant import rank_deficient_subset
 from .exterior import (
     PQForm,
     _annihilates,
+    _fold,
     _integer_operator_matrix,
     _matrix_vector,
-    _matrix_wedge,
     _pairing_gram,
     basis_indices,
 )
@@ -112,7 +112,7 @@ class HLInstance:
 
     def omega(self) -> PQForm:
         """(i A_1) ^ ... ^ (i A_k), wedged over Z[i] from the factors' cached rows."""
-        return _matrix_wedge(self.forms, self.n)
+        return _fold(self.n, self.forms)
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ def direct_hl(inst: HLInstance) -> Certificate:
     give the first vector of the reduced row echelon kernel, or none,
     which means "holds".  The witness is re-checked exactly against Omega.
     """
-    omega = _matrix_wedge(inst.forms, inst.n)
+    omega = _fold(inst.n, inst.forms)
     re, im, _ = _integer_operator_matrix(omega, inst.p, inst.q)
     if len(re) != len(basis_indices(inst.n, inst.p, inst.q)):
         raise InternalCheckError("multiplication matrix is not square")
@@ -192,8 +192,8 @@ def _primitive_space(inst: HLInstance):
     times its form's coefficients, and each is re-checked on ints.
     """
     n, p, q = inst.n, inst.p, inst.q
-    omega = _matrix_wedge(inst.forms, n)
-    coupled = _matrix_wedge((inst.eta,), n, omega)
+    omega = _fold(n, inst.forms)
+    coupled = _fold(n, (inst.eta,), omega)
     re, im, _ = _integer_operator_matrix(coupled, p, q)
     vectors, d = _kernel(re, im, len(basis_indices(n, p, q)))
     for v in vectors:
@@ -274,7 +274,7 @@ def lefschetz_decomposition(inst: HLInstance):
         image_vectors, image_basis = [], ()
     else:
         # the columns of L * (eta ^ .) on Lambda^{p-1,q-1}
-        re, im, den = _integer_operator_matrix(_matrix_wedge((inst.eta,), n), p - 1, q - 1)
+        re, im, den = _integer_operator_matrix(_fold(n, (inst.eta,)), p - 1, q - 1)
         image_vectors = list(zip(zip(*re), zip(*im)))
         image_basis = tuple(PQForm._from_vector(n, p, q, v, (den, 0)) for v in image_vectors)
     dim_pq = len(basis_indices(n, p, q))
@@ -369,7 +369,7 @@ def lorentzian_signature(forms, n=None):
     if len(forms) != n - 2:
         raise ValueError(f"need n-2={n - 2} factor matrices, got {len(forms)}")
     _check_factors(forms, n)
-    rows, _ = _intersection_gram(_matrix_wedge(forms, n), _real_basis_vectors(n))
+    rows, _ = _intersection_gram(_fold(n, forms), _real_basis_vectors(n))
     return _inertia(rows, [[0] * len(rows) for _ in rows])[:3]
 
 
@@ -389,7 +389,7 @@ def hodge_index_check(forms, alpha: HermitianMatrix, beta: HermitianMatrix) -> b
     _check_factors(forms, n)
     if beta.n != n:
         raise ValueError("matrices have mismatched dimensions")
-    omega = _matrix_wedge(forms, n)
+    omega = _fold(n, forms)
     (qaa, qab), (_, qbb) = _intersection_gram(
         omega, [_matrix_vector(x)[0] for x in (alpha, beta)]
     )[0]
@@ -397,7 +397,7 @@ def hodge_index_check(forms, alpha: HermitianMatrix, beta: HermitianMatrix) -> b
         raise PreconditionError("Q(alpha,alpha) must be positive")
     if qab != 0:
         raise PreconditionError("alpha and beta must be Q-orthogonal")
-    vanishes = _matrix_wedge((beta,), n, omega).is_zero()
+    vanishes = _fold(n, (beta,), omega).is_zero()
     return qbb <= 0 and ((qbb == 0) == vanishes)
 
 

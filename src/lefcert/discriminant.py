@@ -25,7 +25,7 @@ from itertools import combinations
 from math import comb, factorial
 from operator import add
 
-from .exterior import _matrix_wedge, volume_scalar
+from .exterior import _fold, volume_scalar
 from .linalg import HermitianMatrix, InternalCheckError, _copy_rows, _inertia, _lift
 from .rationals import GR, Rat
 
@@ -144,7 +144,7 @@ def intersection_number(mats):
     read against the volume element by volume_scalar.
     """
     mats, n = _check_tuple(mats)
-    value = volume_scalar(_matrix_wedge(mats, n))
+    value = volume_scalar(_fold(n, mats))
     if value.im:
         raise InternalCheckError("intersection number has nonzero imaginary part")
     return value.re

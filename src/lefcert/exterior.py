@@ -23,15 +23,17 @@ position of the merged index and the sign, and is built on first read
 from the combinations of that index's complement, with _merge_sign as the
 one sign rule.  A wedge is one fold (_fold) over these rows whose pair
 loop (_wedge_rows) multiplies and adds ints, reduced by one gcd at the
-end; the check that omega annihilates a vector (_annihilates) and the
-library's Omega = (i A_1) ^ ... ^ (i A_k) (_matrix_wedge) run the same
-loop.  Omega never visits Q(i): it starts from the scalar 1 and reads
-each factor i A as positions and Z[i] terms straight from the rows its
-HermitianMatrix holds, with no (1,1)-form built in between.
+end; the check that omega annihilates a vector (_annihilates) runs the
+same loop.  The fold starts from the scalar 1, or from a given form, and
+reads every factor as Z[i] terms at basis positions (_positioned): a
+PQForm by its indices, a HermitianMatrix A as i A straight from the rows
+it holds.  So the library's Omega = (i A_1) ^ ... ^ (i A_k) never visits
+Q(i), and no (1,1)-form is built in between.
 
 The operator matrix of Phi -> omega ^ Phi is read from the same rows
 (_operator_columns), each entry +c or -c for a term c of omega.  Its
-Gaussian-integer form feeds the determinant and kernel routes, and, with
+Gaussian-integer form (_integer_operator_matrix) feeds the determinant
+and kernel routes, wedge_operator_matrix is its Q(i) view, and, with
 the signed complementary pairing Lambda^{n-q,n-p} x Lambda^{q,p} ->
 Lambda^{n,n}, the Gram matrix of (Phi, Psi) -> vol(omega ^ Phi ^ conj(Psi))
 as one product (M B)^T S conj(B).
@@ -40,7 +42,7 @@ as one product (M B)^T S conj(B).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, gcd, lcm
 from types import MappingProxyType
 
@@ -211,7 +213,7 @@ class PQForm:
 
     def scale(self, c):
         """c * self, the wedge with the scalar form of c."""
-        return _fold(self.n, (PQForm.scalar(self.n, c), self))
+        return _fold(self.n, (self,), PQForm.scalar(self.n, c))
 
     def __neg__(self):
         return self.scale(-1)
@@ -246,16 +248,8 @@ class PQForm:
 
 
 def form_from_matrix(a: HermitianMatrix) -> PQForm:
-    """The real (1,1)-form i * sum a_jk dz_j ^ dzbar_k of a Hermitian matrix.
-
-    Entry re + i im at (j, k) of A's rows L A gives the term (-im, re) at
-    ((j,), (k,)) over L; those rows are reduced, so the form is too.
-    """
-    re, im, den = a._cleared
-    return PQForm._from_terms(a.n, 1, 1, {
-        ((j + 1,), (k + 1,)): (-y, x)
-        for j, (xs, ys) in enumerate(zip(re, im))
-        for k, (x, y) in enumerate(zip(xs, ys)) if x or y}, den)
+    """The real (1,1)-form i * sum a_jk dz_j ^ dzbar_k of a Hermitian matrix, read from its rows."""
+    return _fold(a.n, (a,))
 
 
 @lru_cache(maxsize=None)
@@ -341,14 +335,6 @@ def _wedge_rows(rows, a, b):
     return {(ti[t // width], tj[t % width]): (re, im) for t, (re, im) in out.items() if re or im}
 
 
-def _wedge_terms(n, a, p1, q1, b, p2, q2):
-    """a ^ b over Z[i] for term dicts a of Lambda^{p1,q1} and b of Lambda^{p2,q2} on C^n."""
-    rows = _rows(n, p1, q1, p2, q2)
-    (_, pi), (_, pj), width = rows.right
-    return _wedge_rows(rows, a, [(pi[i] * width + pj[j], re, im)
-                                 for (i, j), (re, im) in b.items()])
-
-
 def wedge(phi: PQForm, psi: PQForm) -> PQForm:
     """Exact wedge product; degrees beyond n give the zero form (clamped degree)."""
     return wedge_many((phi, psi))
@@ -362,57 +348,48 @@ def wedge_many(forms, n=None) -> PQForm:
     return _fold(forms[0].n if forms else n, forms)
 
 
-def _fold(n, factors):
-    """f_1 ^ ... ^ f_k over Z[i], for PQForm factors on C^n.
+def _positioned(f):
+    """(p, q, den, terms): a fold factor's bidegree, denominator and (s, re, im) terms.
 
-    The fold starts from the first factor itself, and the empty product
-    is the scalar 1.  Terms are multiplied in ints over the product of the
-    denominators, which is reduced by one gcd at the end.  A degree beyond
-    n gives the zero form of the clamped bidegree; every factor's ambient
-    dimension is still checked.
+    Each term sits at the position s of its index in the basis of
+    Lambda^{p,q}.  A HermitianMatrix A is read as the (1,1)-form i A from
+    its cached rows L A: entry re + i im at (j, k) is the term (-im, re)
+    at position j n + k, over L.  The terms are yielded lazily.
     """
-    p, q, terms, den = 0, 0, None, 1
-    for f in factors:
-        if f.n != n:
-            raise ValueError("forms live on different ambient spaces")
-        if p + f.p > n or q + f.q > n:
-            p, q, terms = min(p + f.p, n), min(q + f.q, n), {}
-            continue
-        if terms is None:
-            terms, den = f.terms, f.den
-        elif terms:
-            terms = _wedge_terms(n, terms, p, q, f.terms, f.p, f.q)
-            den *= f.den
-        p, q = p + f.p, q + f.q
-    if terms is None:
-        return PQForm._from_terms(n, 0, 0, {((), ()): (1, 0)}, 1)
-    return PQForm._from_terms(n, p, q, *_reduce(terms, den))
+    if isinstance(f, HermitianMatrix):
+        re, im, den = f._cleared
+        n = f.n
+        return 1, 1, den, ((j * n + k, -y, x) for j, (xs, ys) in enumerate(zip(re, im))
+                           for k, (x, y) in enumerate(zip(xs, ys)) if x or y)
+    (_, pi), (_, pj) = _index_positions(f.n, f.p), _index_positions(f.n, f.q)
+    width = comb(f.n, f.q)
+    return f.p, f.q, f.den, ((pi[i] * width + pj[j], re, im)
+                             for (i, j), (re, im) in f.terms.items())
 
 
-def _matrix_wedge(mats, n, omega=None):
-    """omega ^ (i A_1) ^ ... ^ (i A_k), read from each matrix's cached rows; omega None is 1.
+def _fold(n, factors, omega=None):
+    """omega ^ f_1 ^ ... ^ f_k over Z[i], for PQForm and HermitianMatrix factors on C^n.
 
-    The fold starts from omega, or the scalar 1, and takes each factor i A
-    straight from the rows of L A: entry re + i im at (j, k) is the term
-    (-im, re) at position j n + k of the basis of Lambda^{1,1}, over L.
-    Degrees and dimensions are treated as _fold treats them.
+    The fold starts from the PQForm omega, or from the scalar 1, and reads
+    every factor through _positioned, so a matrix A enters as i A straight
+    from its cached rows.  Terms are multiplied in ints over the product
+    of the denominators, which is reduced by one gcd at the end.  A degree
+    beyond n gives the zero form of the clamped bidegree; every factor's
+    ambient dimension is still checked.
     """
     p, q, terms, den = (0, 0, {((), ()): (1, 0)}, 1) if omega is None else (
         omega.p, omega.q, omega.terms, omega.den)
-    for a in mats:
-        if a.n != n:
+    for f in factors:
+        if f.n != n:
             raise ValueError("forms live on different ambient spaces")
-        if p == n or q == n:
-            p, q, terms = min(p + 1, n), min(q + 1, n), {}
+        fp, fq, d, right = _positioned(f)
+        if p + fp > n or q + fq > n:
+            p, q, terms = min(p + fp, n), min(q + fq, n), {}
             continue
         if terms:
-            re, im, d = a._cleared
-            terms = _wedge_rows(_rows(n, p, q, 1, 1), terms, [
-                (j * n + k, -y, x)
-                for j, (xs, ys) in enumerate(zip(re, im))
-                for k, (x, y) in enumerate(zip(xs, ys)) if x or y])
+            terms = _wedge_rows(_rows(n, p, q, fp, fq), terms, list(right))
             den *= d
-        p, q = p + 1, q + 1
+        p, q = p + fp, q + fq
     return PQForm._from_terms(n, p, q, *_reduce(terms, den))
 
 
@@ -427,12 +404,12 @@ def _annihilates(omega, p, q, vector):
 
 
 def _matrix_vector(a):
-    """((re, im), L): the coefficient vector of the (1,1)-form i A, times L, from A's cached rows.
-
-    The basis ((j,), (k,)) of Lambda^{1,1} is ordered row by row.
-    """
-    re, im, den = a._cleared
-    return ([-y for ys in im for y in ys], [x for xs in re for x in xs]), den
+    """((re, im), L): the coefficient vector of the (1,1)-form i A, times L, read by _positioned."""
+    _, _, den, terms = _positioned(a)
+    re, im = [0] * a.n ** 2, [0] * a.n ** 2
+    for s, x, y in terms:
+        re[s], im[s] = x, y
+    return (re, im), den
 
 
 @lru_cache(maxsize=None)
@@ -594,23 +571,17 @@ def _pairing_gram(omega, p: int, q: int, left, right):
 def wedge_operator_matrix(omega: PQForm, p: int, q: int):
     """Matrix of Phi -> omega ^ Phi from Lambda^{p,q} in canonical bases.
 
-    Returns (rows, ncols).  If the target degree overflows n the map is
-    zero and the row list is empty.  Column (I, J) holds +c or -c for each
-    term c dz_I' ^ dzbar_J' of omega whose indices are disjoint from it, at
-    the row of the merged (I' + I, J' + J); no coefficient is multiplied.
+    Returns (rows, ncols), the Q(i) view of _integer_operator_matrix with
+    one GaussianRational per distinct entry.  If the target degree
+    overflows n the map is zero and the row list is empty.  Column (I, J)
+    holds +c or -c for each term c dz_I' ^ dzbar_J' of omega whose indices
+    are disjoint from it, at the row of the merged (I' + I, J' + J).
     """
-    den = omega.den
-    value = {}  # +c and -c for each term c of omega
-    for re, im in omega.terms.values():
-        for sign in (1, -1):
-            value[sign * re, sign * im] = GaussianRational(Rat(sign * re, den),
-                                                           Rat(sign * im, den))
-    nrows, columns = _operator_columns(omega, p, q)
-    rows = [[ZERO] * len(columns) for _ in range(nrows)]
-    for col, entries in enumerate(columns):
-        for row, re, im in entries:
-            rows[row][col] = value[re, im]
-    return rows, len(columns)
+    re, im, den = _integer_operator_matrix(omega, p, q)
+    value = {(x, y): GaussianRational(Rat(x, den), Rat(y, den))
+             for x, y in set(chain(*map(zip, re, im)))}
+    return ([list(map(value.__getitem__, zip(xs, ys))) for xs, ys in zip(re, im)],
+            comb(omega.n, p) * comb(omega.n, q))
 
 
 def multiplication_matrix(omega: PQForm, p: int, q: int):

@@ -1,12 +1,13 @@
 """Exact linear algebra over the Gaussian rationals.
 
 Dense matrices are plain lists of lists of GaussianRational.  Every
-elimination runs on integer rows: a matrix is scaled by the lcm L of its
-entries' denominators and stored as rows of Gaussian integers, one list
-of real and one of imaginary int parts, and eliminated fraction-free
-(Bareiss 1968).  Every step divides exactly in Z[i] by the previous
-pivot; a nonzero remainder raises InternalCheckError.  There are two
-eliminations.  The general one (_eliminate) runs on any rectangular
+elimination runs on integer rows: one lift (_gaussian_integer_rows) reads
+each entry as int pairs, scales the matrix by the lcm L of their
+denominators and stores it as rows of Gaussian integers, one list of real
+and one of imaginary int parts; a badly shaped matrix is a ValueError
+there.  The rows are eliminated fraction-free (Bareiss 1968).  Every step
+divides exactly in Z[i] by the previous pivot; a nonzero remainder raises
+InternalCheckError.  There are two eliminations.  The general one (_eliminate) runs on any rectangular
 matrix, with row swaps and complex pivots:
 
 * mat_det is its last pivot over L^n, signed by the row swaps;
@@ -25,7 +26,8 @@ the determinant of a Hermitian matrix: HermitianMatrix.rank, is_psd and
 det fill one cache from it, hermitian_signature and
 HermitianFormOnSpace.is_positive_definite_on read its inertia, and
 `discriminant`'s subset walks rank and determine every sum A_I with it.
-Values become GaussianRational again only on the way out.
+A restriction conj(B) G B^T is formed over Z[i] from the lifted basis and
+G's rows.  Values become GaussianRational again only on the way out.
 
 _det_residue maps the same int rows to F_p by i -> s, s^2 = -1 modulo
 one prime p = 1 (mod 4), and eliminates there: a ring homomorphism, so
@@ -37,7 +39,8 @@ columns gives the first reduced row echelon kernel vector of the whole
 matrix; only when p divided a minor does the whole matrix follow.
 
 A HermitianMatrix holds only its reduced Z[i] rows, cleared once from
-outside input, where the Hermitian check reads them; one built from rows
+outside input by the one lift (`serialize` passes it a task file's JSON
+pairs), where the Hermitian check reads them; one built from rows
 the library holds (a Gram, a subset sum, B B^H) is not cleared.  The
 methods, the pencils, `discriminant`'s subset lattice and `exterior`'s
 wedges read those rows.  `rows` is a Q(i) view built on first read, and
@@ -60,7 +63,6 @@ __all__ = [
     "HermitianFormOnSpace",
     "NotPositiveDefiniteError",
     "InternalCheckError",
-    "mat_mul",
     "mat_rank",
     "mat_det",
     "kernel_basis",
@@ -78,43 +80,44 @@ class InternalCheckError(ArithmeticError):
     """An internal consistency check failed; signals a bug, not bad input."""
 
 
+_REAL = (0, 1)  # the int pair of a zero imaginary part
+
+
 def _parts(x):
-    """(re, im) rationals of a GaussianRational, a {"re", "im"} dict or a rational."""
+    """((p, q), (r, s)), q, s > 0: the real and imaginary parts of an entry as int pairs.
+
+    The entry is a GaussianRational, a {"re", "im"} dict or a rational; every pair is reduced.
+    """
     if isinstance(x, GaussianRational):
-        return x.re, x.im
+        return x.re.as_integer_ratio(), x.im.as_integer_ratio()
+    if type(x) is int:
+        return (x, 1), _REAL
     if isinstance(x, dict):
-        return as_rat(x.get("re", 0)), as_rat(x.get("im", 0))
-    return as_rat(x), 0
-
-
-def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = []
-    for i in range(n):
-        ai = a[i]
-        row = []
-        for j in range(m):
-            s = ZERO
-            for t in range(k):
-                if ai[t]:
-                    s = s + ai[t] * b[t][j]
-            row.append(s)
-        out.append(row)
-    return out
+        return (as_rat(x.get("re", 0)).as_integer_ratio(),
+                as_rat(x.get("im", 0)).as_integer_ratio())
+    return as_rat(x).as_integer_ratio(), _REAL
 
 
 # ---- the integer kernel over Z[i] ----
 
-def _gaussian_integer_rows(rows):
+def _gaussian_integer_rows(rows, parts=_parts, square=False, what="matrix"):
     """(re, im, L): int rows with re + i*im = L * rows, L the lcm of all denominators.
 
-    gcd(L, every part) = 1: each prime's full power in L divides some entry's denominator.
+    parts reads each entry as the int pairs ((p, q), (r, s)) of its real
+    and imaginary parts, q, s > 0.  When every pair is reduced, gcd(L,
+    every part) = 1: each prime's full power in L divides some entry's
+    denominator.  Rows of a length other than their number when square
+    is set, or of unequal length, are a ValueError.
     """
-    entries = [[_parts(x) for x in row] for row in rows]
-    den = lcm(*{x.denominator for row in entries for pair in row for x in pair})
-    re = [[x.numerator * (den // x.denominator) for x, _ in row] for row in entries]
-    im = [[y.numerator * (den // y.denominator) for _, y in row] for row in entries]
+    entries = [[parts(x) for x in row] for row in rows]
+    widths = set(map(len, entries))
+    if square and widths - {len(entries)}:
+        raise ValueError("matrix must be square")
+    if len(widths) > 1:
+        raise ValueError(f"{what} rows must have equal length")
+    den = lcm(*{d for row in entries for (_, a), (_, b) in row for d in (a, b)})
+    re = [[p * (den // q) for (p, q), _ in row] for row in entries]
+    im = [[r * (den // s) for _, (r, s) in row] for row in entries]
     return re, im, den
 
 
@@ -354,7 +357,7 @@ def _exact_det(re, im, den):
 
 def mat_det(rows) -> GaussianRational:
     """Exact determinant: the last Bareiss pivot of L * rows over L^n."""
-    return _exact_det(*_gaussian_integer_rows(rows))
+    return _exact_det(*_gaussian_integer_rows(rows, square=True))
 
 
 def _kernel(re, im, ncols):
@@ -436,11 +439,13 @@ def kernel_basis(rows, ncols=None):
     column order.  `ncols` must be given when `rows` is empty (the zero
     map), in which case the kernel is the whole source.
     """
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for a matrix with no rows")
-        ncols = len(rows[0])
     re, im, _ = _gaussian_integer_rows(rows)
+    if ncols is None:
+        if not re:
+            raise ValueError("ncols required for a matrix with no rows")
+        ncols = len(re[0])
+    elif re and len(re[0]) != ncols:
+        raise ValueError(f"matrix rows must have ncols = {ncols} entries")
     vectors, d = _kernel(re, im, ncols)
     return [_exact_vector(v, d) for v in vectors]
 
@@ -459,7 +464,7 @@ def char_poly_elementary(rows):
     i.e. the sum of the k x k principal minors: the coefficient of t^k in
     det(I + t M).  Works for any square matrix.
     """
-    return _char_poly(*_gaussian_integer_rows(rows))
+    return _char_poly(*_gaussian_integer_rows(rows, square=True))
 
 
 class HermitianMatrix:
@@ -472,7 +477,7 @@ class HermitianMatrix:
     __slots__ = ("n", "_cleared", "_rows", "_signs", "_charpoly")
 
     def __init__(self, entries):
-        self._set(*_gaussian_integer_rows(entries))
+        self._set(*_gaussian_integer_rows(entries, square=True))
 
     @classmethod
     def _from_integer_rows(cls, re, im, den):
@@ -531,9 +536,7 @@ class HermitianMatrix:
     @classmethod
     def from_generator(cls, b_rows):
         """B * B^H for a rectangular exact matrix B, as (L B)(L B)^H over L^2; always PSD."""
-        re, im, den = _gaussian_integer_rows(b_rows)
-        if len(set(map(len, re))) > 1:
-            raise ValueError("generator rows must have equal length")
+        re, im, den = _gaussian_integer_rows(b_rows, what="generator")
         rows = list(zip(re, im))
         # entry (j, k) sums (a + i b)(c - i d) = ac + bd + i(bc - ad) along rows j and k
         return cls._from_integer_rows(
@@ -657,16 +660,38 @@ class HermitianFormOnSpace(HermitianMatrix):
     def signature(self):
         return self._elimination()[:3]
 
-    def restrict(self, basis):
-        """Gram matrix of the form restricted to span(basis): conj(B) G B^T."""
-        if mat_rank(basis) != len(basis):
+    def _restriction(self, basis):
+        """(re, im, L): conj(B) G B^T over Z[i], times L, from G's cached rows.
+
+        B is cleared once to L_B B, and L = L_B^2 L_G; the product is
+        checked to be Hermitian, as it is whenever G is.
+        """
+        n = self.n
+        bre, bim, bden = _gaussian_integer_rows(basis, what="basis")
+        if bre and len(bre[0]) != n:
+            raise ValueError(f"basis vectors must have {n} entries")
+        if _rank(_copy_rows(bre), _copy_rows(bim), n) != len(bre):
             raise ValueError("basis vectors are linearly dependent")
-        conj = [[GaussianRational(re, -im) for re, im in map(_parts, v)] for v in basis]
-        return mat_mul(mat_mul(conj, self.rows), [list(col) for col in zip(*basis)])
+        gre, gim, gden = self._cleared
+        # (G b) for each basis vector b, then entry (a, b) = conj(v_a) . (G v_b)
+        gb = [([sum(map(mul, xs, vr)) - sum(map(mul, ys, vi)) for xs, ys in zip(gre, gim)],
+               [sum(map(mul, xs, vi)) + sum(map(mul, ys, vr)) for xs, ys in zip(gre, gim)])
+              for vr, vi in zip(bre, bim)]
+        re = [[sum(map(mul, vr, wr)) + sum(map(mul, vi, wi)) for wr, wi in gb]
+              for vr, vi in zip(bre, bim)]
+        im = [[sum(map(mul, vr, wi)) - sum(map(mul, vi, wr)) for wr, wi in gb]
+              for vr, vi in zip(bre, bim)]
+        if _hermitian_failure(re, im):
+            raise InternalCheckError("restricted Gram matrix is not Hermitian")
+        return re, im, gden * bden * bden
+
+    def restrict(self, basis):
+        """Gram matrix of the form restricted to span(basis): conj(B) G B^T, in Q(i)."""
+        re, im, den = self._restriction(basis)
+        return [[GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in zip(xs, ys)]
+                for xs, ys in zip(re, im)]
 
     def is_positive_definite_on(self, basis) -> bool:
         """Whether the restriction to span(basis) has inertia (len(basis), 0, 0)."""
-        return hermitian_signature(self.restrict(basis)) == (len(basis), 0, 0)
-
-    def is_positive_definite(self) -> bool:
-        return self.signature() == (self.dim, 0, 0)
+        re, im, _ = self._restriction(basis)
+        return _inertia(re, im)[:3] == (len(re), 0, 0)

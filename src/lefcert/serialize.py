@@ -9,11 +9,10 @@ Rationals travel as "p/q" strings with q > 0, complex values as
 from __future__ import annotations
 
 import json
-from math import lcm
 
 from .certify import Certificate
 from .exterior import PQForm
-from .linalg import HermitianMatrix
+from .linalg import HermitianMatrix, _gaussian_integer_rows
 from .polymatroid import RankFunction
 from .rationals import GaussianRational, as_rat, rat_from_str, rat_pair
 
@@ -64,20 +63,17 @@ def _complex_pairs(obj):
 def matrix_from_json(obj) -> HermitianMatrix:
     """A matrix from its JSON record, read straight into Z[i] rows.
 
-    Each entry's parts become (p, q) int pairs; the rows are lifted to
-    the lcm L of all q, and `_from_integer_rows` divides out the one gcd
-    they share with L.  No scalar object is built per entry.
+    Each entry's parts become (p, q) int pairs, which the one lift of
+    `linalg` takes to the lcm L of all q; `_from_integer_rows` divides out
+    the one gcd they share with L.  No scalar object is built per entry.
     """
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("a matrix must be a JSON object with 'entries'")
     rows = obj["entries"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise TypeError("entries must be a list of rows, each a JSON array")
-    pairs = [[_complex_pairs(x) for x in row] for row in rows]
-    den = lcm(*{d for row in pairs for (_, a), (_, b) in row for d in (a, b)})
     mat = HermitianMatrix._from_integer_rows(
-        [[p * (den // q) for (p, q), _ in row] for row in pairs],
-        [[r * (den // s) for _, (r, s) in row] for row in pairs], den)
+        *_gaussian_integer_rows(rows, _complex_pairs, square=True))
     n = obj.get("n", mat.n)
     if type(n) is not int or n != mat.n:
         raise ValueError("matrix dimension field disagrees with entries")

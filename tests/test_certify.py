@@ -30,8 +30,8 @@ import lefcert.linalg as linalg_mod
 from lefcert.exterior import (
     PQForm,
     _annihilates,
+    _fold,
     _integer_operator_matrix,
-    _matrix_wedge,
     basis_indices,
     conjugate_form,
     form_from_matrix,
@@ -201,7 +201,7 @@ def test_direct_builds_omega_once_on_a_failing_instance(monkeypatch):
     import lefcert.certify as certify_mod
 
     calls = []
-    build = certify_mod._matrix_wedge
+    build = certify_mod._fold
 
     def counted(*args):
         calls.append(args)
@@ -211,7 +211,7 @@ def test_direct_builds_omega_once_on_a_failing_instance(monkeypatch):
         raise AssertionError("direct_hl built Omega over Q(i)")
 
     a = D([1, 1, 0])
-    monkeypatch.setattr(certify_mod, "_matrix_wedge", counted)
+    monkeypatch.setattr(certify_mod, "_fold", counted)
     monkeypatch.setattr(HLInstance, "omega", forbidden)
     monkeypatch.setattr(GaussianRational, "__init__", forbidden)
     cert = direct_hl(HLInstance(3, 1, 0, (a, a)))
@@ -243,7 +243,7 @@ def _kernel_widths(monkeypatch):
 def test_direct_holds_from_the_exact_echelon_on_a_zero_residue(monkeypatch):
     widths = _kernel_widths(monkeypatch)
     for inst in ZERO_RESIDUE:
-        re, im, _ = _integer_operator_matrix(_matrix_wedge(inst.forms, inst.n), inst.p, inst.q)
+        re, im, _ = _integer_operator_matrix(_fold(inst.n, inst.forms), inst.p, inst.q)
         assert _det_residue(re, im) == (0, 0)
         widths.clear()
         assert direct_hl(inst).holds and criterion_hl(inst).holds
@@ -278,12 +278,12 @@ def test_witness_recheck_uses_the_given_omega():
     # (Id, Id), which annihilates no nonzero (1,0)-form
     a = D([1, 1, 0])
     inst = HLInstance(3, 1, 0, (a, a))
-    omega = _matrix_wedge((a, a), 3)
+    omega = _fold(3, (a, a))
     re, im, _ = _integer_operator_matrix(omega, 1, 0)
     vectors, d = _kernel(re, im, len(re))
     assert not _witness_from_kernel(inst, omega, vectors[0], d).is_zero()
     with pytest.raises(InternalCheckError, match="not annihilated"):
-        _witness_from_kernel(inst, _matrix_wedge((Id(3), Id(3)), 3), vectors[0], d)
+        _witness_from_kernel(inst, _fold(3, (Id(3), Id(3))), vectors[0], d)
 
 
 def test_witnesses_annihilate_omega():
@@ -366,7 +366,7 @@ def test_primitive_basis_element_outside_the_kernel_is_an_internal_error(monkeyp
     import lefcert.certify as certify_mod
 
     inst = HLInstance(2, 1, 1, (), eta=Id(2))
-    coupled = _matrix_wedge((inst.eta,), 2, _matrix_wedge((), 2))
+    coupled = _fold(2, (inst.eta,), _fold(2, ()))
     ncols = len(basis_indices(2, 1, 1))
     units = [([int(j == k) for j in range(ncols)], [0] * ncols) for k in range(ncols)]
     stray = next(u for u in units if not _annihilates(coupled, 1, 1, u))
@@ -567,7 +567,7 @@ def test_lorentzian_gram_equals_the_mixed_discriminant_oracle(n):
     samples.append([D([1] * (n - 1) + [0])] * (n - 2))  # rank n-1: not Lorentzian
     samples.append([Id(n)] * (n - 2))
     for forms in samples:
-        rows, den = _intersection_gram(_matrix_wedge(forms, n), _real_basis_vectors(n))
+        rows, den = _intersection_gram(_fold(n, forms), _real_basis_vectors(n))
         oracle = oracle_lorentzian_gram(forms, n)
         scale = den * factorial(n)
         assert [[Fraction(x, scale) for x in row] for row in rows] == oracle
@@ -642,7 +642,7 @@ def test_hodge_index_pairing_equals_the_mixed_discriminant_oracle(n):
             beta0 = beta0.scale(Fraction(1, 3))
         mats = [alpha, beta0]
         vectors, dens = zip(*(integer_vector(form_from_matrix(m)) for m in mats))
-        rows, den = _intersection_gram(_matrix_wedge(forms, n), vectors)
+        rows, den = _intersection_gram(_fold(n, forms), vectors)
         for a, x in enumerate(mats):
             for b, y in enumerate(mats):
                 exact = Fraction(rows[a][b], den * dens[a] * dens[b])

@@ -232,9 +232,9 @@ def test_each_matrix_is_cleared_once(monkeypatch):
         built.append(b_rows)
         return generate(cls, b_rows)
 
-    def counting(rows):
+    def counting(rows, *args, **kwargs):
         cleared.append(rows)
-        return clear(rows)
+        return clear(rows, *args, **kwargs)
 
     def forbidden(*args):
         raise AssertionError("the subset lattice left the integer walk")

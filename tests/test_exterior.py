@@ -554,7 +554,7 @@ def matrix_families():
 def test_matrix_wedge_equals_the_qi_build_term_for_term():
     kinds = set()
     for n, mats in matrix_families():
-        omega = exterior._matrix_wedge(mats, n)
+        omega = exterior._fold(n, mats)
         terms, den, bideg = oracle_matrix_wedge(mats, n)
         assert omega.terms == terms and list(omega.terms) == list(terms)
         assert omega.den == den and (omega.p, omega.q) == bideg and omega.n == n
@@ -568,15 +568,15 @@ def test_matrix_wedge_equals_the_qi_build_term_for_term():
 def test_matrix_wedge_continues_a_given_omega():
     for n, mats in matrix_families():
         for k in range(len(mats) + 1):
-            head = exterior._matrix_wedge(mats[:k], n)
-            whole = exterior._matrix_wedge(mats[k:], n, head)
+            head = exterior._fold(n, mats[:k])
+            whole = exterior._fold(n, mats[k:], head)
             terms, den, bideg = oracle_matrix_wedge(mats, n)
             assert (whole.terms, whole.den, (whole.p, whole.q)) == (terms, den, bideg)
 
 
 def test_matrix_wedge_rejects_a_mismatched_dimension():
     with pytest.raises(ValueError):
-        exterior._matrix_wedge([D([1, 1]), D([1, 1, 1])], 2)
+        exterior._fold(2, [D([1, 1]), D([1, 1, 1])])
 
 
 def test_form_from_matrix_reads_the_cleared_rows(monkeypatch):
@@ -606,7 +606,7 @@ def test_annihilates_agrees_with_the_wedge():
     rng = SplitMix64(0xA221)
     seen = set()
     for n, mats in matrix_families():
-        omega = exterior._matrix_wedge(mats, n)
+        omega = exterior._fold(n, mats)
         for p, q in bidegrees(n):
             phi = random_rational_form(rng, n, p, q, density=1 + rng.integer(0, 2))
             vector = ([c.re for c in phi.coefficient_vector()],
@@ -713,7 +713,9 @@ def test_wedge_rows_are_bounded_and_built_lazily():
     f = PQForm(n, 3, 3, {((1, 2, 3), (1, 2, 3)): GR(1, 2), ((4, 5, 6), (2, 5, 9)): GR(-3)})
     g = PQForm(n, 1, 1, {((7,), (7,)): ONE, ((1,), (10,)): I})
     assert wedge(f, g) == oracle_wedge(f, g)
-    assert exterior._rows.cache_info().currsize == 1
+    # the fold starts from the scalar 1, whose one-row (0,0) x (3,3) table places f
+    assert exterior._rows.cache_info().currsize == 2
+    assert list(exterior._rows(n, 0, 0, 3, 3)) == [((), ())]
     table = exterior._rows(n, 3, 3, 1, 1)
     # one row per left index the loop reached, each listing the 7 * 7 disjoint (1,1) indices
     assert len(table) <= 2 and set(table) <= set(f.terms)

@@ -137,7 +137,9 @@ CLEARING_ENTRY_POINTS = {
     "linalg.mat_det",
     "linalg.kernel_basis",
     "linalg.char_poly_elementary",
+    "linalg.HermitianFormOnSpace._restriction",
     "exterior.PQForm.__init__",
+    "serialize.matrix_from_json",
 }
 
 

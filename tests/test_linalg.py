@@ -26,13 +26,19 @@ from lefcert.linalg import (
     is_m_positive,
     kernel_basis,
     mat_det,
-    mat_mul,
     mat_rank,
 )
 from lefcert.generate import SplitMix64
 from lefcert.rationals import GR, I, ONE, ZERO, GaussianRational, as_rat
 
 from conftest import random_hermitian, random_psd_family
+
+
+def mat_mul(a, b):
+    """The Q(i) product of two matrices, one GaussianRational sum per entry: an oracle."""
+    m = len(b[0]) if b else 0
+    return [[sum((x * b[t][j] for t, x in enumerate(row) if x), ZERO) for j in range(m)]
+            for row in a]
 
 D = HermitianMatrix.diagonal
 Id = HermitianMatrix.identity
@@ -509,6 +515,99 @@ def test_restrict_matches_the_entrywise_oracle():
         basis = _random_matrix(rng, rng.integer(0, n), n, n)
         if mat_rank(basis) == len(basis):
             assert form.restrict(basis) == oracle_restrict(form.gram, basis)
+
+
+def _counting_gaussian_rationals(monkeypatch):
+    """A list that grows by one for every GaussianRational built from now on."""
+    built = []
+    init = GaussianRational.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(GaussianRational, "__init__", counting)
+    return built
+
+
+def _restriction_case():
+    """A 4x4 form and a 2-vector basis with denominators."""
+    form = HermitianFormOnSpace(random_hermitian(904, 4).rows)
+    basis = [[GR(1), GR(Fraction(1, 2), 1), ZERO, GR(3)],
+             [GR(0, -2), ONE, GR(Fraction(-2, 3)), GR(Fraction(1, 5), Fraction(1, 7))]]
+    return form, basis
+
+
+def test_definiteness_on_a_subspace_builds_no_gaussian_rational(monkeypatch):
+    form, basis = _restriction_case()
+    expected = form.is_positive_definite_on(basis)
+    form, basis = _restriction_case()
+    built = _counting_gaussian_rationals(monkeypatch)
+    assert form.is_positive_definite_on(basis) == expected
+    assert form.is_positive_definite_on(basis) == expected
+    assert built == []
+
+
+def test_restrict_builds_only_its_output_entries(monkeypatch):
+    form, basis = _restriction_case()
+    built = _counting_gaussian_rationals(monkeypatch)
+    gram = form.restrict(basis)
+    assert len(built) == len(basis) ** 2 == sum(map(len, gram))
+
+
+def test_restrict_equals_the_mat_mul_oracle_on_complex_bases():
+    rng = SplitMix64(0x2E57)
+    scales = (None, _SCALE, GaussianRational(Fraction(2, 5)))
+    seen = set()
+    for seed in range(60):
+        n = 1 + seed % 5
+        form = HermitianFormOnSpace(random_hermitian(seed + 700, n).rows)
+        k = rng.integer(0, n)
+        basis = _random_matrix(rng, k, n, n, scales[seed % 3])
+        if mat_rank(basis) != k:
+            continue
+        conj = [[x.conjugate() for x in v] for v in basis]
+        gram = [list(r) for r in form.rows]
+        oracle = mat_mul(mat_mul(conj, gram), [list(c) for c in zip(*basis)])
+        assert form.restrict(basis) == oracle
+        assert form.is_positive_definite_on(basis) == (hermitian_signature(oracle) == (k, 0, 0))
+        seen.add((k, scales[seed % 3] is not None))
+    assert {(k, scaled) for k in (1, 2, 3) for scaled in (False, True)} <= seen
+
+
+def test_restricted_gram_is_checked_hermitian():
+    form, basis = _restriction_case()
+    re, im, den = form._cleared
+    # a Gram whose (0, 1) entry is not the conjugate of its (1, 0) entry
+    im = tuple(tuple(y + (j == 0 and k == 1) for k, y in enumerate(ys)) for j, ys in enumerate(im))
+    object.__setattr__(form, "_cleared", (re, im, den))
+    for read in (form.restrict, form.is_positive_definite_on):
+        with pytest.raises(InternalCheckError, match="restricted Gram matrix is not Hermitian"):
+            read(basis)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mat_det([[1, 2, 3], [3, 4, 5]]), "matrix must be square"),
+    (lambda: mat_det([[1, 2], [3, 4], [5, 6]]), "matrix must be square"),
+    (lambda: mat_det([[1, 2], [3]]), "matrix must be square"),
+    (lambda: char_poly_elementary([[1, 2, 3], [3, 4, 5]]), "matrix must be square"),
+    (lambda: char_poly_elementary([[1, 2], [3, 4], [5, 6]]), "matrix must be square"),
+    (lambda: kernel_basis([[1, 2, 3]], 2), "matrix rows must have ncols = 2 entries"),
+    (lambda: kernel_basis([[1, 2], [3]]), "matrix rows must have equal length"),
+    (lambda: mat_rank([[1], [2, 3]]), "matrix rows must have equal length"),
+    (lambda: HermitianMatrix([[1, 0], [0]]), "matrix must be square"),
+    (lambda: HermitianFormOnSpace(Id(2).rows).restrict([[1, 0, 0]]),
+     "basis vectors must have 2 entries"),
+    (lambda: HermitianFormOnSpace(Id(2).rows).restrict([[1, 0], [1]]),
+     "basis rows must have equal length"),
+    (lambda: HermitianFormOnSpace(Id(3).rows).is_positive_definite_on([[1, 0]]),
+     "basis vectors must have 3 entries"),
+], ids=["det-wide", "det-tall", "det-ragged", "charpoly-wide", "charpoly-tall",
+        "kernel-ncols", "kernel-ragged", "rank-ragged", "hermitian-ragged",
+        "restrict-long", "restrict-ragged", "definite-short"])
+def test_badly_shaped_input_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_hermitian_signature_refuses_non_hermitian_input():
