@@ -28,7 +28,6 @@ from .exterior import (
     PQForm,
     conjugate_form,
     form_from_matrix,
-    is_real_form,
     multiplication_matrix,
     volume_scalar,
     wedge,

@@ -26,8 +26,8 @@ from math import comb, factorial
 from operator import add
 
 from .exterior import _fold, volume_scalar
-from .linalg import HermitianMatrix, InternalCheckError, _copy_rows, _inertia, _lift
-from .rationals import GR, Rat
+from .linalg import InternalCheckError, _copy_rows, _inertia, _lift
+from .rationals import Rat
 
 __all__ = [
     "mixed_discriminant",
@@ -35,7 +35,6 @@ __all__ = [
     "panov_positivity",
     "reverse_kt_check",
     "PositivityCertificate",
-    "subset_sums",
     "subsets_size_lex",
     "rank_deficient_subset",
 ]
@@ -82,21 +81,6 @@ def _subset_ranks(mats):
     for subset, (re, im) in _walk(_lift(mats)[1]):
         npos, nneg, _, _ = _inertia(_copy_rows(re), _copy_rows(im))
         yield subset, npos + nneg
-
-
-def subset_sums(mats):
-    """Yield (I, A_I) for every nonempty I in size-then-lex order, lazily.
-
-    A view of the integer walk as HermitianMatrix values, built from its
-    Z[i] rows with no clearing; no library code calls it.  A singleton's
-    sum is the matrix itself, and an empty family yields nothing.
-    """
-    den, lifted = _lift(mats)
-    for subset, (re, im) in _walk(lifted):
-        if len(subset) == 1:
-            yield subset, mats[subset[0] - 1]
-        else:
-            yield subset, HermitianMatrix._from_integer_rows(re, im, den)
 
 
 def rank_deficient_subset(mats, shift=0):
@@ -204,10 +188,6 @@ def reverse_kt_check(a_mats, b_mat, c_mats) -> bool:
             raise ValueError("matrices have mismatched dimensions")
         if not m.is_psd():
             raise ValueError("reverse_kt_check requires PSD matrices")
-    lhs = (
-        GR(comb(n, k))
-        * GR(intersection_number(a_mats + [b_mat] * (n - k)))
-        * GR(intersection_number([b_mat] * k + c_mats))
-    )
-    rhs = GR(intersection_number([b_mat] * n)) * GR(intersection_number(a_mats + c_mats))
-    return lhs.as_real() >= rhs.as_real()
+    lhs = (comb(n, k) * intersection_number(a_mats + [b_mat] * (n - k))
+           * intersection_number([b_mat] * k + c_mats))
+    return lhs >= intersection_number([b_mat] * n) * intersection_number(a_mats + c_mats)

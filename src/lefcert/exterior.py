@@ -59,7 +59,6 @@ __all__ = [
     "conjugate_form",
     "multiplication_matrix",
     "wedge_operator_matrix",
-    "is_real_form",
 ]
 
 
@@ -448,13 +447,6 @@ def conjugate_form(phi: PQForm) -> PQForm:
     sign = -1 if (phi.p * phi.q) % 2 else 1
     return PQForm._from_terms(phi.n, phi.q, phi.p, {
         (j, i): (sign * re, -sign * im) for (i, j), (re, im) in phi.terms.items()}, phi.den)
-
-
-def is_real_form(phi: PQForm) -> bool:
-    """A (p,p)-form is real iff it equals its own conjugate."""
-    if phi.p != phi.q:
-        return False
-    return conjugate_form(phi) == phi
 
 
 def _operator_columns(omega, p: int, q: int):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import HermitianMatrix, mat_rank
+from .linalg import HermitianMatrix, InternalCheckError, mat_rank
 from .rationals import GaussianRational
 
 __all__ = ["SplitMix64", "GeneratorSpec", "generate_psd"]
@@ -96,6 +96,6 @@ def generate_psd(spec: GeneratorSpec):
             raise RuntimeError("failed to draw a full-column-rank generator in 1000 tries")
         mat = HermitianMatrix.from_generator(b)
         if not mat.is_psd() or mat.rank() != r:
-            raise AssertionError("generator soundness violated")
+            raise InternalCheckError("generator soundness violated")
         out.append(mat)
     return out

@@ -16,18 +16,16 @@ matrix, with row swaps and complex pivots:
   times an exact kernel vector, d the last pivot, and its entries are
   those of the fraction-free Gauss-Jordan form (Nakos, Turner and
   Williams 1997), so every division is exact in Z[i] as well;
-* char_poly_elementary and is_m_positive read the coefficients of
-  det(a + t b), interpolated exactly from n + 1 of its determinants.
+* is_m_positive reads the signs of the coefficients of det(omega + t A),
+  interpolated exactly from n + 1 of its determinants.
 
 The Hermitian one (_inertia) is symmetric, on real diagonal pivots and
 the upper triangle only; the k-th LDL* diagonal is p_k / p_(k-1), and the
 last pivot is the determinant.  One call gives the inertia, the rank and
 the determinant of a Hermitian matrix: HermitianMatrix.rank, is_psd and
-det fill one cache from it, hermitian_signature and
-HermitianFormOnSpace.is_positive_definite_on read its inertia, and
+det fill one cache from it, hermitian_signature reads its inertia, and
 `discriminant`'s subset walks rank and determine every sum A_I with it.
-A restriction conj(B) G B^T is formed over Z[i] from the lifted basis and
-G's rows.  Values become GaussianRational again only on the way out.
+Values become GaussianRational again only on the way out.
 
 _det_residue maps the same int rows to F_p by i -> s, s^2 = -1 modulo
 one prime p = 1 (mod 4), and eliminates there: a ring homomorphism, so
@@ -42,9 +40,10 @@ A HermitianMatrix holds only its reduced Z[i] rows, cleared once from
 outside input by the one lift (`serialize` passes it a task file's JSON
 pairs), where the Hermitian check reads them; one built from rows
 the library holds (a Gram, a subset sum, B B^H) is not cleared.  The
-methods, the pencils, `discriminant`'s subset lattice and `exterior`'s
-wedges read those rows.  `rows` is a Q(i) view built on first read, and
-`+` and `scale` work on it, as the oracle of the integer subset walk.
+methods, the pencil of is_m_positive, `discriminant`'s subset lattice and
+`exterior`'s wedges read those rows.  `rows` is a Q(i) view built on
+first read, and `+` and `scale` work on it, as the oracle of the integer
+subset walk.
 
 No eigenvalue is ever computed.
 """
@@ -66,7 +65,6 @@ __all__ = [
     "mat_rank",
     "mat_det",
     "kernel_basis",
-    "char_poly_elementary",
     "hermitian_signature",
     "is_m_positive",
 ]
@@ -256,12 +254,12 @@ def _inertia(re, im):
     return npos, nneg, nzero, 0 if nzero else prev
 
 
-def _det_pencil(a, b, den):
-    """Coefficients (c_0, ..., c_n) of det(a + t b) for n x n matrices a and b.
+def _det_pencil(a, b):
+    """The coefficients of n! L^n det(a + t b), lowest power first, as (re, im) int pairs.
 
-    a and b are the (re, im) Z[i] rows of L a and L b over one L = den,
-    and are only read.  v_t = det(L a + t L b) is a Bareiss determinant
-    for t = 0..n, and Newton's forward differences interpolate it exactly:
+    a and b are the (re, im) Z[i] rows of L a and L b over one L, and are
+    only read.  v_t = det(L a + t L b) is a Bareiss determinant for
+    t = 0..n, and Newton's forward differences interpolate it exactly:
     n! L^n det(a + t b) = sum_k (n! / k!) D^k v_0 t (t - 1) ... (t - k + 1).
     """
     (ar, ai), (br, bi) = a, b
@@ -284,9 +282,7 @@ def _det_pencil(a, b, den):
         values = [(xr - wr, xi - wi) for (wr, wi), (xr, xi) in zip(values, values[1:])]
         falling = [(falling[j - 1] if j else 0) - (k * falling[j] if j <= k else 0)
                    for j in range(k + 2)]
-    scale = factorial(n) * den ** n
-    return [GaussianRational(Fraction(x, scale), Fraction(y, scale))
-            for x, y in zip(num_re, num_im)]
+    return list(zip(num_re, num_im))
 
 
 def _rank(re, im, ncols):
@@ -450,23 +446,6 @@ def kernel_basis(rows, ncols=None):
     return [_exact_vector(v, d) for v in vectors]
 
 
-def _char_poly(re, im, den):
-    """(e_1, ..., e_n) of M from the Z[i] rows (re, im) of L * M, L = den: det(I + t M)."""
-    n = len(re)
-    identity = [[den if i == j else 0 for j in range(n)] for i in range(n)]
-    return _det_pencil((identity, [[0] * n] * n), (re, im), den)[1:]
-
-
-def char_poly_elementary(rows):
-    """Signed characteristic-polynomial coefficients (e_1, ..., e_n).
-
-    e_k is the k-th elementary symmetric function of the eigenvalues,
-    i.e. the sum of the k x k principal minors: the coefficient of t^k in
-    det(I + t M).  Works for any square matrix.
-    """
-    return _char_poly(*_gaussian_integer_rows(rows, square=True))
-
-
 class HermitianMatrix:
     """Exact n x n Hermitian matrix, the coordinate form of a real (1,1)-form.
 
@@ -474,7 +453,7 @@ class HermitianMatrix:
     part) = 1, so equal matrices hold equal rows; `rows` is a read-only view.
     """
 
-    __slots__ = ("n", "_cleared", "_rows", "_signs", "_charpoly")
+    __slots__ = ("n", "_cleared", "_rows", "_signs")
 
     def __init__(self, entries):
         self._set(*_gaussian_integer_rows(entries, square=True))
@@ -502,8 +481,8 @@ class HermitianMatrix:
             raise ValueError("not Hermitian at ({},{})".format(*failure))
         object.__setattr__(self, "n", len(re))
         object.__setattr__(self, "_cleared", (tuple(map(tuple, re)), tuple(map(tuple, im)), den))
-        for name in ("_rows", "_signs", "_charpoly"):
-            object.__setattr__(self, name, None)
+        object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_signs", None)
         return self
 
     def __setattr__(self, name, value):
@@ -585,22 +564,6 @@ class HermitianMatrix:
         npos, nneg, _, _ = self._elimination()
         return npos + nneg
 
-    def kernel_basis(self):
-        vectors, d = _kernel(*self._row_copies()[:2], self.n)
-        return [_exact_vector(v, d) for v in vectors]
-
-    def char_poly_coefficients(self):
-        """Exact (e_1, ..., e_n); all real for Hermitian input."""
-        if self._charpoly is None:
-            es = _char_poly(*self._cleared)
-            reals = []
-            for e in es:
-                if e.im:
-                    raise InternalCheckError("complex char-poly coefficient on Hermitian input")
-                reals.append(e.re)
-            object.__setattr__(self, "_charpoly", tuple(reals))
-        return self._charpoly
-
     def is_psd(self) -> bool:
         return self._elimination()[1] == 0
 
@@ -628,7 +591,8 @@ def is_m_positive(mat: HermitianMatrix, omega: HermitianMatrix, m: int) -> bool:
 
     omega must be positive definite.  The relative elementary symmetric
     functions e_k(omega^-1 A) then carry the signs of the coefficients of
-    det(omega + t A) = det(omega) * sum_k e_k(omega^-1 A) t^k.
+    det(omega + t A) = det(omega) * sum_k e_k(omega^-1 A) t^k, and so do
+    those of n! L^n det(omega + t A), the positive multiple _det_pencil returns.
     """
     n = mat.n
     if omega.n != n:
@@ -637,11 +601,10 @@ def is_m_positive(mat: HermitianMatrix, omega: HermitianMatrix, m: int) -> bool:
         raise ValueError("m must satisfy 1 <= m <= n")
     if omega._elimination()[:3] != (n, 0, 0):
         raise NotPositiveDefiniteError("matrix is not positive definite")
-    den, (a, b) = _lift((omega, mat))
-    for c in _det_pencil(a, b, den)[1:m + 1]:
-        if c.im:
+    for re, im in _det_pencil(*_lift((omega, mat))[1])[1:m + 1]:
+        if im:
             raise InternalCheckError("relative char-poly coefficient not real")
-        if c.re <= 0:
+        if re <= 0:
             return False
     return True
 
@@ -659,39 +622,3 @@ class HermitianFormOnSpace(HermitianMatrix):
 
     def signature(self):
         return self._elimination()[:3]
-
-    def _restriction(self, basis):
-        """(re, im, L): conj(B) G B^T over Z[i], times L, from G's cached rows.
-
-        B is cleared once to L_B B, and L = L_B^2 L_G; the product is
-        checked to be Hermitian, as it is whenever G is.
-        """
-        n = self.n
-        bre, bim, bden = _gaussian_integer_rows(basis, what="basis")
-        if bre and len(bre[0]) != n:
-            raise ValueError(f"basis vectors must have {n} entries")
-        if _rank(_copy_rows(bre), _copy_rows(bim), n) != len(bre):
-            raise ValueError("basis vectors are linearly dependent")
-        gre, gim, gden = self._cleared
-        # (G b) for each basis vector b, then entry (a, b) = conj(v_a) . (G v_b)
-        gb = [([sum(map(mul, xs, vr)) - sum(map(mul, ys, vi)) for xs, ys in zip(gre, gim)],
-               [sum(map(mul, xs, vi)) + sum(map(mul, ys, vr)) for xs, ys in zip(gre, gim)])
-              for vr, vi in zip(bre, bim)]
-        re = [[sum(map(mul, vr, wr)) + sum(map(mul, vi, wi)) for wr, wi in gb]
-              for vr, vi in zip(bre, bim)]
-        im = [[sum(map(mul, vr, wi)) - sum(map(mul, vi, wr)) for wr, wi in gb]
-              for vr, vi in zip(bre, bim)]
-        if _hermitian_failure(re, im):
-            raise InternalCheckError("restricted Gram matrix is not Hermitian")
-        return re, im, gden * bden * bden
-
-    def restrict(self, basis):
-        """Gram matrix of the form restricted to span(basis): conj(B) G B^T, in Q(i)."""
-        re, im, den = self._restriction(basis)
-        return [[GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in zip(xs, ys)]
-                for xs, ys in zip(re, im)]
-
-    def is_positive_definite_on(self, basis) -> bool:
-        """Whether the restriction to span(basis) has inertia (len(basis), 0, 0)."""
-        re, im, _ = self._restriction(basis)
-        return _inertia(re, im)[:3] == (len(re), 0, 0)

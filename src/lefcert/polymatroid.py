@@ -249,7 +249,7 @@ def multidegree_support(r: RankFunction, dim_x: int):
 
     The set equals the lattice points of the rank table; exposed under
     this name for the multidegree reading where r(I) plays the role of
-    dim pi_I(X).  The defining inequalities are asserted on the output.
+    dim pi_I(X).  The defining inequalities are re-checked on the output.
     """
     if r.full_rank() != dim_x:
         raise ValueError(f"r([m]) = {r.full_rank()} does not match dim X = {dim_x}")
@@ -257,9 +257,9 @@ def multidegree_support(r: RankFunction, dim_x: int):
     full = frozenset(range(1, r.m + 1))
     for vec in poly.points:
         if sum(vec) != dim_x:
-            raise AssertionError("point violates the total-degree equality")
+            raise InternalCheckError("point violates the total-degree equality")
         for subset in _all_subsets(r.m):
             if subset and subset != full:
                 if sum(vec[i - 1] for i in subset) > r(subset):
-                    raise AssertionError("point violates a defining inequality")
+                    raise InternalCheckError("point violates a defining inequality")
     return set(poly.points)

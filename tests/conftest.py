@@ -1,7 +1,9 @@
 import pytest
 
 from lefcert import GeneratorSpec, HermitianMatrix, generate_psd
+from lefcert.discriminant import _walk
 from lefcert.generate import SplitMix64
+from lefcert.linalg import _lift
 
 _acceptance_lines = []
 
@@ -46,3 +48,10 @@ def random_hermitian(seed, n, bound=3):
             rows[i][j] = c
             rows[j][i] = c.conjugate()
     return HermitianMatrix(rows)
+
+
+def subset_sums(mats):
+    """Yield (I, A_I) along the library's integer subset walk, each A_I read as a HermitianMatrix."""
+    den, lifted = _lift(mats)
+    for subset, (re, im) in _walk(lifted):
+        yield subset, HermitianMatrix._from_integer_rows(re, im, den)

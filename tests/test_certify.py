@@ -24,7 +24,7 @@ from lefcert.certify import (
     products_preserve_hl,
 )
 import lefcert.discriminant as discriminant_mod
-from lefcert.discriminant import panov_positivity, subset_sums
+from lefcert.discriminant import panov_positivity
 from lefcert.discriminant import mixed_discriminant
 import lefcert.linalg as linalg_mod
 from lefcert.exterior import (
@@ -55,7 +55,7 @@ from lefcert.linalg import (
 )
 from lefcert.rationals import GR, I, ONE, GaussianRational, cpq_constant
 
-from conftest import random_hermitian, random_psd_family
+from conftest import random_hermitian, random_psd_family, subset_sums
 from lefcert.generate import SplitMix64
 
 D = HermitianMatrix.diagonal

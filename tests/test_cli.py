@@ -407,6 +407,31 @@ def test_route_disagreement_is_an_internal_error(tmp_path, monkeypatch):
     assert report["results"] == {"0": expected, "1": expected}
 
 
+def test_generator_self_check_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # a B B* that lost the drawn rank fails generate_psd's soundness check
+    monkeypatch.setattr(HermitianMatrix, "from_generator", classmethod(lambda cls, b: cls.zero(len(b))))
+    doc = {"schema": 1, "n": 2, "tasks": [{"kind": "generate-psd", "seed": 3, "rank_profile": [1]}]}
+    code, out, err = run_raw(tmp_path, capsys, doc)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["results"] == {"0": {"internal_error": "generator soundness violated"}}
+
+
+@pytest.mark.parametrize("point, message", [
+    ((1, 0), "point violates the total-degree equality"),
+    ((2, 0), "point violates a defining inequality"),
+])
+def test_support_self_checks_are_internal_errors(tmp_path, capsys, monkeypatch, point, message):
+    from lefcert import polymatroid
+
+    monkeypatch.setattr(polymatroid, "enumerate_points",
+                        lambda r: polymatroid.DiscretePolymatroid(r.m, r, (point,)))
+    table = {"m": 2, "values": {"[]": 0, "[1]": 1, "[2]": 1, "[1, 2]": 2}}
+    doc = {"schema": 1, "tasks": [{"kind": "enumerate-support", "table": table, "dim": 2}]}
+    code, out, err = run_raw(tmp_path, capsys, doc)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["results"] == {"0": {"internal_error": message}}
+
+
 def test_non_object_rank_table_is_a_task_error(tmp_path, capsys):
     doc = {"schema": 1, "tasks": [{"kind": "polymatroid-axioms", "table": [1, 2]}]}
     assert_task_error(tmp_path, capsys, doc, "rank table must be a JSON object")

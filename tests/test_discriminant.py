@@ -13,7 +13,6 @@ from lefcert.discriminant import (
     panov_positivity,
     rank_deficient_subset,
     reverse_kt_check,
-    subset_sums,
     subsets_size_lex,
 )
 from lefcert.linalg import (
@@ -27,7 +26,7 @@ from lefcert.linalg import (
 from lefcert.polymatroid import hl_support, rank_from_matrices
 from lefcert.rationals import GR, ZERO, GaussianRational, Rat, as_rat
 
-from conftest import random_hermitian, random_psd_family
+from conftest import random_hermitian, random_psd_family, subset_sums
 from lefcert.generate import SplitMix64
 
 D = HermitianMatrix.diagonal
@@ -258,8 +257,6 @@ def test_each_matrix_is_cleared_once(monkeypatch):
     hl_support(mats[:3], 4)
     for a in mats:
         a.det()
-        a.kernel_basis()
-        a.char_poly_coefficients()
     is_m_positive(mats[0], mats[-1], 2)
     hr_certify(HLInstance(4, 1, 1, tuple(mats[:2]), eta=mats[-1]))
     assert len(list(subset_sums(mats[:4]))) == 15

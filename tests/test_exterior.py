@@ -10,7 +10,6 @@ from lefcert.exterior import (
     basis_indices,
     conjugate_form,
     form_from_matrix,
-    is_real_form,
     multiplication_matrix,
     volume_scalar,
     wedge,
@@ -180,7 +179,7 @@ def test_form_from_matrix_examples():
         ((1,), (2,)): I * c,
         ((2,), (1,)): I * c.conjugate(),
     }
-    assert is_real_form(phi)
+    assert conjugate_form(phi) == phi
 
 
 def test_form_from_matrix_linear():
@@ -192,7 +191,8 @@ def test_form_from_matrix_linear():
 
 def test_form_from_matrix_always_real():
     for seed in range(10):
-        assert is_real_form(form_from_matrix(random_hermitian(seed + 55, 4)))
+        phi = form_from_matrix(random_hermitian(seed + 55, 4))
+        assert conjugate_form(phi) == phi
 
 
 # ---- wedge ----
@@ -812,8 +812,8 @@ def test_integer_form_matches_the_qi_oracle():
         assert (-phi).coeffs == {k: -c for k, c in phi.coeffs.items()}
         conj = conjugate_form(phi)
         assert (conj.p, conj.q) == (q, p) and conj.coeffs == oracle_conjugate(phi)
-        assert is_real_form(phi) == (p == q and oracle_conjugate(phi) == dict(phi.coeffs))
-        assert p != q or is_real_form(phi + conj)
+        assert (conj == phi) == (p == q and oracle_conjugate(phi) == dict(phi.coeffs))
+        assert p != q or conjugate_form(phi + conj) == phi + conj
         reordered = PQForm(n, p, q, dict(reversed(list(phi.coeffs.items()))))
         assert reordered == phi and hash(reordered) == hash(phi)
         assert (phi == psi) == (dict(phi.coeffs) == dict(psi.coeffs))

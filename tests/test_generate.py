@@ -1,7 +1,7 @@
 import pytest
 
 from lefcert.generate import GeneratorSpec, SplitMix64, generate_psd
-from lefcert.linalg import HermitianMatrix
+from lefcert.linalg import HermitianMatrix, mat_det
 
 
 def test_splitmix_reference_values():
@@ -52,8 +52,9 @@ def test_zero_rank_gives_zero_matrix():
 def test_full_rank_is_positive_definite():
     (m,) = generate_psd(GeneratorSpec(seed=7, n=3, rank_profile=(3,)))
     assert m.rank() == 3 and m.is_psd()
-    es = m.char_poly_coefficients()
-    assert all(e > 0 for e in es)
+    # Sylvester's criterion: every leading principal minor is positive
+    minors = [mat_det([row[:k] for row in m.rows[:k]]) for k in range(1, m.n + 1)]
+    assert all(not d.im and d.re > 0 for d in minors)
 
 
 def test_determinism_byte_for_byte():

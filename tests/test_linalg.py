@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import combinations, islice
 from math import gcd
 
 import pytest
@@ -21,7 +20,6 @@ from lefcert.linalg import (
     _gaussian_integer_rows,
     _inertia,
     _kernel,
-    char_poly_elementary,
     hermitian_signature,
     is_m_positive,
     kernel_basis,
@@ -192,18 +190,6 @@ def oracle_jordan_kernel(re, im, ncols):
             vr[pc], vi[pc] = -re[r][free], -im[r][free]
         vectors.append((vr, vi))
     return vectors, (dr, di)
-
-
-def principal_minor_sums(rows):
-    """Brute-force e_k as sums of principal minors."""
-    n = len(rows)
-    out = []
-    for k in range(1, n + 1):
-        s = ZERO
-        for idx in combinations(range(n), k):
-            s = s + oracle_det([[rows[i][j] for j in idx] for i in idx])
-        out.append(s)
-    return out
 
 
 def oracle_char_poly(rows):
@@ -500,23 +486,6 @@ def test_hermitian_form_on_space_is_a_hermitian_matrix():
         form.dim = 3
 
 
-def oracle_restrict(gram, basis):
-    """sum_ij conj(va_i) g_ij vb_j, entry by entry."""
-    return [[sum((va[i].conjugate() * gram[i][j] * vb[j]
-                  for i in range(len(gram)) for j in range(len(gram))), ZERO)
-             for vb in basis] for va in basis]
-
-
-def test_restrict_matches_the_entrywise_oracle():
-    rng = SplitMix64(0x5E5)
-    for seed in range(20):
-        n = 1 + seed % 4
-        form = HermitianFormOnSpace(random_hermitian(seed + 500, n).rows)
-        basis = _random_matrix(rng, rng.integer(0, n), n, n)
-        if mat_rank(basis) == len(basis):
-            assert form.restrict(basis) == oracle_restrict(form.gram, basis)
-
-
 def _counting_gaussian_rationals(monkeypatch):
     """A list that grows by one for every GaussianRational built from now on."""
     built = []
@@ -530,81 +499,16 @@ def _counting_gaussian_rationals(monkeypatch):
     return built
 
 
-def _restriction_case():
-    """A 4x4 form and a 2-vector basis with denominators."""
-    form = HermitianFormOnSpace(random_hermitian(904, 4).rows)
-    basis = [[GR(1), GR(Fraction(1, 2), 1), ZERO, GR(3)],
-             [GR(0, -2), ONE, GR(Fraction(-2, 3)), GR(Fraction(1, 5), Fraction(1, 7))]]
-    return form, basis
-
-
-def test_definiteness_on_a_subspace_builds_no_gaussian_rational(monkeypatch):
-    form, basis = _restriction_case()
-    expected = form.is_positive_definite_on(basis)
-    form, basis = _restriction_case()
-    built = _counting_gaussian_rationals(monkeypatch)
-    assert form.is_positive_definite_on(basis) == expected
-    assert form.is_positive_definite_on(basis) == expected
-    assert built == []
-
-
-def test_restrict_builds_only_its_output_entries(monkeypatch):
-    form, basis = _restriction_case()
-    built = _counting_gaussian_rationals(monkeypatch)
-    gram = form.restrict(basis)
-    assert len(built) == len(basis) ** 2 == sum(map(len, gram))
-
-
-def test_restrict_equals_the_mat_mul_oracle_on_complex_bases():
-    rng = SplitMix64(0x2E57)
-    scales = (None, _SCALE, GaussianRational(Fraction(2, 5)))
-    seen = set()
-    for seed in range(60):
-        n = 1 + seed % 5
-        form = HermitianFormOnSpace(random_hermitian(seed + 700, n).rows)
-        k = rng.integer(0, n)
-        basis = _random_matrix(rng, k, n, n, scales[seed % 3])
-        if mat_rank(basis) != k:
-            continue
-        conj = [[x.conjugate() for x in v] for v in basis]
-        gram = [list(r) for r in form.rows]
-        oracle = mat_mul(mat_mul(conj, gram), [list(c) for c in zip(*basis)])
-        assert form.restrict(basis) == oracle
-        assert form.is_positive_definite_on(basis) == (hermitian_signature(oracle) == (k, 0, 0))
-        seen.add((k, scales[seed % 3] is not None))
-    assert {(k, scaled) for k in (1, 2, 3) for scaled in (False, True)} <= seen
-
-
-def test_restricted_gram_is_checked_hermitian():
-    form, basis = _restriction_case()
-    re, im, den = form._cleared
-    # a Gram whose (0, 1) entry is not the conjugate of its (1, 0) entry
-    im = tuple(tuple(y + (j == 0 and k == 1) for k, y in enumerate(ys)) for j, ys in enumerate(im))
-    object.__setattr__(form, "_cleared", (re, im, den))
-    for read in (form.restrict, form.is_positive_definite_on):
-        with pytest.raises(InternalCheckError, match="restricted Gram matrix is not Hermitian"):
-            read(basis)
-
-
 @pytest.mark.parametrize("call, message", [
     (lambda: mat_det([[1, 2, 3], [3, 4, 5]]), "matrix must be square"),
     (lambda: mat_det([[1, 2], [3, 4], [5, 6]]), "matrix must be square"),
     (lambda: mat_det([[1, 2], [3]]), "matrix must be square"),
-    (lambda: char_poly_elementary([[1, 2, 3], [3, 4, 5]]), "matrix must be square"),
-    (lambda: char_poly_elementary([[1, 2], [3, 4], [5, 6]]), "matrix must be square"),
     (lambda: kernel_basis([[1, 2, 3]], 2), "matrix rows must have ncols = 2 entries"),
     (lambda: kernel_basis([[1, 2], [3]]), "matrix rows must have equal length"),
     (lambda: mat_rank([[1], [2, 3]]), "matrix rows must have equal length"),
     (lambda: HermitianMatrix([[1, 0], [0]]), "matrix must be square"),
-    (lambda: HermitianFormOnSpace(Id(2).rows).restrict([[1, 0, 0]]),
-     "basis vectors must have 2 entries"),
-    (lambda: HermitianFormOnSpace(Id(2).rows).restrict([[1, 0], [1]]),
-     "basis rows must have equal length"),
-    (lambda: HermitianFormOnSpace(Id(3).rows).is_positive_definite_on([[1, 0]]),
-     "basis vectors must have 3 entries"),
-], ids=["det-wide", "det-tall", "det-ragged", "charpoly-wide", "charpoly-tall",
-        "kernel-ncols", "kernel-ragged", "rank-ragged", "hermitian-ragged",
-        "restrict-long", "restrict-ragged", "definite-short"])
+], ids=["det-wide", "det-tall", "det-ragged", "kernel-ncols", "kernel-ragged", "rank-ragged",
+        "hermitian-ragged"])
 def test_badly_shaped_input_is_a_value_error(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
@@ -634,37 +538,7 @@ def test_rank_examples():
 def test_rank_plus_kernel_dimension():
     for seed in range(25):
         m = random_hermitian(seed, 3 + seed % 3)
-        assert m.rank() == m.n - len(m.kernel_basis())
-
-
-# ---- characteristic polynomial ----
-
-def test_charpoly_examples():
-    assert D([1, 2, 3]).char_poly_coefficients() == (6, 11, 6)
-    assert Id(2).char_poly_coefficients() == (2, 1)
-    assert HermitianMatrix([[1, 2], [2, 1]]).char_poly_coefficients() == (2, -3)
-
-
-def test_charpoly_matches_symmetric_polynomial_oracle():
-    # e_k of diag(lambda) equals the elementary symmetric polynomials
-    from lefcert.generate import SplitMix64
-
-    for seed in range(20):
-        rng = SplitMix64(seed + 1)
-        n = 1 + seed % 5
-        lam = [rng.integer(-4, 4) for _ in range(n)]
-        es = D(lam).char_poly_coefficients()
-        for k in range(1, n + 1):
-            expected = sum(
-                __import__("math").prod(c) for c in combinations(lam, k)
-            )
-            assert es[k - 1] == expected
-
-
-def test_charpoly_matches_principal_minor_sums():
-    for seed in range(15):
-        m = random_hermitian(seed + 100, 2 + seed % 4)
-        assert list(char_poly_elementary(m.rows)) == principal_minor_sums(m.rows)
+        assert m.rank() == m.n - len(kernel_basis(m.rows))
 
 
 # ---- PSD and m-positivity ----
@@ -679,7 +553,7 @@ def test_psd_exact_m_positivity_structure():
     # for PSD M: e_j > 0 for j <= rank and e_j = 0 beyond
     for seed in range(30):
         (m,) = random_psd_family(seed, 4, 1)
-        es = m.char_poly_coefficients()
+        es = [e.as_real() for e in oracle_char_poly(m.rows)]
         r = m.rank()
         assert all(es[j] > 0 for j in range(r))
         assert all(es[j] == 0 for j in range(r, m.n))
@@ -733,11 +607,34 @@ def test_m_positive_general_omega_congruence():
             assert is_m_positive(m, omega, k) == (m.rank() >= k)
 
 
+def test_m_positivity_builds_no_gaussian_rational(monkeypatch):
+    mats = random_psd_family(9, 4, 4) + [random_hermitian(seed + 40, 4) for seed in range(2)]
+    omega = Id(4) + D([1, 2, 3, 4])
+    built = _counting_gaussian_rationals(monkeypatch)
+    verdicts = {is_m_positive(a, omega, m) for a in mats for m in range(1, 5)}
+    assert verdicts == {True, False} and built == []
+
+
+def test_non_real_pencil_coefficient_is_an_internal_error(monkeypatch):
+    pencil = linalg_mod._det_pencil
+
+    def tilted(a, b):
+        coeffs = pencil(a, b)
+        re, im = coeffs[1]
+        coeffs[1] = re, im + 1
+        return coeffs
+
+    assert is_m_positive(D([1, 1, 0]), Id(3), 2)
+    monkeypatch.setattr(linalg_mod, "_det_pencil", tilted)
+    with pytest.raises(InternalCheckError, match="^relative char-poly coefficient not real$"):
+        is_m_positive(D([1, 1, 0]), Id(3), 2)
+
+
 # ---- kernels ----
 
 def test_empty_matrix_has_an_empty_kernel():
     empty = HermitianMatrix.zero(0)
-    assert empty.kernel_basis() == [] and (empty.det(), empty.rank()) == (ONE, 0)
+    assert kernel_basis(empty.rows, empty.n) == [] and (empty.det(), empty.rank()) == (ONE, 0)
 
 
 def test_kernel_examples():
@@ -755,7 +652,7 @@ def test_kernel_of_zero_row_matrix():
 def test_kernel_vectors_annihilate():
     for seed in range(10):
         m = random_hermitian(seed + 7, 4)
-        for v in m.kernel_basis():
+        for v in kernel_basis(m.rows):
             out = mat_mul([list(r) for r in m.rows], [[x] for x in v])
             assert all(not row[0] for row in out)
 
@@ -779,7 +676,7 @@ def test_signature_det_polarization_gram():
 
 def _descartes_signature(m):
     """Independent oracle: sign changes of the real characteristic polynomial."""
-    es = m.char_poly_coefficients()
+    es = [e.as_real() for e in oracle_char_poly(m.rows)]
     n = m.n
     # p(t) = t^n - e1 t^{n-1} + ... + (-1)^n en; positive roots by Descartes
     coeffs = [as_rat(1)] + [(-1) ** k * es[k - 1] for k in range(1, n + 1)]
@@ -827,18 +724,6 @@ def test_signature_congruence_invariance():
         tstar = [[t[j][i].conjugate() for j in range(n)] for i in range(n)]
         g2 = mat_mul(mat_mul(tstar, [list(r) for r in m.rows]), t)
         assert hermitian_signature(g2) == hermitian_signature(m.rows)
-
-
-# ---- forms on spaces ----
-
-def test_definiteness_on_subspace():
-    form = HermitianFormOnSpace(Id(3).rows)
-    assert form.is_positive_definite_on([[ONE, ZERO, ZERO], [ZERO, ONE, ONE]])
-    lorentz = HermitianFormOnSpace(D([1, -1]).rows)
-    assert not lorentz.is_positive_definite_on([[ZERO, ONE]])
-    assert not lorentz.is_positive_definite_on([[ONE, ONE]])  # isotropic vector
-    with pytest.raises(ValueError):
-        lorentz.is_positive_definite_on([[ONE, ZERO], [ONE, ZERO]])
 
 
 # ---- the Z[i] kernel against the Q(i) oracles ----
@@ -1144,7 +1029,7 @@ def _psd_cases():
 def test_is_psd_matches_char_poly_oracle():
     seen = {True: 0, False: 0}
     for m in _psd_cases():
-        expected = all(e >= 0 for e in m.char_poly_coefficients())
+        expected = all(e.as_real() >= 0 for e in oracle_char_poly(m.rows))
         assert m.is_psd() == expected
         seen[expected] += 1
     assert min(seen.values()) >= 200
@@ -1210,9 +1095,6 @@ def test_signature_matches_qi_oracle():
         sig = oracle_signature(rows)
         assert hermitian_signature(rows) == sig
         assert HermitianMatrix(rows).is_psd() == (sig[1] == 0)
-        n = len(rows)
-        basis = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        assert HermitianFormOnSpace(rows).is_positive_definite_on(basis) == (sig == (n, 0, 0))
         seen.add(tuple(min(x, 1) for x in sig))
     assert seen == {(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)} - {(0, 0, 0)}
 
@@ -1273,16 +1155,6 @@ def test_hermitian_kernel_returns_the_determinant_of_the_cached_rows():
         mat = HermitianMatrix(rows)
         assert mat.det() == mat_det(rows)
         assert (mat.rank(), mat.is_psd()) == (mat_rank(rows), hermitian_signature(rows)[1] == 0)
-
-
-def test_char_poly_matches_faddeev_oracle():
-    for rows in _oracle_cases():
-        n = min(len(rows), len(rows[0]))
-        square = [row[:n] for row in rows[:n]]
-        assert char_poly_elementary(square) == oracle_char_poly(square)
-    for rows in islice(_hermitian_cases(), 0, None, 4):
-        assert char_poly_elementary(rows) == oracle_char_poly(rows)
-    assert char_poly_elementary([]) == oracle_char_poly([]) == []
 
 
 def _omega_cases():
