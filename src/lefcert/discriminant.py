@@ -5,15 +5,19 @@ discriminant, with the constant pinned by the identity tuple (where the
 top power of the standard form is n! times the volume element).
 
 The subset lattice A_I = sum_{i in I} A_i behind mixed discriminants, the
-rank criteria and the polymatroid rank table is one walk over Gaussian
-integers.  Every member's cached Z[i] rows (HermitianMatrix clears each
-matrix once) are lifted to the family's lcm denominator L, and each sum is
-an element-wise int sum.  Ranks are invariant under the scaling by L, and
-determinants are scaled back by L^n once, at the end.  Each A_I is
-Hermitian, so one Hermitian elimination (linalg._inertia) per A_I gives
-mixed_discriminant and panov_positivity both its rank and its
-determinant, and gives the rank tables and criterion_hl, which rank
-lazily, the rank; no subset walk runs the general Bareiss elimination.
+rank criteria and the polymatroid rank table is one table per family,
+filled by one walk over Gaussian integers.  Every member's cached Z[i] rows
+(HermitianMatrix clears each matrix once) are lifted to the family's lcm
+denominator L, and each sum is an element-wise int sum.  Ranks are
+invariant under the scaling by L, and determinants are scaled back by L^n
+once, at the end.  Each A_I is Hermitian, so one Hermitian elimination
+(linalg._inertia) per A_I gives both its rank and its determinant; no
+subset walk runs the general Bareiss elimination.  The table keeps each
+inertia for the last family walked, matched by the identity of its
+members.  So mixed_discriminant, panov_positivity, the rank tables and
+criterion_hl, called in turn on the same matrices, eliminate each A_I once
+between them; criterion_hl ranks lazily, and a later walk goes on from
+where it stopped.
 intersection_number wedges the PQForm (i A_1) ^ ... ^ (i A_n) from the same
 cached rows and reads it with volume_scalar.
 """
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
-from operator import add
+from operator import add, is_
 
 from .exterior import _fold, volume_scalar
 from .linalg import InternalCheckError, _copy_rows, _inertia, _lift
@@ -59,27 +63,77 @@ def _add(a, b):
             tuple(tuple(map(add, x, y)) for x, y in zip(ai, bi)))
 
 
-def _walk(lifted):
-    """Yield (I, (re, im)) for every nonempty I in size-then-lex order, lazily.
+class _SubsetTable:
+    """The inertia of L * A_I for every nonempty I of one family, filled lazily.
 
-    The package's one subset-lattice walk, over the rows of `linalg._lift`.
-    A_I is built only when the walk reaches it, as A_{I minus max I} +
-    A_{max I}; the smaller sum came earlier and is memoised.  A singleton's
-    rows are the member's own.  The yielded rows are shared with the memo
-    and with the matrices' caches: eliminate a list copy.
+    results[k] is _inertia's (npos, nneg, nzero, det) of L * A_I for the
+    k-th subset in size-then-lex order; results always holds a prefix of
+    that order.  To extend it the table keeps the members' lifted rows and
+    the memoised sums A_I; both are dropped once every subset has its
+    result.  members holds the family's matrices themselves, so no id it
+    is matched by can be reused while the table lives.
     """
-    built = {}
-    for subset in subsets_size_lex(len(lifted)):
+
+    __slots__ = ("members", "den", "lifted", "sums", "results")
+
+    def __init__(self, mats):
+        self.members = tuple(mats)
+        self.den, self.lifted = _lift(self.members)
+        self.sums = {}
+        self.results = []
+
+    def _sum(self, subset):
+        """The (re, im) rows of L * A_I, as A_{I minus max I} + A_{max I}.
+
+        The smaller sum is memoised; a singleton's rows are the member's
+        own.  The rows are shared with the memo and with the matrices'
+        caches: eliminate a list copy.
+        """
         *head, last = subset
-        rows = _add(built[tuple(head)], lifted[last - 1]) if head else lifted[last - 1]
-        built[subset] = rows
-        yield subset, rows
+        rows = self.lifted[last - 1]
+        return _add(self.sums[tuple(head)], rows) if head else rows
+
+    def walk(self):
+        """Yield (I, inertia of L * A_I) for every nonempty I in size-then-lex order, lazily.
+
+        The package's one subset-lattice walk.  A subset is summed and
+        eliminated only when no earlier walk of this table reached it; an
+        elimination that raises stores nothing, so the next walk raises again.
+        """
+        results = self.results
+        total = (1 << len(self.members)) - 1
+        for k, subset in enumerate(subsets_size_lex(len(self.members))):
+            if k == len(results):
+                re, im = rows = self._sum(subset)
+                inertia = _inertia(_copy_rows(re), _copy_rows(im))
+                self.sums[subset] = rows
+                results.append(inertia)
+                if len(results) == total:
+                    self.lifted = self.sums = None
+            yield subset, results[k]
+
+
+_last = None  # the _SubsetTable of the last family walked
+
+
+def _table(mats):
+    """The subset table of the family mats, the memoised one if it holds the same members.
+
+    Only the last family walked is memoised.  Its members are matched by
+    identity, in order, not by value: a value-equal family built afresh
+    starts its own table.
+    """
+    global _last
+    mats = tuple(mats)
+    table = _last
+    if table is None or len(table.members) != len(mats) or not all(map(is_, table.members, mats)):
+        table = _last = _SubsetTable(mats)
+    return table
 
 
 def _subset_ranks(mats):
     """Yield (I, rank(A_I)) along the walk; nothing is summed or ranked ahead of the caller."""
-    for subset, (re, im) in _walk(_lift(mats)[1]):
-        npos, nneg, _, _ = _inertia(_copy_rows(re), _copy_rows(im))
+    for subset, (npos, nneg, _, _) in _table(mats).walk():
         yield subset, npos + nneg
 
 
@@ -104,16 +158,15 @@ def _discriminant_walk(mats):
     integer; D sums those determinants, signed by inclusion-exclusion, over n! L^n.
     """
     n = len(mats)
-    den, lifted = _lift(mats)
+    table = _table(mats)
     total = 0  # the empty subset adds det(0) = 0
     failing = None
-    for subset, (re, im) in _walk(lifted):
-        npos, nneg, _, det = _inertia(_copy_rows(re), _copy_rows(im))
+    for subset, (npos, nneg, _, det) in table.walk():
         if failing is None and npos + nneg < len(subset):
             failing = subset, len(subset) - npos - nneg
         if det:
             total += -det if (n - len(subset)) % 2 else det
-    return Rat(total, factorial(n) * den ** n), failing
+    return Rat(total, factorial(n) * table.den ** n), failing
 
 
 def mixed_discriminant(mats):

@@ -90,12 +90,6 @@ class GaussianRational:
     def is_real(self):
         return not self.im
 
-    def as_real(self):
-        """Return the rational value, raising if the imaginary part is nonzero."""
-        if self.im:
-            raise ArithmeticError(f"expected a real value, got {self!r}")
-        return self.re
-
     # ---- arithmetic ----
 
     def conjugate(self):

@@ -1,9 +1,8 @@
 import pytest
 
 from lefcert import GeneratorSpec, HermitianMatrix, generate_psd
-from lefcert.discriminant import _walk
+from lefcert.discriminant import _SubsetTable, subsets_size_lex
 from lefcert.generate import SplitMix64
-from lefcert.linalg import _lift
 
 _acceptance_lines = []
 
@@ -51,7 +50,11 @@ def random_hermitian(seed, n, bound=3):
 
 
 def subset_sums(mats):
-    """Yield (I, A_I) along the library's integer subset walk, each A_I read as a HermitianMatrix."""
-    den, lifted = _lift(mats)
-    for subset, (re, im) in _walk(lifted):
-        yield subset, HermitianMatrix._from_integer_rows(re, im, den)
+    """Yield (I, A_I) as the library's subset table sums them, each A_I read as a HermitianMatrix.
+
+    A fresh table, so no memoised family is read or replaced; nothing is eliminated.
+    """
+    table = _SubsetTable(mats)
+    for subset in subsets_size_lex(len(table.members)):
+        table.sums[subset] = rows = table._sum(subset)
+        yield subset, HermitianMatrix._from_integer_rows(*rows, table.den)

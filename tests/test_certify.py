@@ -53,7 +53,7 @@ from lefcert.linalg import (
     kernel_basis,
     mat_rank,
 )
-from lefcert.rationals import GR, I, ONE, GaussianRational, cpq_constant
+from lefcert.rationals import GR, I, GaussianRational, cpq_constant
 
 from conftest import random_hermitian, random_psd_family, subset_sums
 from lefcert.generate import SplitMix64

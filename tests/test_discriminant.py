@@ -316,17 +316,116 @@ def test_panov_positivity_eliminates_each_subset_sum_once(monkeypatch, mats, pos
 
     monkeypatch.setattr(linalg_mod, "_inertia", counting)
     monkeypatch.setattr(discriminant_mod, "_inertia", counting)
+    monkeypatch.setattr(discriminant_mod, "_last", None)  # the module-level mats may be memoised
     assert panov_positivity(mats).positive == positive
     assert len(calls) == 2 ** len(mats) - 1
+
+
+# ---- one subset table per family ----
+
+def _counted_walk(monkeypatch):
+    """A cold subset table, and the list that records each elimination the walk makes."""
+    calls = []
+    inertia = discriminant_mod._inertia
+
+    def counting(*args):
+        calls.append(args)
+        return inertia(*args)
+
+    monkeypatch.setattr(discriminant_mod, "_inertia", counting)
+    monkeypatch.setattr(discriminant_mod, "_last", None)
+    return calls
+
+
+def _fresh(mats):
+    """Value-equal copies of mats, as new objects."""
+    return [HermitianMatrix(a.rows) for a in mats]
+
+
+@pytest.mark.parametrize("seed, n", [(0, 2), (1, 3), (2, 4), (3, 4)])
+def test_positivity_and_discriminant_share_one_walk(monkeypatch, seed, n):
+    mats = random_psd_family(seed + 4100, n, n)
+    cold = panov_positivity(_fresh(mats)), mixed_discriminant(_fresh(mats))
+    calls = _counted_walk(monkeypatch)
+    assert (panov_positivity(mats), mixed_discriminant(mats)) == cold
+    assert len(calls) == 2 ** n - 1
+    # the same members in another list are the same family
+    assert mixed_discriminant(tuple(mats)) == cold[1] and len(calls) == 2 ** n - 1
+
+
+@pytest.mark.parametrize("seed, n, m", [(0, 3, 2), (1, 4, 3), (2, 4, 4)])
+def test_rank_table_and_hl_support_share_one_walk(monkeypatch, seed, n, m):
+    mats = random_psd_family(seed + 4200, n, m)
+    cold = rank_from_matrices(_fresh(mats)), hl_support(_fresh(mats), n)
+    calls = _counted_walk(monkeypatch)
+    assert (rank_from_matrices(mats), hl_support(mats, n)) == cold
+    assert len(calls) == 2 ** m - 1
+
+
+def test_value_equal_families_share_nothing(monkeypatch):
+    mats = random_psd_family(4300, 3, 3)
+    calls = _counted_walk(monkeypatch)
+    d = mixed_discriminant(mats)
+    copy = _fresh(mats)
+    assert copy == mats and mixed_discriminant(copy) == d
+    assert len(calls) == 2 * 7
+    # one member swapped for an equal object is another family too
+    assert mixed_discriminant(mats[:2] + copy[2:]) == d and len(calls) == 3 * 7
+
+
+def test_a_family_walked_in_between_forces_a_recompute(monkeypatch):
+    a, b = random_psd_family(4400, 3, 3), random_psd_family(4401, 3, 3)
+    calls = _counted_walk(monkeypatch)
+    da, db = mixed_discriminant(a), mixed_discriminant(b)
+    assert len(calls) == 2 * 7
+    assert (mixed_discriminant(a), mixed_discriminant(b)) == (da, db)
+    assert len(calls) == 4 * 7
+
+
+def test_a_walk_goes_on_where_an_early_stop_left_it(monkeypatch):
+    forms = (D([1, 0, 0, 0]), D([1, 0, 0, 0]), Id(4), Id(4))
+    cold = rank_from_matrices(_fresh(forms))
+    calls = _counted_walk(monkeypatch)
+    cert = criterion_hl(HLInstance(4, 0, 0, forms))
+    # singletons pass and I = (1, 2) fails: five of the fifteen subsets are ranked
+    assert (cert.failing_subset, cert.rank_deficit) == ((1, 2), 1) and len(calls) == 5
+    assert discriminant_mod._last.sums is not None
+    assert rank_from_matrices(forms) == cold and len(calls) == 15
+    assert criterion_hl(HLInstance(4, 0, 0, forms)) == cert and len(calls) == 15
+
+
+def test_a_completed_walk_keeps_only_its_results(monkeypatch):
+    mats = random_psd_family(4500, 4, 4)
+    _counted_walk(monkeypatch)
+    panov_positivity(mats)
+    table = discriminant_mod._last
+    assert table.sums is None and table.lifted is None
+    assert len(table.results) == 15 and all(a is b for a, b in zip(table.members, mats))
+
+
+def _non_real_diagonal():
+    """A 2x2 'HermitianMatrix' whose entry (0, 0) is 1 + i, built past the Hermitian check."""
+    re, im = ((1, 0), (0, 1)), ((1, 0), (0, 0))
+    bad = HermitianMatrix.__new__(HermitianMatrix)
+    for name, value in zip(HermitianMatrix.__slots__, (2, (re, im, 1), None, None, None)):
+        object.__setattr__(bad, name, value)
+    return bad
+
+
+def test_a_raising_elimination_raises_again(monkeypatch):
+    mats = [Id(2), _non_real_diagonal()]
+    calls = _counted_walk(monkeypatch)
+    for count in (2, 3):
+        with pytest.raises(InternalCheckError, match="non-real diagonal"):
+            mixed_discriminant(mats)
+        # I = (1,) is kept; I = (2,) stores nothing and is eliminated again
+        assert len(calls) == count and len(discriminant_mod._last.results) == 1
 
 
 def test_a_non_real_diagonal_reaching_the_walk_is_an_internal_error():
     # the Hermitian check keeps such rows out of every HermitianMatrix; one
     # that slips past it must stop both walks, not give a determinant
-    re, im = ((1, 0), (0, 1)), ((1, 0), (0, 0))  # entry (0, 0) is 1 + i
-    bad = HermitianMatrix.__new__(HermitianMatrix)
-    for name, value in zip(HermitianMatrix.__slots__, (2, (re, im, 1), None, None, None)):
-        object.__setattr__(bad, name, value)
+    bad = _non_real_diagonal()
     for walk in (lambda: mixed_discriminant([Id(2), bad]),
                  lambda: rank_deficient_subset([Id(2), bad])):
         with pytest.raises(InternalCheckError, match="non-real diagonal"):

@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import in the package is used, and
-every module-level private function or class is referenced.
+"""Source hygiene: every module-level import in the package, the tests and
+the tools is used, and every module-level private function or class in the
+package is referenced.
 
 Stdlib only (`ast`), so it runs wherever the test suite runs.  Package
 `__init__.py` files are skipped by the import check (their imports are
@@ -12,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "lefcert"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "lefcert"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+CHECKED = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
 
 
 def unused_imports(source):
@@ -35,7 +38,7 @@ def test_detector_flags_an_unused_import():
     assert unused_imports(source) == [(2, "os"), (3, "comb")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -211,6 +211,13 @@ def oracle_char_poly(rows):
     return es
 
 
+def real_char_poly(rows):
+    """oracle_char_poly of a Hermitian matrix, checked real, as the rationals (e_1, ..., e_n)."""
+    es = oracle_char_poly(rows)
+    assert all(e.im == 0 for e in es)
+    return [e.re for e in es]
+
+
 def oracle_signature(gram):
     """Inertia by conjugate congruence over Q(i) objects, with 2x2 hyperbolic blocks."""
     n = len(gram)
@@ -553,7 +560,7 @@ def test_psd_exact_m_positivity_structure():
     # for PSD M: e_j > 0 for j <= rank and e_j = 0 beyond
     for seed in range(30):
         (m,) = random_psd_family(seed, 4, 1)
-        es = [e.as_real() for e in oracle_char_poly(m.rows)]
+        es = real_char_poly(m.rows)
         r = m.rank()
         assert all(es[j] > 0 for j in range(r))
         assert all(es[j] == 0 for j in range(r, m.n))
@@ -676,7 +683,7 @@ def test_signature_det_polarization_gram():
 
 def _descartes_signature(m):
     """Independent oracle: sign changes of the real characteristic polynomial."""
-    es = [e.as_real() for e in oracle_char_poly(m.rows)]
+    es = real_char_poly(m.rows)
     n = m.n
     # p(t) = t^n - e1 t^{n-1} + ... + (-1)^n en; positive roots by Descartes
     coeffs = [as_rat(1)] + [(-1) ** k * es[k - 1] for k in range(1, n + 1)]
@@ -1029,7 +1036,7 @@ def _psd_cases():
 def test_is_psd_matches_char_poly_oracle():
     seen = {True: 0, False: 0}
     for m in _psd_cases():
-        expected = all(e.as_real() >= 0 for e in oracle_char_poly(m.rows))
+        expected = all(e >= 0 for e in real_char_poly(m.rows))
         assert m.is_psd() == expected
         seen[expected] += 1
     assert min(seen.values()) >= 200

@@ -287,20 +287,21 @@ def test_hl_support_reads_one_rank_walk(monkeypatch):
         monkeypatch.setattr(module, "HLInstance", forbidden, raising=False)
         monkeypatch.setattr(module, "criterion_hl", forbidden, raising=False)
     walks, ranks = [], []
-    walk, inertia = discriminant_mod._walk, discriminant_mod._inertia
+    walk, inertia = discriminant_mod._SubsetTable.walk, discriminant_mod._inertia
 
-    def counting_walk(lifted):
-        walks.append(len(lifted))
-        return walk(lifted)
+    def counting_walk(table):
+        walks.append(len(table.members))
+        return walk(table)
 
     def counting_inertia(*args):
         ranks.append(args)
         return inertia(*args)
 
-    monkeypatch.setattr(discriminant_mod, "_walk", counting_walk)
+    monkeypatch.setattr(discriminant_mod._SubsetTable, "walk", counting_walk)
     monkeypatch.setattr(discriminant_mod, "_inertia", counting_inertia)
     for seed, n, m in [(1, 3, 2), (2, 4, 3), (3, 4, 4), (4, 5, 3)]:
         mats = random_psd_family(seed + 3100, n, m)
+        monkeypatch.setattr(discriminant_mod, "_last", None)  # a cold subset table
         del walks[:], ranks[:]
         hl_support(mats, n)
         assert walks == [m] and len(ranks) == 2 ** m - 1

@@ -70,12 +70,6 @@ def test_division_by_zero():
         ONE / GR(0)
 
 
-def test_as_real_guard():
-    assert GR(5).as_real() == 5
-    with pytest.raises(ArithmeticError):
-        GR(0, 1).as_real()
-
-
 def test_immutability():
     with pytest.raises(AttributeError):
         ONE.re = as_rat(2)
@@ -112,7 +106,7 @@ def test_field_axioms(a, b, c):
 def test_conjugation_and_inverse(a):
     assert a.conjugate().conjugate() == a
     norm = a * a.conjugate()
-    assert norm.is_real() and norm.as_real() >= 0
+    assert norm.is_real() and norm.re >= 0
     if not a.is_zero():
         assert a / a == ONE
 
