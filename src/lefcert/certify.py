@@ -9,9 +9,11 @@ Two independent routes are exposed for the HL property:
 * direct_hl - bijectivity of the wedge-multiplication matrix of Omega,
   which is wedged from the factors' cached Z[i] rows: "holds" from a
   nonzero determinant residue modulo one prime; otherwise "fails" is
-  solved only up to the first column that is dependent mod p, by one
-  exact Bareiss echelon of those columns, whose back-substituted kernel
-  vector is the witness, re-checked exactly.  It reads no rank code.
+  solved only up to the first column f that is dependent mod p and only
+  on the residue's f pivot rows, by one exact Bareiss echelon of that
+  f x (f + 1) block, whose back-substituted kernel vector is checked
+  against every row and is the witness, re-checked exactly against
+  Omega.  It reads no rank code.
 
 The two must agree on every valid instance; the test suite exercises
 this equivalence exhaustively at desk scale.
@@ -169,10 +171,12 @@ def direct_hl(inst: HLInstance) -> Certificate:
     read once as Gaussian integers over Omega's denominator.  A nonzero
     determinant residue modulo one prime proves "holds".  A zero residue
     stops at the first column f that is dependent mod p, and "fails" is
-    solved up to that column only: one exact echelon and back-substitution
-    of columns 0..f (of the whole matrix only when p divided a minor)
-    give the first vector of the reduced row echelon kernel, or none,
-    which means "holds".  The witness is re-checked exactly against Omega.
+    solved up to that column only, on the f rows the residue pivoted on:
+    one exact echelon and back-substitution of that f x (f + 1) block give
+    the only candidate, which every row must annihilate.  When a row does
+    not, p divided a minor, and the whole matrix is solved; it gives the
+    first vector of the reduced row echelon kernel, or none, which means
+    "holds".  The witness is re-checked exactly against Omega.
     """
     omega = _fold(inst.n, inst.forms)
     re, im, _ = _integer_operator_matrix(omega, inst.p, inst.q)

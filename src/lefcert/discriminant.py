@@ -12,7 +12,9 @@ denominator L, and each sum is an element-wise int sum.  Ranks are
 invariant under the scaling by L, and determinants are scaled back by L^n
 once, at the end.  Each A_I is Hermitian, so one Hermitian elimination
 (linalg._inertia) per A_I gives both its rank and its determinant; no
-subset walk runs the general Bareiss elimination.  The table keeps each
+subset walk runs the general Bareiss elimination.  A singleton is not
+eliminated again: its entry is the member's own cached inertia, with the
+determinant of L_i A_i scaled by (L / L_i)^n.  The table keeps each
 inertia for the last family walked, matched by the identity of its
 members.  So mixed_discriminant, panov_positivity, the rank tables and
 criterion_hl, called in turn on the same matrices, eliminate each A_I once
@@ -99,13 +101,21 @@ class _SubsetTable:
         The package's one subset-lattice walk.  A subset is summed and
         eliminated only when no earlier walk of this table reached it; an
         elimination that raises stores nothing, so the next walk raises again.
+        A singleton is not eliminated again: L * A_i is (L / L_i) * L_i A_i,
+        so its inertia is the member's cached one, with det scaled by
+        (L / L_i)^n.
         """
         results = self.results
         total = (1 << len(self.members)) - 1
         for k, subset in enumerate(subsets_size_lex(len(self.members))):
             if k == len(results):
                 re, im = rows = self._sum(subset)
-                inertia = _inertia(_copy_rows(re), _copy_rows(im))
+                if len(subset) == 1:
+                    member = self.members[subset[0] - 1]
+                    *signs, det = member._elimination()
+                    inertia = (*signs, det * (self.den // member._cleared[2]) ** member.n)
+                else:
+                    inertia = _inertia(_copy_rows(re), _copy_rows(im))
                 self.sums[subset] = rows
                 results.append(inertia)
                 if len(results) == total:

@@ -28,13 +28,16 @@ det fill one cache from it, hermitian_signature reads its inertia, and
 Values become GaussianRational again only on the way out.
 
 _det_residue maps the same int rows to F_p by i -> s, s^2 = -1 modulo
-one prime p = 1 (mod 4), and eliminates there: a ring homomorphism, so
-a nonzero residue proves det != 0, while a zero residue decides nothing
-but names the first column that is dependent mod p.  _first_kernel_vector
-solves a square matrix up to that column only: the columns before it
-are independent mod p, hence over Q, so the exact kernel of the leading
-columns gives the first reduced row echelon kernel vector of the whole
-matrix; only when p divided a minor does the whole matrix follow.
+one prime p = 1 (mod 4), p < 2^30 so that every residue is one CPython
+digit, and eliminates a copy there in place: a ring homomorphism, so a
+nonzero residue proves det != 0, while a zero residue decides nothing but
+names the first column f that is dependent mod p and the f pivot rows it
+used.  _first_kernel_vector solves a square matrix on those rows, up to
+column f only: the f x f block of the columns before f is nonsingular mod
+p, hence over Q, so the f x (f + 1) block has exactly one kernel vector.
+Checked against every row in ints, it is the first reduced row echelon
+kernel vector of the whole matrix; only when a row rejects it, because p
+divided a minor, does the whole matrix follow.
 
 A HermitianMatrix holds only its reduced Z[i] rows, cleared once from
 outside input by the one lift (`serialize` passes it a task file's JSON
@@ -303,13 +306,14 @@ def _det(re, im):
 
 
 # i -> _S, a square root of -1 modulo the prime _P = 1 (mod 4), maps Z[i]
-# onto F_p as a ring homomorphism; the tests prove _P prime
-_P = 2 ** 62 - 87
-_S = 4490822397581186023
+# onto F_p as a ring homomorphism; the tests prove _P prime.  _P < 2^30,
+# so every residue is one CPython digit.
+_P = 2 ** 30 - 35
+_S = 140687844
 
 
 def _det_residue(re, im):
-    """(residue, f) for a square Z[i] matrix mapped to F_p by i -> s; the rows are left as they are.
+    """(residue, f, rows) for a square Z[i] matrix mapped to F_p by i -> s; the rows are left as they are.
 
     residue is det mod p.  A ring homomorphism maps det to det, so a
     nonzero residue proves the determinant nonzero, and then f is None.
@@ -317,31 +321,36 @@ def _det_residue(re, im):
     elimination stopped, the first with no nonzero entry left mod p.
     Each step consumes one column, so columns 0..f-1 are independent mod
     p and column f depends on them: f is where the column rank profile
-    over F_p first skips.
+    over F_p first skips.  rows names the pivot row of each column
+    eliminated, by its index in the input: all N rows when the residue
+    is nonzero, else f rows on which columns 0..f-1 are nonsingular mod p.
+    The copy mod p is eliminated in place; a step updates only the rows
+    with a nonzero entry in its pivot column.
     """
     p = _P
     m = [[(a + _S * b) % p for a, b in zip(xs, ys)] for xs, ys in zip(re, im)]
+    n = len(m)
+    order = list(range(n))  # order[k]: the input index of the row now at position k
     det = 1
-    col = 0
-    while m:
-        piv = next((i for i, row in enumerate(m) if row[0]), None)
+    for col in range(n):
+        piv = next((k for k in range(col, n) if m[k][col]), None)
         if piv is None:
-            return 0, col
-        if piv:
-            m[0], m[piv] = m[piv], m[0]
+            return 0, col, order[:col]
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            order[col], order[piv] = order[piv], order[col]
             det = -det
-        head = m[0]
-        det = det * head[0] % p
-        inv = pow(head[0], -1, p)
-        tail = head[1:]
-        # the Schur complement of the pivot, one column and row smaller
-        rest = []
-        for row in m[1:]:
-            f = row[0] * inv % p
-            rest.append([(a - f * b) % p for a, b in zip(row[1:], tail)] if f else row[1:])
-        m = rest
-        col += 1
-    return det % p, None
+        head = m[col]
+        det = det * head[col] % p
+        neg_inv = p - pow(head[col], -1, p)
+        nxt = col + 1
+        tail = head[nxt:]
+        for row in m[nxt:]:
+            a = row[col]
+            if a:
+                f = a * neg_inv % p
+                row[nxt:] = [(x + f * y) % p for x, y in zip(row[nxt:], tail)]
+    return det, None, order
 
 
 def _exact_det(re, im, den):
@@ -400,24 +409,41 @@ def _kernel(re, im, ncols):
     return vectors, d
 
 
+def _in_kernel(re, im, vector):
+    """Whether vector is in the right kernel of the Z[i] rows (re, im); entries past its end are zero."""
+    vr, vi = vector
+    for xs, ys in zip(re, im):
+        # (x + i y)(u + i w) = xu - yw + i (xw + yu), summed along the row
+        if (sum(map(mul, xs, vr)) != sum(map(mul, ys, vi))
+                or sum(map(mul, xs, vi)) + sum(map(mul, ys, vr))):
+            return False
+    return True
+
+
 def _first_kernel_vector(re, im):
     """The first reduced row echelon kernel vector of a square Z[i] matrix: (vector, d) or None.
 
     None means the matrix is invertible.  Otherwise vector is d times the
     exact kernel vector of the first non-pivot column f, as (re, im) int
-    lists over columns 0..f; the entries after f are zero.  The rows are
-    left as they are unless p divided a minor of the first f + 1 columns.
+    lists over columns 0..f; the entries after f are zero.  It is solved
+    on the f pivot rows of the residue: their block on columns 0..f-1 is
+    nonsingular mod p, hence over Q, so it has exactly one kernel vector,
+    and that vector is checked against every row.  The rows are left as
+    they are unless a row rejects it, which means p divided a minor of the
+    first f + 1 columns; then the whole matrix is solved.
     """
-    residue, f = _det_residue(re, im)
+    residue, f, rows = _det_residue(re, im)
     if residue:
         return None
-    vectors, d = _kernel([xs[:f + 1] for xs in re], [ys[:f + 1] for ys in im], f + 1)
-    if not vectors:
-        # column f is independent over Q after all: p divided a minor
-        vectors, d = _kernel(re, im, len(re))
-        if not vectors:
-            return None
-    return vectors[0], d
+    vectors, d = _kernel([re[r][:f + 1] for r in rows], [im[r][:f + 1] for r in rows], f + 1)
+    # one vector, whose free column is f: its entry there is d
+    if len(vectors) != 1 or (vectors[0][0][f], vectors[0][1][f]) != d:
+        raise InternalCheckError("residue pivot rows are singular on the leading columns")
+    if _in_kernel(re, im, vectors[0]):
+        return vectors[0], d
+    # column f is independent over Q after all: p divided a minor
+    vectors, d = _kernel(re, im, len(re))
+    return (vectors[0], d) if vectors else None
 
 
 def _exact_vector(vector, d):

@@ -49,6 +49,19 @@ def random_hermitian(seed, n, bound=3):
     return HermitianMatrix(rows)
 
 
+def singular_pivot_rows(monkeypatch):
+    """Make linalg._det_residue name its first pivot row twice wherever f >= 2: a singular row set."""
+    import lefcert.linalg as linalg_mod
+
+    det_residue = linalg_mod._det_residue
+
+    def doctored(re, im):
+        residue, f, rows = det_residue(re, im)
+        return residue, f, rows[:-1] + rows[:1] if f is not None and f >= 2 else rows
+
+    monkeypatch.setattr(linalg_mod, "_det_residue", doctored)
+
+
 def subset_sums(mats):
     """Yield (I, A_I) as the library's subset table sums them, each A_I read as a HermitianMatrix.
 

@@ -55,7 +55,7 @@ from lefcert.linalg import (
 )
 from lefcert.rationals import GR, I, GaussianRational, cpq_constant
 
-from conftest import random_hermitian, random_psd_family, subset_sums
+from conftest import random_hermitian, random_psd_family, singular_pivot_rows, subset_sums
 from lefcert.generate import SplitMix64
 
 D = HermitianMatrix.diagonal
@@ -244,7 +244,7 @@ def test_direct_holds_from_the_exact_echelon_on_a_zero_residue(monkeypatch):
     widths = _kernel_widths(monkeypatch)
     for inst in ZERO_RESIDUE:
         re, im, _ = _integer_operator_matrix(_fold(inst.n, inst.forms), inst.p, inst.q)
-        assert _det_residue(re, im) == (0, 0)
+        assert _det_residue(re, im) == (0, 0, [])
         widths.clear()
         assert direct_hl(inst).holds and criterion_hl(inst).holds
         # column 0 has no kernel over Q, so the whole matrix is solved too
@@ -271,6 +271,24 @@ def test_direct_solves_a_failing_instance_up_to_the_first_dependent_column(monke
         vectors = kernel_basis(multiplication_matrix(inst.omega(), p, q), dim)
         assert cert.kernel_witness == PQForm.from_coefficient_vector(n, p, q, vectors[0])
     assert failing >= 10 and truncated >= 5
+
+
+def test_a_singular_pivot_row_set_never_changes_a_verdict(monkeypatch):
+    instances = []
+    for seed in range(60):
+        n, p = 3 + seed % 2, seed % 2
+        q = (seed // 2) % 2
+        instances.append(HLInstance(n, p, q, psd_tuple(seed + 2600, n, n - p - q)))
+    expected = [direct_hl(inst) for inst in instances]
+    singular_pivot_rows(monkeypatch)
+    raised = 0
+    for inst, cert in zip(instances, expected):
+        try:
+            assert direct_hl(inst) == cert
+        except InternalCheckError as err:
+            assert "pivot rows are singular" in str(err) and not cert.holds
+            raised += 1
+    assert raised >= 5
 
 
 def test_witness_recheck_uses_the_given_omega():
@@ -735,7 +753,8 @@ def test_criterion_builds_no_sum_beyond_the_ranked_subsets(monkeypatch):
     built, ranked = _recording(monkeypatch)
     cert = criterion_hl(inst)
     assert (cert.failing_subset, cert.rank_deficit) == ((1,), 1)
-    assert built == [] and ranked == [_cleared(forms[0])]
+    # I = (1,) reads its member's cached inertia: nothing is summed or eliminated
+    assert built == [] and ranked == [] and len(discriminant_mod._last.results) == 1
 
 
 def test_criterion_builds_only_the_sums_it_ranks(monkeypatch):
@@ -745,8 +764,9 @@ def test_criterion_builds_only_the_sums_it_ranks(monkeypatch):
     built, ranked = _recording(monkeypatch)
     cert = criterion_hl(HLInstance(4, 0, 0, forms))
     assert (cert.failing_subset, cert.rank_deficit) == ((1, 2), 1)
-    assert ranked[:4] == [_cleared(a) for a in forms] and len(ranked) == 5
-    assert len(built) == 1 and built[0] == ranked[4] == _cleared(line + line)
+    # the four singletons read their members' cached inertia; A_{1,2} is the one elimination
+    assert len(discriminant_mod._last.results) == 5 and len(ranked) == 1
+    assert len(built) == 1 and built[0] == ranked[0] == _cleared(line + line)
 
 
 def test_determinant_route_never_reads_the_rank_code(monkeypatch):

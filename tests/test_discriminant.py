@@ -18,7 +18,10 @@ from lefcert.discriminant import (
 from lefcert.linalg import (
     HermitianMatrix,
     InternalCheckError,
+    _copy_rows,
     _gaussian_integer_rows,
+    _inertia,
+    _lift,
     is_m_positive,
     mat_det,
     mat_rank,
@@ -318,7 +321,8 @@ def test_panov_positivity_eliminates_each_subset_sum_once(monkeypatch, mats, pos
     monkeypatch.setattr(discriminant_mod, "_inertia", counting)
     monkeypatch.setattr(discriminant_mod, "_last", None)  # the module-level mats may be memoised
     assert panov_positivity(mats).positive == positive
-    assert len(calls) == 2 ** len(mats) - 1
+    # a singleton's inertia is its member's cached one, so only the sums are eliminated
+    assert len(calls) == 2 ** len(mats) - 1 - len(mats)
 
 
 # ---- one subset table per family ----
@@ -348,9 +352,9 @@ def test_positivity_and_discriminant_share_one_walk(monkeypatch, seed, n):
     cold = panov_positivity(_fresh(mats)), mixed_discriminant(_fresh(mats))
     calls = _counted_walk(monkeypatch)
     assert (panov_positivity(mats), mixed_discriminant(mats)) == cold
-    assert len(calls) == 2 ** n - 1
+    assert len(calls) == 2 ** n - 1 - n
     # the same members in another list are the same family
-    assert mixed_discriminant(tuple(mats)) == cold[1] and len(calls) == 2 ** n - 1
+    assert mixed_discriminant(tuple(mats)) == cold[1] and len(calls) == 2 ** n - 1 - n
 
 
 @pytest.mark.parametrize("seed, n, m", [(0, 3, 2), (1, 4, 3), (2, 4, 4)])
@@ -359,7 +363,7 @@ def test_rank_table_and_hl_support_share_one_walk(monkeypatch, seed, n, m):
     cold = rank_from_matrices(_fresh(mats)), hl_support(_fresh(mats), n)
     calls = _counted_walk(monkeypatch)
     assert (rank_from_matrices(mats), hl_support(mats, n)) == cold
-    assert len(calls) == 2 ** m - 1
+    assert len(calls) == 2 ** m - 1 - m
 
 
 def test_value_equal_families_share_nothing(monkeypatch):
@@ -368,18 +372,18 @@ def test_value_equal_families_share_nothing(monkeypatch):
     d = mixed_discriminant(mats)
     copy = _fresh(mats)
     assert copy == mats and mixed_discriminant(copy) == d
-    assert len(calls) == 2 * 7
+    assert len(calls) == 2 * 4  # the four sums of two or more members, per family
     # one member swapped for an equal object is another family too
-    assert mixed_discriminant(mats[:2] + copy[2:]) == d and len(calls) == 3 * 7
+    assert mixed_discriminant(mats[:2] + copy[2:]) == d and len(calls) == 3 * 4
 
 
 def test_a_family_walked_in_between_forces_a_recompute(monkeypatch):
     a, b = random_psd_family(4400, 3, 3), random_psd_family(4401, 3, 3)
     calls = _counted_walk(monkeypatch)
     da, db = mixed_discriminant(a), mixed_discriminant(b)
-    assert len(calls) == 2 * 7
+    assert len(calls) == 2 * 4
     assert (mixed_discriminant(a), mixed_discriminant(b)) == (da, db)
-    assert len(calls) == 4 * 7
+    assert len(calls) == 4 * 4
 
 
 def test_a_walk_goes_on_where_an_early_stop_left_it(monkeypatch):
@@ -387,11 +391,27 @@ def test_a_walk_goes_on_where_an_early_stop_left_it(monkeypatch):
     cold = rank_from_matrices(_fresh(forms))
     calls = _counted_walk(monkeypatch)
     cert = criterion_hl(HLInstance(4, 0, 0, forms))
-    # singletons pass and I = (1, 2) fails: five of the fifteen subsets are ranked
-    assert (cert.failing_subset, cert.rank_deficit) == ((1, 2), 1) and len(calls) == 5
-    assert discriminant_mod._last.sums is not None
-    assert rank_from_matrices(forms) == cold and len(calls) == 15
-    assert criterion_hl(HLInstance(4, 0, 0, forms)) == cert and len(calls) == 15
+    # singletons pass and I = (1, 2) fails: five of the fifteen subsets are
+    # ranked, and the four singletons read their members' inertia
+    assert (cert.failing_subset, cert.rank_deficit) == ((1, 2), 1) and len(calls) == 1
+    assert len(discriminant_mod._last.results) == 5 and discriminant_mod._last.sums is not None
+    assert rank_from_matrices(forms) == cold and len(calls) == 11
+    assert criterion_hl(HLInstance(4, 0, 0, forms)) == cert and len(calls) == 11
+
+
+def test_a_singleton_entry_is_a_fresh_inertia_over_the_family_denominator():
+    mats = [random_hermitian(4600, 3).scale(Fraction(1, 2)),
+            random_hermitian(4601, 3).scale(Fraction(2, 3)),
+            D([Fraction(1, 5), 1, 0]),
+            D([Fraction(1, 7), 2, 3])]
+    assert len({a._cleared[2] for a in mats}) == 4  # four different denominators
+    den, lifted = _lift(mats)
+    results = dict(discriminant_mod._SubsetTable(mats).walk())
+    for i, (re, im) in enumerate(lifted, 1):
+        assert results[(i,)] == _inertia(_copy_rows(re), _copy_rows(im))
+    # the scaling by (L / L_i)^3 is seen: nonzero dets of both signs, and a zero one
+    assert {results[(i,)][3] > 0 for i in (1, 2, 4)} == {True, False} and results[(3,)][3] == 0
+    assert all(den > a._cleared[2] for a in mats)
 
 
 def test_a_completed_walk_keeps_only_its_results(monkeypatch):
@@ -415,6 +435,8 @@ def _non_real_diagonal():
 def test_a_raising_elimination_raises_again(monkeypatch):
     mats = [Id(2), _non_real_diagonal()]
     calls = _counted_walk(monkeypatch)
+    # a singleton's inertia is its member's own elimination: count those too
+    monkeypatch.setattr(linalg_mod, "_inertia", discriminant_mod._inertia)
     for count in (2, 3):
         with pytest.raises(InternalCheckError, match="non-real diagonal"):
             mixed_discriminant(mats)

@@ -29,7 +29,7 @@ from lefcert.linalg import (
 from lefcert.generate import SplitMix64
 from lefcert.rationals import GR, I, ONE, ZERO, GaussianRational, as_rat
 
-from conftest import random_hermitian, random_psd_family
+from conftest import random_hermitian, random_psd_family, singular_pivot_rows
 
 
 def mat_mul(a, b):
@@ -882,7 +882,7 @@ def test_residue_prime_and_square_root_of_minus_one():
     assert [n for n in range(60) if _is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     assert not _is_prime(3215031751) and not _is_prime(2 ** 61 + 1)  # a strong pseudoprime
-    assert _is_prime(_P) and _P < 2 ** 62
+    assert _is_prime(_P) and _P < 2 ** 30  # every residue is one CPython digit
     assert _P % 4 == 1
     assert _S * _S % _P == _P - 1
 
@@ -893,17 +893,18 @@ def test_det_residue_is_the_exact_det_mod_p():
         n = min(len(rows), len(rows[0]))
         re, im, _ = _gaussian_integer_rows([row[:n] for row in rows[:n]])
         frozen = [r[:] for r in re], [r[:] for r in im]
-        residue, col = _det_residue(re, im)
+        residue, col, rows = _det_residue(re, im)
         assert (re, im) == frozen  # the rows are left as they are
+        _check_pivot_rows(re, im, col, rows)
         dr, di = _det(re, im)
         assert residue == (dr + _S * di) % _P
         assert (col is None) == (residue != 0)
         zero_residues += residue == 0
     assert zero_residues >= 20
-    assert _det_residue([], []) == (1, None)
+    assert _det_residue([], []) == (1, None, [])
     # p divides the determinant: the residue is zero and decides nothing
-    assert _det_residue([[_P, 0], [0, 1]], [[0, 0], [0, 0]]) == (0, 0)
-    assert _det_residue([[1, 0], [0, 1]], [[_S, 0], [0, 0]]) == (0, 0)  # det = 1 + i s
+    assert _det_residue([[_P, 0], [0, 1]], [[0, 0], [0, 0]]) == (0, 0, [])
+    assert _det_residue([[1, 0], [0, 1]], [[_S, 0], [0, 0]]) == (0, 0, [])  # det = 1 + i s
 
 
 def oracle_rank_mod_p(columns):
@@ -924,6 +925,16 @@ def oracle_rank_mod_p(columns):
     return rank
 
 
+def _check_pivot_rows(re, im, f, rows):
+    """The residue's pivot rows are distinct, f of them (N when f is None), and of full rank mod p."""
+    count = len(re) if f is None else f
+    assert len(rows) == len(set(rows)) == count
+    assert all(0 <= r < len(re) for r in rows)
+    # the block of columns 0..f-1 on those rows, read mod p
+    block = [[(re[r][j] + _S * im[r][j]) % _P for r in rows] for j in range(count)]
+    assert oracle_rank_mod_p(block) == count
+
+
 def _square_cases():
     """The leading square block of every seeded Z[i] case."""
     for re, im, ncols in _gaussian_integer_cases():
@@ -941,21 +952,37 @@ def test_det_residue_stops_at_the_first_column_dependent_mod_p():
         columns = [[(a + _S * b) % _P for a, b in zip(xs, ys)] for xs, ys in zip(zip(*re), zip(*im))]
         expected = next((j for j in range(len(columns))
                          if oracle_rank_mod_p(columns[:j + 1]) <= j), None)
-        residue, col = _det_residue(re, im)
+        residue, col, rows = _det_residue(re, im)
         assert col == expected
         assert (residue == 0) == (col is not None)
+        _check_pivot_rows(re, im, col, rows)
         stops.add(col if col is None else min(col, 2))
     assert stops == {None, 0, 1, 2}
-    assert _det_residue([[1, 1], [1, 1 + _P]], [[0, 0], [0, 0]]) == (0, 1)
-    assert _det_residue(*_UNLUCKY) == (0, 1)
+    assert _det_residue([[1, 1], [1, 1 + _P]], [[0, 0], [0, 0]]) == (0, 1, [0])
+    assert _det_residue(*_UNLUCKY) == (0, 1, [0])
 
 
-def test_first_kernel_vector_is_the_first_jordan_kernel_vector():
+def _kernel_shapes(monkeypatch):
+    """Record the (rows, columns) of every _kernel call."""
+    shapes = []
+    kernel = linalg_mod._kernel
+
+    def counted(re, im, ncols):
+        shapes.append((len(re), ncols))
+        return kernel(re, im, ncols)
+
+    monkeypatch.setattr(linalg_mod, "_kernel", counted)
+    return shapes
+
+
+def test_first_kernel_vector_is_the_first_jordan_kernel_vector(monkeypatch):
+    shapes = _kernel_shapes(monkeypatch)
     truncated = 0
     for re, im in _square_cases():
         ncols = len(re)
         frozen = [r[:] for r in re], [r[:] for r in im]
         vectors, d = oracle_jordan_kernel([r[:] for r in re], [r[:] for r in im], ncols)
+        shapes.clear()
         first = _first_kernel_vector(re, im)
         if not vectors:
             assert first is None
@@ -963,6 +990,7 @@ def test_first_kernel_vector_is_the_first_jordan_kernel_vector():
         vector, e = first
         f = _det_residue(*frozen)[1]
         assert len(vector[0]) == len(vector[1]) == f + 1  # solved up to column f only
+        assert shapes == [(f, f + 1)]  # on the f pivot rows of the residue
         assert (re, im) == frozen  # no fallback ran on the rows
         exact = _exact_vector(vector, e)
         assert exact + [ZERO] * (ncols - f - 1) == _exact_vector(vectors[0], d)
@@ -971,22 +999,34 @@ def test_first_kernel_vector_is_the_first_jordan_kernel_vector():
 
 
 def test_first_kernel_vector_falls_back_when_p_divides_a_minor(monkeypatch):
-    widths = []
-    kernel = linalg_mod._kernel
-
-    def counted(re, im, ncols):
-        widths.append(ncols)
-        return kernel(re, im, ncols)
-
-    monkeypatch.setattr(linalg_mod, "_kernel", counted)
+    shapes = _kernel_shapes(monkeypatch)
     re, im = _UNLUCKY
     expected = oracle_jordan_kernel([r[:] for r in re], [r[:] for r in im], 3)
     vector, d = _first_kernel_vector([r[:] for r in re], [r[:] for r in im])
-    assert widths == [2, 3]  # columns 0..1 have no kernel over Q, so the whole matrix follows
+    # the one pivot row accepts (-1, 1), which row 1 rejects: columns 0..1
+    # have no kernel over Q, so the whole matrix follows
+    rows, widths = zip(*shapes)
+    assert list(widths) == [2, 3] and list(rows) == [1, 3]
     assert _exact_vector(vector, d) == _exact_vector(expected[0][0], expected[1]) == [ZERO, ZERO, ONE]
-    widths.clear()
+    shapes.clear()
     assert _first_kernel_vector([[1, 1], [1, 1 + _P]], [[0, 0], [0, 0]]) is None
-    assert widths == [2, 2]
+    assert [w for _, w in shapes] == [2, 2]
+
+
+def test_a_singular_pivot_row_set_is_an_internal_error(monkeypatch):
+    cases = list(_square_cases())
+    expected = [_first_kernel_vector(re, im) for re, im in cases]
+    singular_pivot_rows(monkeypatch)
+    raised = 0
+    for (re, im), first in zip(cases, expected):
+        f = _det_residue(re, im)[1]
+        if f is not None and f >= 2:
+            with pytest.raises(InternalCheckError, match="pivot rows are singular"):
+                _first_kernel_vector(re, im)
+            raised += 1
+        else:
+            assert _first_kernel_vector(re, im) == first
+    assert raised >= 50
 
 
 def test_empty_matrices_match_qi_oracle():
