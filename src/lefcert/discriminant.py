@@ -19,7 +19,9 @@ inertia for the last family walked, matched by the identity of its
 members.  So mixed_discriminant, panov_positivity, the rank tables and
 criterion_hl, called in turn on the same matrices, eliminate each A_I once
 between them; criterion_hl ranks lazily, and a later walk goes on from
-where it stopped.
+where it stopped.  The failing-subset rule, rank(A_I) < |I| + shift, is
+written once, in rank_deficient_subset: panov_positivity reads its first
+failing subset and deficit there, and D from the same table.
 intersection_number wedges the PQForm (i A_1) ^ ... ^ (i A_n) from the same
 cached rows and reads it with volume_scalar.
 """
@@ -160,28 +162,24 @@ def rank_deficient_subset(mats, shift=0):
     return None
 
 
-def _discriminant_walk(mats):
-    """(D(A_1,...,A_n), first (I, |I| - rank(A_I)) with rank(A_I) < |I|, or None).
+def _discriminant(mats):
+    """D(A_1,...,A_n) from one Hermitian elimination (linalg._inertia) per L * A_I.
 
-    One Hermitian elimination (linalg._inertia) per L * A_I: npos + nneg is
-    the rank and, at full rank, its last pivot is det(L * A_I), a real
-    integer; D sums those determinants, signed by inclusion-exclusion, over n! L^n.
+    Its last pivot is det(L * A_I), a real integer, at full rank, and 0
+    otherwise; D sums those determinants, signed by inclusion-exclusion,
+    over n! L^n.
     """
     n = len(mats)
     table = _table(mats)
     total = 0  # the empty subset adds det(0) = 0
-    failing = None
-    for subset, (npos, nneg, _, det) in table.walk():
-        if failing is None and npos + nneg < len(subset):
-            failing = subset, len(subset) - npos - nneg
-        if det:
-            total += -det if (n - len(subset)) % 2 else det
-    return Rat(total, factorial(n) * table.den ** n), failing
+    for subset, (_, _, _, det) in table.walk():
+        total += -det if (n - len(subset)) % 2 else det
+    return Rat(total, factorial(n) * table.den ** n)
 
 
 def mixed_discriminant(mats):
     """D(A_1,...,A_n) by inclusion-exclusion over exact Z[i] subset determinants."""
-    return _discriminant_walk(_check_tuple(mats)[0])[0]
+    return _discriminant(_check_tuple(mats)[0])
 
 
 def intersection_number(mats):
@@ -215,15 +213,18 @@ class PositivityCertificate:
 def panov_positivity(mats) -> PositivityCertificate:
     """D > 0 iff every subset sum A_I has rank at least |I| (PSD input).
 
-    One elimination per A_I gives both the ranks and D.  On failure
-    returns the first failing subset in size-then-lex order, and D is
-    checked to be zero; on success D is checked to be positive.
+    The failing subset and its deficit are rank_deficient_subset's, and D
+    is read from the same subset table, so each A_I is eliminated once
+    for both.  On failure returns the first failing subset in
+    size-then-lex order, and D is checked to be zero; on success D is
+    checked to be positive.
     """
     mats, _ = _check_tuple(mats)
     for a in mats:
         if not a.is_psd():
             raise ValueError("panov_positivity requires PSD matrices")
-    d, failing = _discriminant_walk(mats)
+    failing = rank_deficient_subset(mats)
+    d = _discriminant(mats)
     if failing is not None:
         if d != 0:
             raise InternalCheckError("rank criterion failed but D != 0")

@@ -7,25 +7,27 @@ denominators and stores it as rows of Gaussian integers, one list of real
 and one of imaginary int parts; a badly shaped matrix is a ValueError
 there.  The rows are eliminated fraction-free (Bareiss 1968).  Every step
 divides exactly in Z[i] by the previous pivot; a nonzero remainder raises
-InternalCheckError.  There are two eliminations.  The general one (_eliminate) runs on any rectangular
-matrix, with row swaps and complex pivots:
+InternalCheckError.  There are two eliminations.  The general one
+(_eliminate) runs on any rectangular matrix that need not be Hermitian,
+with row swaps and complex pivots:
 
 * mat_det is its last pivot over L^n, signed by the row swaps;
 * mat_rank counts its pivots;
 * kernel_basis back-substitutes over its echelon rows: each vector is d
   times an exact kernel vector, d the last pivot, and its entries are
   those of the fraction-free Gauss-Jordan form (Nakos, Turner and
-  Williams 1997), so every division is exact in Z[i] as well;
-* is_m_positive reads the signs of the coefficients of det(omega + t A),
-  interpolated exactly from n + 1 of its determinants.
+  Williams 1997), so every division is exact in Z[i] as well.
 
 The Hermitian one (_inertia) is symmetric, on real diagonal pivots and
 the upper triangle only; the k-th LDL* diagonal is p_k / p_(k-1), and the
 last pivot is the determinant.  One call gives the inertia, the rank and
 the determinant of a Hermitian matrix: HermitianMatrix.rank, is_psd and
-det fill one cache from it, hermitian_signature reads its inertia, and
-`discriminant`'s subset walks rank and determine every sum A_I with it.
-Values become GaussianRational again only on the way out.
+det fill one cache from it, hermitian_signature reads its inertia,
+`discriminant`'s subset walks rank and determine every sum A_I with it,
+and is_m_positive reads the signs of the coefficients of
+det(omega + t A), interpolated exactly from the n + 1 Hermitian
+determinants at t = 0..n.  Values become GaussianRational again only on
+the way out.
 
 _det_residue maps the same int rows to F_p by i -> s, s^2 = -1 modulo
 one prime p = 1 (mod 4), p < 2^30 so that every residue is one CPython
@@ -56,7 +58,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import mul, sub
 
 from .rationals import GR, ZERO, GaussianRational, as_rat
 
@@ -258,34 +260,29 @@ def _inertia(re, im):
 
 
 def _det_pencil(a, b):
-    """The coefficients of n! L^n det(a + t b), lowest power first, as (re, im) int pairs.
+    """The int coefficients of n! L^n det(a + t b), lowest power first.
 
-    a and b are the (re, im) Z[i] rows of L a and L b over one L, and are
-    only read.  v_t = det(L a + t L b) is a Bareiss determinant for
-    t = 0..n, and Newton's forward differences interpolate it exactly:
-    n! L^n det(a + t b) = sum_k (n! / k!) D^k v_0 t (t - 1) ... (t - k + 1).
+    a and b are the (re, im) Z[i] rows of the Hermitian L a and L b over
+    one L, and are only read.  L a + t L b is Hermitian for every integer
+    t, so v_t = det(L a + t L b) is the determinant of one _inertia, a real
+    int, for t = 0..n, and Newton's forward differences interpolate it
+    exactly: n! L^n det(a + t b) = sum_k (n! / k!) D^k v_0 t (t - 1) ... (t - k + 1).
     """
     (ar, ai), (br, bi) = a, b
     n = len(ar)
-    values = []
-    for t in range(n + 1):
-        mr = [[x + t * y for x, y in zip(xs, ys)] for xs, ys in zip(ar, br)]
-        mi = [[x + t * y for x, y in zip(xs, ys)] for xs, ys in zip(ai, bi)]
-        pivots, sign, (dr, di) = _eliminate(mr, mi, n)
-        values.append((sign * dr, sign * di) if len(pivots) == n else (0, 0))
-    num_re = [0] * (n + 1)
-    num_im = [0] * (n + 1)
+    values = [_inertia([[x + t * y for x, y in zip(xs, ys)] for xs, ys in zip(ar, br)],
+                       [[x + t * y for x, y in zip(xs, ys)] for xs, ys in zip(ai, bi)])[3]
+              for t in range(n + 1)]
+    coeffs = [0] * (n + 1)
     falling = [1]  # t (t - 1) ... (t - k + 1), lowest power first
     for k in range(n + 1):
-        dr, di = values[0]
-        weight = factorial(n) // factorial(k)
+        weight = factorial(n) // factorial(k) * values[0]
         for j, f in enumerate(falling):
-            num_re[j] += weight * dr * f
-            num_im[j] += weight * di * f
-        values = [(xr - wr, xi - wi) for (wr, wi), (xr, xi) in zip(values, values[1:])]
+            coeffs[j] += weight * f
+        values = list(map(sub, values[1:], values))
         falling = [(falling[j - 1] if j else 0) - (k * falling[j] if j <= k else 0)
                    for j in range(k + 2)]
-    return list(zip(num_re, num_im))
+    return coeffs
 
 
 def _rank(re, im, ncols):
@@ -353,16 +350,12 @@ def _det_residue(re, im):
     return det, None, order
 
 
-def _exact_det(re, im, den):
-    """det(rows) from the Z[i] rows (re, im) of L * rows, eliminated in place."""
+def mat_det(rows) -> GaussianRational:
+    """Exact determinant: the last Bareiss pivot of L * rows over L^n."""
+    re, im, den = _gaussian_integer_rows(rows, square=True)
     dr, di = _det(re, im)
     scale = den ** len(re)
     return GaussianRational(Fraction(dr, scale), Fraction(di, scale)) if dr or di else ZERO
-
-
-def mat_det(rows) -> GaussianRational:
-    """Exact determinant: the last Bareiss pivot of L * rows over L^n."""
-    return _exact_det(*_gaussian_integer_rows(rows, square=True))
 
 
 def _kernel(re, im, ncols):
@@ -575,15 +568,11 @@ class HermitianMatrix:
     def entry(self, j, k):
         return self.rows[j][k]
 
-    def _row_copies(self):
-        """List copies of the cleared (re, im) rows, for an elimination, and L."""
-        re, im, den = self._cleared
-        return _copy_rows(re), _copy_rows(im), den
-
     def _elimination(self):
         """(npos, nneg, nzero, det(L A)) from one _inertia of the cleared rows, computed once."""
         if self._signs is None:
-            object.__setattr__(self, "_signs", _inertia(*self._row_copies()[:2]))
+            re, im, _ = self._cleared
+            object.__setattr__(self, "_signs", _inertia(_copy_rows(re), _copy_rows(im)))
         return self._signs
 
     def rank(self) -> int:
@@ -618,7 +607,10 @@ def is_m_positive(mat: HermitianMatrix, omega: HermitianMatrix, m: int) -> bool:
     omega must be positive definite.  The relative elementary symmetric
     functions e_k(omega^-1 A) then carry the signs of the coefficients of
     det(omega + t A) = det(omega) * sum_k e_k(omega^-1 A) t^k, and so do
-    those of n! L^n det(omega + t A), the positive multiple _det_pencil returns.
+    the int coefficients of n! L^n det(omega + t A), the positive multiple
+    _det_pencil interpolates from n + 1 Hermitian eliminations.  A
+    non-real diagonal stops the pencil's elimination with
+    InternalCheckError.
     """
     n = mat.n
     if omega.n != n:
@@ -627,12 +619,7 @@ def is_m_positive(mat: HermitianMatrix, omega: HermitianMatrix, m: int) -> bool:
         raise ValueError("m must satisfy 1 <= m <= n")
     if omega._elimination()[:3] != (n, 0, 0):
         raise NotPositiveDefiniteError("matrix is not positive definite")
-    for re, im in _det_pencil(*_lift((omega, mat))[1])[1:m + 1]:
-        if im:
-            raise InternalCheckError("relative char-poly coefficient not real")
-        if re <= 0:
-            return False
-    return True
+    return all(c > 0 for c in _det_pencil(*_lift((omega, mat))[1])[1:m + 1])
 
 
 def hermitian_signature(gram):

@@ -71,3 +71,12 @@ def subset_sums(mats):
     for subset in subsets_size_lex(len(table.members)):
         table.sums[subset] = rows = table._sum(subset)
         yield subset, HermitianMatrix._from_integer_rows(*rows, table.den)
+
+
+def non_real_diagonal():
+    """A 2x2 'HermitianMatrix' whose entry (0, 0) is 1 + i, built past the Hermitian check."""
+    re, im = ((1, 0), (0, 1)), ((1, 0), (0, 0))
+    bad = HermitianMatrix.__new__(HermitianMatrix)
+    for name, value in zip(HermitianMatrix.__slots__, (2, (re, im, 1), None, None, None)):
+        object.__setattr__(bad, name, value)
+    return bad

@@ -29,7 +29,7 @@ from lefcert.linalg import (
 from lefcert.polymatroid import hl_support, rank_from_matrices
 from lefcert.rationals import GR, ZERO, GaussianRational, Rat, as_rat
 
-from conftest import random_hermitian, random_psd_family, subset_sums
+from conftest import non_real_diagonal, random_hermitian, random_psd_family, subset_sums
 from lefcert.generate import SplitMix64
 
 D = HermitianMatrix.diagonal
@@ -325,6 +325,32 @@ def test_panov_positivity_eliminates_each_subset_sum_once(monkeypatch, mats, pos
     assert len(calls) == 2 ** len(mats) - 1 - len(mats)
 
 
+def _low_rank_families():
+    """Seeded PSD families with zero members and one low-rank member repeated, both verdicts present."""
+    for seed in range(24):
+        n = 2 + seed % 3
+        mats = random_psd_family(seed + 4700, n, n, max_rank=1 + seed % 2)
+        if seed % 3 == 0:
+            mats[seed % n] = HermitianMatrix.zero(n)
+        if seed % 4 == 1:
+            mats[-1] = mats[0]
+        yield mats
+    yield [Id(3), HermitianMatrix.zero(3), Id(3)]
+    yield [D([1, 1, 0])] * 3
+    yield [Id(3)] * 3
+
+
+def test_panov_positivity_reads_the_rank_deficient_subset():
+    verdicts = set()
+    for mats in _low_rank_families():
+        failing = rank_deficient_subset(_fresh(mats), 0)  # a cold table of its own
+        cert = panov_positivity(mats)
+        assert (cert.failing_subset, cert.rank_deficit) == (failing or (None, None))
+        assert cert.positive == (failing is None)
+        verdicts.add(cert.positive)
+    assert verdicts == {True, False}
+
+
 # ---- one subset table per family ----
 
 def _counted_walk(monkeypatch):
@@ -423,17 +449,8 @@ def test_a_completed_walk_keeps_only_its_results(monkeypatch):
     assert len(table.results) == 15 and all(a is b for a, b in zip(table.members, mats))
 
 
-def _non_real_diagonal():
-    """A 2x2 'HermitianMatrix' whose entry (0, 0) is 1 + i, built past the Hermitian check."""
-    re, im = ((1, 0), (0, 1)), ((1, 0), (0, 0))
-    bad = HermitianMatrix.__new__(HermitianMatrix)
-    for name, value in zip(HermitianMatrix.__slots__, (2, (re, im, 1), None, None, None)):
-        object.__setattr__(bad, name, value)
-    return bad
-
-
 def test_a_raising_elimination_raises_again(monkeypatch):
-    mats = [Id(2), _non_real_diagonal()]
+    mats = [Id(2), non_real_diagonal()]
     calls = _counted_walk(monkeypatch)
     # a singleton's inertia is its member's own elimination: count those too
     monkeypatch.setattr(linalg_mod, "_inertia", discriminant_mod._inertia)
@@ -447,7 +464,7 @@ def test_a_raising_elimination_raises_again(monkeypatch):
 def test_a_non_real_diagonal_reaching_the_walk_is_an_internal_error():
     # the Hermitian check keeps such rows out of every HermitianMatrix; one
     # that slips past it must stop both walks, not give a determinant
-    bad = _non_real_diagonal()
+    bad = non_real_diagonal()
     for walk in (lambda: mixed_discriminant([Id(2), bad]),
                  lambda: rank_deficient_subset([Id(2), bad])):
         with pytest.raises(InternalCheckError, match="non-real diagonal"):

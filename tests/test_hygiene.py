@@ -132,6 +132,12 @@ def test_detector_lists_every_caller():
     assert callers({"a": source}, "_clear") == {"a.f", "a.M.m.inner", "a"}
 
 
+def test_the_general_elimination_runs_only_non_hermitian_work():
+    # every Hermitian matrix, the m-positivity pencil included, goes to _inertia
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert callers(sources, "_eliminate") == {"linalg._rank", "linalg._det", "linalg._kernel"}
+
+
 # the entry points that take rows from outside the library; every other
 # path reads the Z[i] rows a HermitianMatrix cleared at construction
 CLEARING_ENTRY_POINTS = {

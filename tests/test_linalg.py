@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 
@@ -13,6 +13,7 @@ from lefcert.linalg import (
     NotPositiveDefiniteError,
     _copy_rows,
     _det,
+    _det_pencil,
     _det_residue,
     _eliminate,
     _exact_vector,
@@ -20,6 +21,7 @@ from lefcert.linalg import (
     _gaussian_integer_rows,
     _inertia,
     _kernel,
+    _lift,
     hermitian_signature,
     is_m_positive,
     kernel_basis,
@@ -29,7 +31,7 @@ from lefcert.linalg import (
 from lefcert.generate import SplitMix64
 from lefcert.rationals import GR, I, ONE, ZERO, GaussianRational, as_rat
 
-from conftest import random_hermitian, random_psd_family, singular_pivot_rows
+from conftest import non_real_diagonal, random_hermitian, random_psd_family, singular_pivot_rows
 
 
 def mat_mul(a, b):
@@ -622,19 +624,46 @@ def test_m_positivity_builds_no_gaussian_rational(monkeypatch):
     assert verdicts == {True, False} and built == []
 
 
-def test_non_real_pencil_coefficient_is_an_internal_error(monkeypatch):
-    pencil = linalg_mod._det_pencil
+def test_a_non_real_diagonal_reaching_the_pencil_is_an_internal_error():
+    # omega + t A is eliminated as a Hermitian matrix; rows that slipped past
+    # the Hermitian check must stop it, not give a coefficient
+    bad = non_real_diagonal()
+    with pytest.raises(InternalCheckError, match="non-real diagonal"):
+        is_m_positive(bad, Id(2), 1)
 
-    def tilted(a, b):
-        coeffs = pencil(a, b)
-        re, im = coeffs[1]
-        coeffs[1] = re, im + 1
-        return coeffs
 
-    assert is_m_positive(D([1, 1, 0]), Id(3), 2)
-    monkeypatch.setattr(linalg_mod, "_det_pencil", tilted)
-    with pytest.raises(InternalCheckError, match="^relative char-poly coefficient not real$"):
-        is_m_positive(D([1, 1, 0]), Id(3), 2)
+def _pencil_pairs():
+    """Seeded (omega, A) pairs for n = 1..5: indefinite, rank-deficient and singular pencils."""
+    for n in range(1, 6):
+        omega = Id(n) + random_psd_family(n + 5000, n, 1)[0]
+        yield omega, random_hermitian(n + 5100, n)  # indefinite
+        yield random_hermitian(n + 5200, n).scale(Fraction(1, 2)), random_hermitian(n + 5300, n)
+        (low,) = random_psd_family(n + 5400, n, 1, max_rank=max(n - 2, 0))
+        yield omega, low.scale(Fraction(-2, 3))  # rank-deficient
+        yield low, omega
+    # zero diagonal with a nonzero row at a node: the congruence path, singular and not
+    swap = HermitianMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    yield swap, D([0, 0, 1])  # singular at t = 0
+    yield swap, D([0, 0, -1]).scale(Fraction(1, 3))
+    yield D([1, 2, 3]), D([-1, -1, -1])  # singular at t = 1
+    yield HermitianMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 2]]), D([-1, 0, 0])  # zero pivot at t = 1
+
+
+def test_det_pencil_gives_the_exact_coefficients():
+    congruence_singular = 0
+    for omega, a in _pencil_pairs():
+        n = omega.n
+        den, lifted = _lift((omega, a))
+        coeffs = _det_pencil(*lifted)
+        assert len(coeffs) == n + 1 and all(type(c) is int for c in coeffs)
+        for t in range(-2, n + 3):
+            rows = [[x + GR(t) * y for x, y in zip(xs, ys)] for xs, ys in zip(omega.rows, a.rows)]
+            d = mat_det(rows)
+            assert d.im == 0
+            assert sum(c * t ** k for k, c in enumerate(coeffs)) == factorial(n) * den ** n * d.re
+            if 0 <= t <= n and d == ZERO and not rows[0][0] and any(rows[0][1:]):
+                congruence_singular += 1
+    assert congruence_singular >= 2
 
 
 # ---- kernels ----
