@@ -165,9 +165,9 @@ def rank_deficient_subset(mats, shift=0):
 def _discriminant(mats):
     """D(A_1,...,A_n) from one Hermitian elimination (linalg._inertia) per L * A_I.
 
-    Its last pivot is det(L * A_I), a real integer, at full rank, and 0
-    otherwise; D sums those determinants, signed by inclusion-exclusion,
-    over n! L^n.
+    Each elimination gives det(L * A_I) as a real integer, 0 below full
+    rank; D sums those determinants, signed by inclusion-exclusion, over
+    n! L^n.
     """
     n = len(mats)
     table = _table(mats)

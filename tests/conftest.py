@@ -77,6 +77,6 @@ def non_real_diagonal():
     """A 2x2 'HermitianMatrix' whose entry (0, 0) is 1 + i, built past the Hermitian check."""
     re, im = ((1, 0), (0, 1)), ((1, 0), (0, 0))
     bad = HermitianMatrix.__new__(HermitianMatrix)
-    for name, value in zip(HermitianMatrix.__slots__, (2, (re, im, 1), None, None, None)):
+    for name, value in zip(HermitianMatrix.__slots__, (2, (re, im, 1), None, None)):
         object.__setattr__(bad, name, value)
     return bad
