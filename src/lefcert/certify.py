@@ -55,6 +55,7 @@ from .linalg import (
     HermitianFormOnSpace,
     HermitianMatrix,
     InternalCheckError,
+    _check_family,
     _first_kernel_vector,
     _hermitian_failure,
     _inertia,
@@ -101,11 +102,7 @@ class HLInstance:
         object.__setattr__(self, "forms", forms)
         if len(forms) != n - p - q:
             raise ValueError(f"expected {n - p - q} factor forms, got {len(forms)}")
-        for a in forms:
-            if a.n != n:
-                raise ValueError("factor form has wrong dimension")
-            if not a.is_psd():
-                raise ValueError("factor forms must be positive semidefinite")
+        _check_family(forms, n)
         if self.eta is not None:
             if self.eta.n != n:
                 raise ValueError("eta has wrong dimension")
@@ -347,14 +344,6 @@ def _intersection_gram(omega, vectors):
     return re, den
 
 
-def _check_factors(forms, n):
-    for a in forms:
-        if a.n != n:
-            raise ValueError("matrices have mismatched dimensions")
-        if not a.is_psd():
-            raise ValueError("factor matrices must be PSD")
-
-
 def lorentzian_signature(forms, n=None):
     """Inertia of (A,B) -> D(A,B,A_1,...,A_{n-2}) on the real space Herm_n.
 
@@ -372,7 +361,7 @@ def lorentzian_signature(forms, n=None):
         n = forms[0].n
     if len(forms) != n - 2:
         raise ValueError(f"need n-2={n - 2} factor matrices, got {len(forms)}")
-    _check_factors(forms, n)
+    _check_family(forms, n)
     rows, _ = _intersection_gram(_fold(n, forms), _real_basis_vectors(n))
     return _inertia(rows, [[0] * len(rows) for _ in rows])[:3]
 
@@ -390,7 +379,7 @@ def hodge_index_check(forms, alpha: HermitianMatrix, beta: HermitianMatrix) -> b
     n = alpha.n
     if len(forms) != n - 2:
         raise ValueError(f"need n-2={n - 2} factor matrices")
-    _check_factors(forms, n)
+    _check_family(forms, n)
     if beta.n != n:
         raise ValueError("matrices have mismatched dimensions")
     omega = _fold(n, forms)

@@ -34,7 +34,7 @@ from math import comb, factorial
 from operator import add, is_
 
 from .exterior import _fold, volume_scalar
-from .linalg import InternalCheckError, _copy_rows, _inertia, _lift
+from .linalg import InternalCheckError, _check_family, _copy_rows, _inertia, _lift
 from .rationals import Rat
 
 __all__ = [
@@ -53,8 +53,7 @@ def _check_tuple(mats):
     if not mats:
         raise ValueError("empty matrix tuple")
     n = mats[0].n
-    if any(m.n != n for m in mats):
-        raise ValueError("matrices have mismatched dimensions")
+    _check_family(mats, n, psd=False)
     if len(mats) != n:
         raise ValueError(f"need exactly n={n} matrices, got {len(mats)}")
     return mats, n
@@ -219,10 +218,8 @@ def panov_positivity(mats) -> PositivityCertificate:
     size-then-lex order, and D is checked to be zero; on success D is
     checked to be positive.
     """
-    mats, _ = _check_tuple(mats)
-    for a in mats:
-        if not a.is_psd():
-            raise ValueError("panov_positivity requires PSD matrices")
+    mats, n = _check_tuple(mats)
+    _check_family(mats, n)
     failing = rank_deficient_subset(mats)
     d = _discriminant(mats)
     if failing is not None:
@@ -240,18 +237,15 @@ def reverse_kt_check(a_mats, b_mat, c_mats) -> bool:
     With k = len(a_mats) and n = k + len(c_mats):
     (n!/(k!(n-k)!)) (A_1...A_k B^{n-k}) (B^k C_1...C_{n-k})
         >= (B^n)(A_1...A_k C_1...C_{n-k}).
-    Returns whether the inequality holds; must be true for PSD input.
+    Returns whether the inequality holds; must be true for PSD input.  A
+    bad member is named by its position in a_mats + [b_mat] + c_mats.
     """
     a_mats, c_mats = list(a_mats), list(c_mats)
     k = len(a_mats)
     n = b_mat.n
     if len(c_mats) != n - k:
         raise ValueError("need k + (n-k) factor matrices")
-    for m in a_mats + [b_mat] + c_mats:
-        if m.n != n:
-            raise ValueError("matrices have mismatched dimensions")
-        if not m.is_psd():
-            raise ValueError("reverse_kt_check requires PSD matrices")
+    _check_family(a_mats + [b_mat] + c_mats, n)
     lhs = (comb(n, k) * intersection_number(a_mats + [b_mat] * (n - k))
            * intersection_number([b_mat] * k + c_mats))
     return lhs >= intersection_number([b_mat] * n) * intersection_number(a_mats + c_mats)

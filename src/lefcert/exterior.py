@@ -74,10 +74,6 @@ def _check_multi_index(idx, n):
     return t
 
 
-# Row builds and the complementary pairing merge the same index pairs for
-# many bidegrees.  The pairs grow as 4^n, so the memo is bounded: 4096 holds
-# every pair of subsets of {1..6}.
-@lru_cache(maxsize=4096)
 def _merge_sign(a, b):
     """Merge two disjoint increasing tuples; (sign, merged) or (0, None) on overlap."""
     inv = 0

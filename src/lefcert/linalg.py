@@ -48,7 +48,8 @@ the library holds (a Gram, a subset sum, B B^H) is not cleared.  The
 methods, the pencil of is_m_positive, `discriminant`'s subset lattice and
 `exterior`'s wedges read those rows.  `rows` is a Q(i) view built on
 first read, and `+` and `scale` work on it, as the oracle of the integer
-subset walk.
+subset walk.  Every entry point that takes a family of PSD members checks
+it with _check_family, which names the first bad member by its position.
 
 No eigenvalue is ever computed.
 """
@@ -89,21 +90,18 @@ _REAL = (0, 1)  # the int pair of a zero imaginary part
 def _parts(x):
     """((p, q), (r, s)), q, s > 0: the real and imaginary parts of an entry as int pairs.
 
-    The entry is a GaussianRational, a {"re", "im"} dict or a rational; every pair is reduced.
+    The entry is a GaussianRational, an int or a rational; every pair is reduced.
     """
     if isinstance(x, GaussianRational):
         return x.re.as_integer_ratio(), x.im.as_integer_ratio()
     if type(x) is int:
         return (x, 1), _REAL
-    if isinstance(x, dict):
-        return (as_rat(x.get("re", 0)).as_integer_ratio(),
-                as_rat(x.get("im", 0)).as_integer_ratio())
     return as_rat(x).as_integer_ratio(), _REAL
 
 
 # ---- the integer kernel over Z[i] ----
 
-def _gaussian_integer_rows(rows, parts=_parts, square=False, what="matrix"):
+def _gaussian_integer_rows(rows, parts=_parts, square=False):
     """(re, im, L): int rows with re + i*im = L * rows, L the lcm of all denominators.
 
     parts reads each entry as the int pairs ((p, q), (r, s)) of its real
@@ -117,7 +115,7 @@ def _gaussian_integer_rows(rows, parts=_parts, square=False, what="matrix"):
     if square and widths - {len(entries)}:
         raise ValueError("matrix must be square")
     if len(widths) > 1:
-        raise ValueError(f"{what} rows must have equal length")
+        raise ValueError("matrix rows must have equal length")
     den = lcm(*{d for row in entries for (_, a), (_, b) in row for d in (a, b)})
     re = [[p * (den // q) for (p, q), _ in row] for row in entries]
     im = [[r * (den // s) for _, (r, s) in row] for row in entries]
@@ -197,13 +195,12 @@ def _inertia(re, im):
     any cleared form will do.  Only the upper triangle is kept; entry
     (i, k) below it is the conjugate of (k, i).  Pivots are the diagonal
     entries in order and stay real; the k-th LDL* diagonal is p_k / p_prev,
-    so its sign is sign(p_k) * sign(p_prev).  A row whose entry in the
-    pivot column is zero is only rescaled by p_k / p_prev.
-    A zero pivot whose remaining row is zero adds to nzero.  One whose row
-    has a nonzero entry c at column l is made nonzero by the unimodular
-    congruence row_k += t row_l, col_k += conj(t) col_l: the new diagonal
-    is a_ll + 2 Re(conj(t) c), nonzero for one of t = 1, -1, i, -i, and
-    every later division stays exact.
+    so its sign is sign(p_k) * sign(p_prev).  A zero pivot whose remaining
+    row is zero adds to nzero.  One whose row has a nonzero entry c at
+    column l is made nonzero by the unimodular congruence
+    row_k += t row_l, col_k += conj(t) col_l: the new diagonal is
+    a_ll + 2 Re(conj(t) c), nonzero for one of t = 1, -1, i, -i, and every
+    later division stays exact.
     Each pivot is the leading principal minor of its order of the matrix
     after the congruences, whose determinant is 1, so det is the last
     pivot when nzero is 0, and 0 otherwise.
@@ -238,23 +235,14 @@ def _inertia(re, im):
         for i in range(k + 1, n):
             xr_row, xi_row = re[i], im[i]
             ar, ai = rk[i], -ik[i]
-            if ar or ai:
-                for j in range(i, n):
-                    c, e = rk[j], ik[j]
-                    qr, rem_r = divmod(p * xr_row[j] - ar * c + ai * e, prev)
-                    qi, rem_i = divmod(p * xi_row[j] - ar * e - ai * c, prev)
-                    if rem_r or rem_i:
-                        raise _inexact()
-                    xr_row[j] = qr
-                    xi_row[j] = qi
-            else:
-                for j in range(i, n):
-                    qr, rem_r = divmod(p * xr_row[j], prev)
-                    qi, rem_i = divmod(p * xi_row[j], prev)
-                    if rem_r or rem_i:
-                        raise _inexact()
-                    xr_row[j] = qr
-                    xi_row[j] = qi
+            for j in range(i, n):
+                c, e = rk[j], ik[j]
+                qr, rem_r = divmod(p * xr_row[j] - ar * c + ai * e, prev)
+                qi, rem_i = divmod(p * xi_row[j] - ar * e - ai * c, prev)
+                if rem_r or rem_i:
+                    raise _inexact()
+                xr_row[j] = qr
+                xi_row[j] = qi
         prev = p
     return npos, nneg, nzero, 0 if nzero else prev
 
@@ -534,7 +522,7 @@ class HermitianMatrix:
     @classmethod
     def from_generator(cls, b_rows):
         """B * B^H for a rectangular exact matrix B, as (L B)(L B)^H over L^2; always PSD."""
-        re, im, den = _gaussian_integer_rows(b_rows, what="generator")
+        re, im, den = _gaussian_integer_rows(b_rows)
         rows = list(zip(re, im))
         # entry (j, k) sums (a + i b)(c - i d) = ac + bd + i(bc - ad) along rows j and k
         return cls._from_integer_rows(
@@ -585,6 +573,15 @@ class HermitianMatrix:
     def det(self) -> GaussianRational:
         d = self._elimination()[3]
         return GaussianRational(Fraction(d, self._cleared[2] ** self.n)) if d else ZERO
+
+
+def _check_family(mats, n, psd=True):
+    """ValueError naming, by its 1-based position, the first member that is not n x n or, with psd, not PSD."""
+    for k, a in enumerate(mats, 1):
+        if a.n != n:
+            raise ValueError(f"member {k} is not {n}x{n}")
+        if psd and not a.is_psd():
+            raise ValueError(f"member {k} is not positive semidefinite")
 
 
 def _lift(mats):

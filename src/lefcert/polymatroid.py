@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .discriminant import _subset_ranks, subsets_size_lex
-from .linalg import InternalCheckError
+from .linalg import InternalCheckError, _check_family
 
 __all__ = [
     "RankFunction",
@@ -99,12 +99,7 @@ def rank_from_matrices(mats, offset: int = 0) -> RankFunction:
     mats = list(mats)
     if not mats:
         raise ValueError("empty matrix family")
-    n = mats[0].n
-    for a in mats:
-        if a.n != n:
-            raise ValueError("matrices have mismatched dimensions")
-        if not a.is_psd():
-            raise ValueError("rank_from_matrices requires PSD matrices")
+    _check_family(mats, mats[0].n)
     values = {frozenset(): 0}
     for subset, rank in _subset_ranks(mats):
         r = rank - offset
@@ -225,11 +220,7 @@ def hl_support(mats, n: int):
     m = len(mats)
     if m > n:
         raise ValueError("more factors than the ambient dimension")
-    for a in reversed(mats):  # as the compositions (0,..,0,m), (0,..,1,m-1), ... meet them
-        if a.n != n:
-            raise ValueError("factor form has wrong dimension")
-        if not a.is_psd():
-            raise ValueError("factor forms must be positive semidefinite")
+    _check_family(mats, n)
     shift = n - m
     ranks = dict(_subset_ranks(mats))
     support = {vec for vec in _compositions(m, m)

@@ -91,14 +91,16 @@ def form_to_json(phi: PQForm) -> dict:
 def form_from_json(obj) -> PQForm:
     """A form from its JSON record.
 
-    A malformed entry, such as a non-int index or a float coefficient,
-    raises ValueError.
+    A malformed entry, such as a missing field, a non-int index or a float
+    coefficient, raises ValueError.
     """
     try:
         coeffs = {
             (tuple(t["I"]), tuple(t["J"])): complex_from_json(t["c"]) for t in obj["terms"]
         }
         return PQForm(obj["n"], obj["p"], obj["q"], coeffs)
+    except KeyError as exc:
+        raise ValueError(f"form: missing field {exc}") from None
     except TypeError as exc:
         raise ValueError(f"form: {exc}") from None
 
@@ -126,7 +128,7 @@ def _subset_from_key(key, m):
 
 def rank_function_from_json(obj) -> RankFunction:
     """A rank table from its JSON record; each key names one subset, exactly once."""
-    if not isinstance(obj, dict) or not isinstance(obj.get("values"), dict):
+    if not isinstance(obj, dict) or "m" not in obj or not isinstance(obj.get("values"), dict):
         raise ValueError("a rank table must be a JSON object with 'm' and 'values'")
     m = obj["m"]
     if type(m) is not int:

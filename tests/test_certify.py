@@ -24,7 +24,7 @@ from lefcert.certify import (
     products_preserve_hl,
 )
 import lefcert.discriminant as discriminant_mod
-from lefcert.discriminant import panov_positivity
+from lefcert.discriminant import panov_positivity, reverse_kt_check
 from lefcert.discriminant import mixed_discriminant
 import lefcert.linalg as linalg_mod
 from lefcert.exterior import (
@@ -83,6 +83,35 @@ def test_instance_validation():
         HLInstance(2, 2, 1, ())  # p+q > n
     with pytest.raises(ValueError):
         HLInstance(2, 0, 0, (Id(2), Id(2)), eta=D([1, -1]))
+
+
+# every public entry point that takes a PSD family, as (call on a family of
+# 4 x 4 members, family size, 1-based position of the member made bad)
+FAMILY_ENTRY_POINTS = {
+    "criterion_hl": (lambda fam: criterion_hl(HLInstance(4, 1, 1, fam)), 2, 2),
+    "hr_certify": (lambda fam: hr_certify(HLInstance(4, 1, 1, fam, Id(4))), 2, 1),
+    "lefschetz_decomposition":
+        (lambda fam: lefschetz_decomposition(HLInstance(4, 1, 1, fam, Id(4))), 2, 2),
+    "products_preserve_hl": (lambda fam: products_preserve_hl(fam, [Id(4)], 4), 2, 2),
+    "lorentzian_signature": (lambda fam: lorentzian_signature(fam, 4), 2, 1),
+    "hodge_index_check": (lambda fam: hodge_index_check(fam, Id(4), D([1, -1, 0, 0])), 2, 2),
+    "panov_positivity": (panov_positivity, 4, 3),
+    "reverse_kt_check": (lambda fam: reverse_kt_check(fam[:2], fam[2], fam[3:]), 5, 4),
+    "rank_from_matrices": (rank_from_matrices, 3, 3),
+    "hl_support": (lambda fam: hl_support(fam, 4), 3, 2),
+}
+
+
+@pytest.mark.parametrize("bad, message", [(D([1, -1, 1, 1]), "is not positive semidefinite"),
+                                          (Id(3), "is not 4x4")], ids=["non-psd", "wrong-size"])
+@pytest.mark.parametrize("name", FAMILY_ENTRY_POINTS)
+def test_the_family_check_names_the_bad_member(name, bad, message):
+    call, size, position = FAMILY_ENTRY_POINTS[name]
+    family = [Id(4)] * size
+    call(family)  # the family passes before one member is made bad
+    family[position - 1] = bad
+    with pytest.raises(ValueError, match=f"^member {position} {message}$"):
+        call(family)
 
 
 def test_certificate_requires_evidence_on_failure():

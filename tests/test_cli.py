@@ -180,7 +180,7 @@ def test_schema_version_rejected(tmp_path, capsys):
 
 
 def test_matrix_round_trip_through_json():
-    m = HermitianMatrix([[1, {"re": 1, "im": 2}], [{"re": 1, "im": -2}, 3]])
+    m = HermitianMatrix([[1, GR(1, 2)], [GR(1, -2), 3]])
     assert matrix_from_json(matrix_to_json(m)) == m
 
 
@@ -311,6 +311,15 @@ def test_float_dim_is_a_task_error(tmp_path, capsys):
     table = {"m": 1, "values": {"[]": 0, "[1]": 1}}
     doc = {"schema": 1, "tasks": [{"kind": "enumerate-support", "table": table, "dim": 1.0}]}
     assert_task_error(tmp_path, capsys, doc, "dim must be an integer")
+
+
+@pytest.mark.parametrize("kind", ["polymatroid-axioms", "enumerate-support"])
+def test_rank_table_without_m_is_a_task_error(tmp_path, capsys, kind):
+    doc = {"schema": 1, "tasks": [{"kind": kind, "table": {"values": {"[]": 0}}, "dim": 0}]}
+    code, out, err = run_raw(tmp_path, capsys, doc)
+    assert code == 1 and err == ""
+    assert json.loads(out)["results"]["0"] == {
+        "error": "a rank table must be a JSON object with 'm' and 'values'"}
 
 
 @pytest.mark.parametrize("kind", ["polymatroid-axioms", "enumerate-support"])

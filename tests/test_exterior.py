@@ -621,11 +621,6 @@ def test_annihilates_agrees_with_the_wedge():
     assert seen == {True, False}
 
 
-def test_merge_memo_is_bounded():
-    # index pairs grow as 4^n, so the merge memo must have a fixed size
-    assert exterior._merge_sign.cache_info().maxsize is not None
-
-
 # ---- the cached wedge rows against the per-pair oracles ----
 
 def oracle_first_reached(phi, psi):

@@ -138,6 +138,19 @@ def test_the_general_elimination_runs_only_non_hermitian_work():
     assert callers(sources, "_eliminate") == {"linalg._rank", "linalg._det", "linalg._kernel"}
 
 
+def test_the_psd_family_check_is_written_once():
+    # every family of PSD members is checked by linalg._check_family; eta,
+    # the CLI's single-matrix tasks and the generator's self-check read is_psd
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert callers(sources, "is_psd") == {
+        "linalg._check_family",
+        "certify.HLInstance.__post_init__",
+        "cli._task_nd",
+        "cli._task_psd_check",
+        "generate.generate_psd",
+    }
+
+
 # the entry points that take rows from outside the library; every other
 # path reads the Z[i] rows a HermitianMatrix cleared at construction
 CLEARING_ENTRY_POINTS = {

@@ -337,7 +337,14 @@ def test_non_hermitian_rejected():
     with pytest.raises(ValueError):
         HermitianMatrix([[0, 1], [0, 0]])
     with pytest.raises(ValueError):
-        HermitianMatrix([[{"re": 0, "im": 1}, 0], [0, 0]])  # imaginary diagonal
+        HermitianMatrix([[GR(0, 1), 0], [0, 0]])  # imaginary diagonal
+
+
+def test_a_json_record_entry_is_a_type_error():
+    # only serialize.matrix_from_json reads {"re", "im"} records
+    for record in ({"re": 0, "im": 1}, {"re": True}):
+        with pytest.raises(TypeError):
+            HermitianMatrix([[record]])
 
 
 def oracle_hermitian_failure(rows):
@@ -469,7 +476,7 @@ def test_matrix_values_are_equal_exactly_when_their_cleared_rows_are():
         if expected.rank():
             assert expected.scale(2) != expected
     for ragged in ([[1], [1, 5]], [[1, 5], [1]]):
-        with pytest.raises(ValueError, match="generator rows must have equal length"):
+        with pytest.raises(ValueError, match="matrix rows must have equal length"):
             HermitianMatrix.from_generator(ragged)
 
 
@@ -540,7 +547,7 @@ def test_float_rejected():
 def test_rank_examples():
     assert D([1, 1, 0]).rank() == 2
     assert HermitianMatrix.zero(3).rank() == 0
-    m = HermitianMatrix([[1, {"re": 0, "im": 1}], [{"re": 0, "im": -1}, 1]])
+    m = HermitianMatrix([[1, GR(0, 1)], [GR(0, -1), 1]])
     assert m.rank() == 1  # eigenvalues {2, 0}
 
 
@@ -555,7 +562,7 @@ def test_rank_plus_kernel_dimension():
 def test_is_psd_examples():
     assert D([1, 1, 0]).is_psd()
     assert not HermitianMatrix([[1, 2], [2, 1]]).is_psd()
-    assert HermitianMatrix([[1, {"re": 0, "im": 1}], [{"re": 0, "im": -1}, 1]]).is_psd()
+    assert HermitianMatrix([[1, GR(0, 1)], [GR(0, -1), 1]]).is_psd()
 
 
 def test_psd_exact_m_positivity_structure():

@@ -13,8 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefcert.linalg import HermitianMatrix
-from lefcert.rationals import GaussianRational, rat_pair
-from lefcert.serialize import complex_from_json, matrix_from_json
+from lefcert.exterior import PQForm
+from lefcert.rationals import GR, GaussianRational, rat_pair
+from lefcert.serialize import (
+    complex_from_json,
+    form_from_json,
+    form_to_json,
+    matrix_from_json,
+    rank_function_from_json,
+)
 
 
 def oracle(entries):
@@ -135,3 +142,17 @@ def test_matrix_from_json_builds_no_scalar_per_entry(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", forbidden)
     monkeypatch.setattr(GaussianRational, "__init__", forbidden)
     assert [matrix_from_json(doc)._cleared for doc in docs] == expected
+
+
+@pytest.mark.parametrize("field", ["n", "p", "q", "terms", "I", "J", "c"])
+def test_form_record_missing_a_field_is_a_value_error(field):
+    doc = form_to_json(PQForm(2, 1, 1, {((1,), (2,)): GR(1, -2)}))
+    assert form_from_json(doc) == PQForm(2, 1, 1, {((1,), (2,)): GR(1, -2)})
+    del (doc if field in doc else doc["terms"][0])[field]
+    with pytest.raises(ValueError, match=f"^form: missing field '{field}'$"):
+        form_from_json(doc)
+
+
+def test_rank_table_without_m_is_a_value_error():
+    with pytest.raises(ValueError, match="^a rank table must be a JSON object with 'm' and 'values'$"):
+        rank_function_from_json({"values": {}})
