@@ -3,7 +3,8 @@
 The oracle reads every entry with complex_from_json, as a GaussianRational
 of Fractions, and clears the rows in HermitianMatrix.  The library reads
 each entry's parts as int pairs and builds the Z[i] rows directly; both
-must give the same _cleared rows, or raise the same exception.
+must give the same _cleared rows, or raise the same exception.  A form or
+rank-table record that lacks a field is a ValueError.
 """
 
 from fractions import Fraction
@@ -146,8 +147,9 @@ def test_matrix_from_json_builds_no_scalar_per_entry(monkeypatch):
 
 @pytest.mark.parametrize("field", ["n", "p", "q", "terms", "I", "J", "c"])
 def test_form_record_missing_a_field_is_a_value_error(field):
-    doc = form_to_json(PQForm(2, 1, 1, {((1,), (2,)): GR(1, -2)}))
-    assert form_from_json(doc) == PQForm(2, 1, 1, {((1,), (2,)): GR(1, -2)})
+    form = PQForm(2, 1, 1, {((1,), (2,)): GR(1, -2)})
+    doc = form_to_json(form)
+    assert form_from_json(doc) == form
     del (doc if field in doc else doc["terms"][0])[field]
     with pytest.raises(ValueError, match=f"^form: missing field '{field}'$"):
         form_from_json(doc)
