@@ -62,7 +62,7 @@ from .linalg import (
     _kernel,
     _rank,
 )
-from .rationals import GR, I, cpq_constant
+from .rationals import GR, I, as_int, cpq_constant
 
 __all__ = [
     "HLInstance",
@@ -95,7 +95,7 @@ class HLInstance:
     eta: HermitianMatrix | None = None
 
     def __post_init__(self):
-        n, p, q = self.n, self.p, self.q
+        n, p, q = as_int(self.n, "n"), as_int(self.p, "p"), as_int(self.q, "q")
         if not (0 <= p and 0 <= q and p + q <= n):
             raise ValueError(f"bidegree ({p},{q}) invalid for n={n}")
         forms = tuple(self.forms)
@@ -359,7 +359,7 @@ def lorentzian_signature(forms, n=None):
         if not forms:
             raise ValueError("ambient dimension required for an empty factor list")
         n = forms[0].n
-    if len(forms) != n - 2:
+    if len(forms) != as_int(n, "n") - 2:
         raise ValueError(f"need n-2={n - 2} factor matrices, got {len(forms)}")
     _check_family(forms, n)
     rows, _ = _intersection_gram(_fold(n, forms), _real_basis_vectors(n))

@@ -14,6 +14,7 @@ from functools import cache
 from . import certify, discriminant, polymatroid
 from .generate import GeneratorSpec, generate_psd
 from .linalg import InternalCheckError
+from .rationals import as_int
 from .serialize import (
     certificate_to_json,
     matrix_from_json,
@@ -28,13 +29,6 @@ SCHEMA_VERSION = 1
 
 class TaskError(ValueError):
     pass
-
-
-def _integer(value, what):
-    """Only a genuine int passes: a bool or float is refused, never truncated."""
-    if type(value) is not int:
-        raise TaskError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _n(ctx):
@@ -85,8 +79,7 @@ def _instance(ctx, task, need_eta=False):
         (eta,) = _matrices(ctx, [task["eta"]])
     if need_eta and eta is None:
         raise TaskError("task requires an eta matrix")
-    return certify.HLInstance(_n(ctx), _integer(task["p"], "p"), _integer(task["q"], "q"),
-                              tuple(forms), eta=eta)
+    return certify.HLInstance(_n(ctx), task["p"], task["q"], tuple(forms), eta=eta)
 
 
 def _task_hl_certify(ctx, task):
@@ -126,8 +119,7 @@ def _task_polymatroid_axioms(ctx, task):
         rank = rank_function_from_json(task["table"])
     else:
         mats = _matrices(ctx, task["matrices"])
-        offset = _integer(task.get("offset", 0), "offset")
-        rank = polymatroid.rank_from_matrices(mats, offset=offset)
+        rank = polymatroid.rank_from_matrices(mats, offset=task.get("offset", 0))
     report = polymatroid.check_axioms(rank)
     return {
         "submodular": report.submodular,
@@ -141,7 +133,7 @@ def _task_polymatroid_axioms(ctx, task):
 
 def _task_enumerate_support(ctx, task):
     rank = rank_function_from_json(task["table"])
-    points = polymatroid.multidegree_support(rank, _integer(task["dim"], "dim"))
+    points = polymatroid.multidegree_support(rank, task["dim"])
     return {"points": sorted(list(p) for p in points)}
 
 
@@ -159,10 +151,10 @@ def _task_generate_psd(ctx, task):
     if not isinstance(profile, list):
         raise TaskError(f"rank_profile must be a list, got {profile!r}")
     spec = GeneratorSpec(
-        seed=_integer(seed, "seed"),
+        seed=seed,
         n=_n(ctx),
-        rank_profile=tuple(_integer(r, "rank_profile entry") for r in profile),
-        entry_bound=_integer(task.get("entry_bound", 2), "entry_bound"),
+        rank_profile=profile,
+        entry_bound=task.get("entry_bound", 2),
     )
     mats = generate_psd(spec)
     names = _names(task.get("names", [f"gen{i}" for i in range(len(mats))]))
@@ -200,7 +192,7 @@ def run_instance(doc, seed=None):
     schema = doc.get("schema", SCHEMA_VERSION)
     if type(schema) is not int or schema != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {schema!r}")
-    n = _integer(doc["n"], "n") if "n" in doc else None
+    n = as_int(doc["n"], "n") if "n" in doc else None
     declared = doc.get("matrices", {})
     if not isinstance(declared, dict):
         raise ValueError("matrices must be a JSON object")
@@ -228,7 +220,7 @@ def run_instance(doc, seed=None):
             continue
         try:
             result = handler(ctx, task)
-        except (TaskError, ValueError, KeyError, certify.PreconditionError) as exc:
+        except (TypeError, ValueError, KeyError) as exc:
             missing = isinstance(exc, KeyError)
             results[str(idx)] = {"error": f"missing field {exc}" if missing else str(exc)}
             ok = False
@@ -280,7 +272,7 @@ def main(argv=None) -> int:
 
     try:
         report, ok = run_instance(doc, seed=args.seed)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         print(f"invalid instance file: {exc}", file=sys.stderr)
         return 2
 

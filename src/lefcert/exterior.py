@@ -47,7 +47,7 @@ from math import comb, gcd, lcm
 from types import MappingProxyType
 
 from .linalg import HermitianMatrix, InternalCheckError, _gaussian_integer_rows
-from .rationals import GR, ONE, ZERO, GaussianRational, Rat, as_rat
+from .rationals import GR, ONE, ZERO, GaussianRational, Rat, as_int
 
 __all__ = [
     "PQForm",
@@ -124,6 +124,7 @@ class PQForm:
     __slots__ = ("n", "p", "q", "terms", "den", "_coeffs")
 
     def __init__(self, n, p, q, coeffs=None):
+        n, p, q = as_int(n, "n"), as_int(p, "p"), as_int(q, "q")
         if not (0 <= p <= n and 0 <= q <= n):
             raise ValueError(f"bidegree ({p},{q}) out of range for n={n}")
         clean = {}
@@ -132,7 +133,7 @@ class PQForm:
             j = _check_multi_index(j, n)
             if len(i) != p or len(j) != q:
                 raise ValueError(f"index pair {(i, j)} has wrong degree for ({p},{q})")
-            clean[(i, j)] = c if isinstance(c, GaussianRational) else as_rat(c)
+            clean[(i, j)] = c
         # the lcm of reduced denominators shares no factor with every part
         (re,), (im,), den = _gaussian_integer_rows([list(clean.values())])
         self._set(n, p, q, {k: (a, b) for k, a, b in zip(clean, re, im) if a or b}, den)

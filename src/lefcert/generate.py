@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import HermitianMatrix, InternalCheckError, mat_rank
-from .rationals import GaussianRational
+from .rationals import GaussianRational, as_int
 
 __all__ = ["SplitMix64", "GeneratorSpec", "generate_psd"]
 
@@ -55,13 +55,10 @@ class GeneratorSpec:
     entry_bound: int = 2
 
     def __post_init__(self):
-        profile = tuple(self.rank_profile)
-        # only a genuine int passes: a bool or float is refused, never truncated
-        for what, value in (("seed", self.seed), ("n", self.n), ("entry_bound", self.entry_bound),
-                            *(("rank_profile entry", r) for r in profile)):
-            if type(value) is not int:
-                raise TypeError(f"{what} must be an integer, got {value!r}")
-        object.__setattr__(self, "rank_profile", profile)
+        for what in ("seed", "n", "entry_bound"):
+            as_int(getattr(self, what), what)
+        object.__setattr__(self, "rank_profile",
+                           tuple(as_int(r, "rank_profile entry") for r in self.rank_profile))
         if self.n <= 0:
             raise ValueError("n must be positive")
         if self.entry_bound <= 0:

@@ -61,7 +61,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import mul, sub
 
-from .rationals import GR, ZERO, GaussianRational, as_rat
+from .rationals import ZERO, GaussianRational, as_int, as_rat
 
 __all__ = [
     "HermitianMatrix",
@@ -507,7 +507,7 @@ class HermitianMatrix:
 
     @classmethod
     def diagonal(cls, values):
-        vals = [as_rat(v) for v in values]
+        vals = list(values)
         n = len(vals)
         return cls([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -541,8 +541,7 @@ class HermitianMatrix:
 
     def scale(self, c):
         """Multiply by a real rational scalar (keeps Hermitian-ness)."""
-        c = as_rat(c)
-        return HermitianMatrix([[x * GR(c) for x in row] for row in self.rows])
+        return HermitianMatrix([[x * GaussianRational(c) for x in row] for row in self.rows])
 
     def __eq__(self, other):
         return isinstance(other, HermitianMatrix) and self._cleared == other._cleared
@@ -612,7 +611,7 @@ def is_m_positive(mat: HermitianMatrix, omega: HermitianMatrix, m: int) -> bool:
     n = mat.n
     if omega.n != n:
         raise ValueError("dimension mismatch")
-    if not 1 <= m <= n:
+    if not 1 <= as_int(m, "m") <= n:
         raise ValueError("m must satisfy 1 <= m <= n")
     if omega._elimination()[:3] != (n, 0, 0):
         raise NotPositiveDefiniteError("matrix is not positive definite")

@@ -12,6 +12,7 @@ from itertools import combinations
 
 from .discriminant import _subset_ranks, subsets_size_lex
 from .linalg import InternalCheckError, _check_family
+from .rationals import as_int
 
 __all__ = [
     "RankFunction",
@@ -38,16 +39,13 @@ class RankFunction:
     provenance: str = "user-table"
 
     def __post_init__(self):
-        # only a genuine int passes: a bool or float is refused, never truncated
-        m = self.m
-        if type(m) is not int:
-            raise TypeError(f"rank table m must be an integer, got {m!r}")
+        m = as_int(self.m, "rank table m")
         if m < 0:
             raise ValueError(f"rank table m must be nonnegative, got {m}")
         table = {}
         for k, v in self.values.items():
-            if type(v) is not int:
-                raise TypeError(f"rank of {sorted(k)} must be an integer, got {v!r}")
+            if type(v) is not int:  # the message is built only for a refused rank
+                as_int(v, f"rank of {sorted(k)}")
             table[frozenset(k)] = v
         # 2^m distinct subsets of [m] are all of them; the size is compared
         # first, so 2^m is never formed for an m past the table's size
@@ -96,6 +94,7 @@ def rank_from_matrices(mats, offset: int = 0) -> RankFunction:
     Raises if any shifted rank would be negative: the table would not be
     a valid rank function.
     """
+    as_int(offset, "offset")
     mats = list(mats)
     if not mats:
         raise ValueError("empty matrix family")
@@ -214,6 +213,7 @@ def hl_support(mats, n: int):
     inside supp(vec).  Where rank(A_S) - (n - m) is a polymatroid of full
     rank m, its lattice points must be the support (Theorem A).
     """
+    as_int(n, "n")
     mats = list(mats)
     if not mats:
         raise ValueError("empty matrix family")
@@ -242,7 +242,7 @@ def multidegree_support(r: RankFunction, dim_x: int):
     this name for the multidegree reading where r(I) plays the role of
     dim pi_I(X).  The defining inequalities are re-checked on the output.
     """
-    if r.full_rank() != dim_x:
+    if r.full_rank() != as_int(dim_x, "dim"):
         raise ValueError(f"r([m]) = {r.full_rank()} does not match dim X = {dim_x}")
     poly = enumerate_points(r)
     full = frozenset(range(1, r.m + 1))

@@ -1,9 +1,12 @@
-"""Exact Gaussian-rational scalars.
+"""Exact Gaussian-rational scalars, and the two rules for numbers from outside.
 
-Every computation in the library happens over Q(i).  Rational parts are
-`fractions.Fraction` values, kept in canonical form (reduced, positive
-denominator); `Rat` names that one backend.  Floating-point input is
-rejected outright: nothing in this library is approximate.
+A value enters the library as a rational only through `as_rat`: an int,
+a Fraction, or an integer or "p/q" string.  A bool, a float or anything
+else is refused, never read as a number, since nothing in this library
+is approximate.  An integer argument (a dimension, a bidegree, a seed)
+enters only through `as_int`, which passes a genuine int alone.
+Rational parts are `fractions.Fraction` values, kept in canonical form
+(reduced, positive denominator); `Rat` names that one backend.
 """
 
 from __future__ import annotations
@@ -13,48 +16,50 @@ from fractions import Fraction
 
 Rat = Fraction
 
-__all__ = ["Rat", "as_rat", "rat_from_str", "rat_pair", "GaussianRational", "GR", "ZERO", "ONE",
-           "I", "cpq_constant"]
+__all__ = ["Rat", "as_rat", "as_int", "rat_pair", "GaussianRational", "GR", "ZERO", "ONE", "I",
+           "cpq_constant"]
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def as_rat(x):
-    """Coerce x to a Fraction.
+    """x as a Fraction; a Fraction is returned as is.
 
-    Accepts ints, Fractions and integer or "p/q" strings (any other string is
-    a ValueError); floats are rejected rather than rationalized.  A Fraction is returned as is.
+    An int, a Fraction, or an integer or "p/q" string passes.  A string
+    outside that grammar or with a zero denominator is a ValueError; a
+    bool, a float (never rationalized) or any other type is a TypeError.
     """
     if type(x) is Fraction:
         return x
+    if isinstance(x, bool):
+        raise TypeError(f"boolean {x!r} is not a rational")
     if isinstance(x, float):
         raise TypeError(f"floating-point value {x!r} rejected; use int, Fraction or 'p/q'")
-    if isinstance(x, str) and not _RATIONAL.fullmatch(x):
-        raise ValueError(f"rational {x!r} is not an integer or a 'p/q' string")
-    return Fraction(x)
-
-
-def rat_from_str(s):
-    """A JSON int, or an integer or "p/q" string in `as_rat`'s grammar, as a Fraction."""
-    if isinstance(s, float):
-        raise TypeError("floating-point input rejected")
-    if isinstance(s, bool):
-        raise TypeError(f"boolean {s!r} is not a rational")
-    if not isinstance(s, (int, str)):
-        raise ValueError(f"rational {s!r} is not an integer or a 'p/q' string")
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    if not isinstance(x, str) or not _RATIONAL.fullmatch(x):
+        error = ValueError if isinstance(x, str) else TypeError
+        raise error(f"rational {x!r} is not an integer or a 'p/q' string")
     try:
-        return as_rat(s)
+        return Fraction(x)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {s!r}") from None
+        raise ValueError(f"zero denominator in {x!r}") from None
+
+
+def as_int(value, what):
+    """value if it is a genuine int; a bool, a float or anything else is a TypeError naming what."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def rat_pair(s):
-    """(p, q) ints, q > 0, with p / q the rational `rat_from_str` reads from s.
+    """(p, q) ints, q > 0, with p / q the rational `as_rat` reads from s.
 
     An exact int or a string in `as_rat`'s grammar is split by int() alone,
     so a "p/q" keeps any factor p and q share.  Everything else, a zero
     denominator or a digit string past int()'s length limit included, goes
-    through `rat_from_str`, which raises its errors.
+    through `as_rat`, which raises its errors.
     """
     if type(s) is int:
         return s, 1
@@ -66,8 +71,7 @@ def rat_pair(s):
                 return int(num), q
         except ValueError:
             pass
-    x = rat_from_str(s)
-    return x.numerator, x.denominator
+    return as_rat(s).as_integer_ratio()
 
 
 class GaussianRational:
@@ -185,10 +189,14 @@ def GR(re=0, im=0):
 
 
 def _coerce(x):
+    """x as a GaussianRational; NotImplemented unless x is one, an int or a Fraction."""
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
+        try:
+            return GaussianRational(x)
+        except TypeError:  # a bool, which `as_rat` refuses
+            pass
     return NotImplemented
 
 

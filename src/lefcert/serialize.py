@@ -14,11 +14,10 @@ from .certify import Certificate
 from .exterior import PQForm
 from .linalg import HermitianMatrix, _gaussian_integer_rows
 from .polymatroid import RankFunction
-from .rationals import GaussianRational, as_rat, rat_from_str, rat_pair
+from .rationals import GaussianRational, as_int, as_rat, rat_pair
 
 __all__ = [
     "rat_to_str",
-    "rat_from_str",
     "complex_to_json",
     "complex_from_json",
     "matrix_to_json",
@@ -42,8 +41,8 @@ def complex_to_json(c: GaussianRational) -> dict:
 
 def complex_from_json(obj) -> GaussianRational:
     if not isinstance(obj, dict):
-        return GaussianRational(rat_from_str(obj))
-    return GaussianRational(rat_from_str(obj.get("re", 0)), rat_from_str(obj.get("im", 0)))
+        return GaussianRational(obj)
+    return GaussianRational(obj.get("re", 0), obj.get("im", 0))
 
 
 def matrix_to_json(m: HermitianMatrix) -> dict:
@@ -127,22 +126,21 @@ def _subset_from_key(key, m):
 
 
 def rank_function_from_json(obj) -> RankFunction:
-    """A rank table from its JSON record; each key names one subset, exactly once."""
+    """A rank table from its JSON record; each key names one subset, exactly once.
+
+    An m or a rank that is not an int is a TypeError, as `RankFunction`
+    raises it; any other malformed record is a ValueError.
+    """
     if not isinstance(obj, dict) or "m" not in obj or not isinstance(obj.get("values"), dict):
         raise ValueError("a rank table must be a JSON object with 'm' and 'values'")
-    m = obj["m"]
-    if type(m) is not int:
-        raise ValueError(f"rank table m must be an integer, got {m!r}")
+    m = as_int(obj["m"], "rank table m")
     values = {}
     for key, v in obj["values"].items():
         subset = _subset_from_key(key, m)
         if subset in values:
             raise ValueError(f"rank table names the subset {sorted(subset)} twice")
         values[subset] = v
-    try:
-        return RankFunction(m, values, obj.get("provenance", "user-table"))
-    except TypeError as exc:
-        raise ValueError(f"rank table: {exc}") from None
+    return RankFunction(m, values, obj.get("provenance", "user-table"))
 
 
 def certificate_to_json(cert: Certificate) -> dict:

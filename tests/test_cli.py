@@ -3,10 +3,14 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lefcert.cli import main, run_instance
 from lefcert.linalg import HermitianMatrix
@@ -601,3 +605,101 @@ def test_unreadable_input_is_refused(tmp_path, data, needle):
 ], ids=["entries", "im-part", "schema", "matrix-n"])
 def test_boolean_is_a_document_error(tmp_path, capsys, doc, needle):
     assert_document_error(tmp_path, capsys, doc, needle)
+
+
+# ---- fuzz: any value in a number slot is refused as data, never as a crash ----
+
+NOT_INTS = st.one_of(st.booleans(), st.floats(), st.none(), st.lists(st.integers(-1, 2), max_size=2),
+                    st.sampled_from(["2", "1/2", "-0/7", "1/0", "1.5"]) | st.text(max_size=3))
+
+
+def slot(ints):
+    """A number slot: an int from ints seven times in eight, else a bool, float, None, list or string.
+
+    Most slots then hold an int, so most documents get past the
+    document-level checks and their tasks run.
+    """
+    return st.integers(0, 7).flatmap(lambda k: ints if k else NOT_INTS)
+
+
+SMALL = st.integers(-1, 3)
+RATIONAL = slot(st.integers(-2, 2))
+ENTRY = RATIONAL | st.fixed_dictionaries({}, optional={"re": RATIONAL, "im": RATIONAL})
+REAL_ENTRY = RATIONAL | st.fixed_dictionaries({}, optional={"re": RATIONAL,
+                                                             "im": slot(st.just(0))})
+NAMES = st.lists(st.sampled_from(["a", "b", "a", "b", "gen0"]), min_size=1, max_size=3)
+
+
+def conjugate(entry):
+    """The entry with an int imaginary part negated; any other entry as it is."""
+    if isinstance(entry, dict) and type(entry.get("im")) is int:
+        return {**entry, "im": -entry["im"]}
+    return entry
+
+
+@st.composite
+def matrices(draw, size):
+    """A matrix record of the given size, Hermitian wherever its slots hold ints."""
+    rows = [[0] * size for _ in range(size)]
+    for j in range(size):
+        rows[j][j] = draw(REAL_ENTRY)
+        for k in range(j + 1, size):
+            rows[j][k] = draw(st.just(0) | ENTRY)
+            rows[k][j] = conjugate(rows[j][k])
+    return {"entries": rows}
+
+
+@st.composite
+def tables(draw):
+    """A rank-table record whose keys cover the subsets of [1..m] for m up to 3."""
+    m = draw(slot(st.integers(-1, 3)))
+    size = m if type(m) is int and 0 <= m <= 3 else 1
+    keys = [json.dumps([i for i in range(1, size + 1) if bits >> (i - 1) & 1])
+            for bits in range(1 << size)]
+    return {"m": m, "values": {key: draw(slot(st.integers(0, 3) if key != "[]" else st.just(0)))
+                               for key in keys}}
+
+
+TASKS = st.one_of(
+    st.fixed_dictionaries({"kind": st.sampled_from(["hl-certify", "hr-certify", "lefschetz"]),
+                           "p": slot(SMALL), "q": slot(SMALL), "forms": NAMES,
+                           "eta": st.sampled_from(["a", "b"])}),
+    st.fixed_dictionaries({"kind": st.just("polymatroid-axioms"), "matrices": NAMES,
+                           "offset": slot(SMALL)}),
+    st.fixed_dictionaries({"kind": st.sampled_from(["polymatroid-axioms", "enumerate-support"]),
+                           "table": tables(), "dim": slot(st.integers(-1, 4))}),
+    st.fixed_dictionaries({"kind": st.sampled_from(["signature", "hl-support", "mixed-disc",
+                                                     "intersection"]),
+                           "forms": NAMES, "matrices": NAMES}),
+    st.fixed_dictionaries({"kind": st.sampled_from(["nd", "psd-check"]),
+                           "matrix": st.sampled_from(["a", "b", "gen0"])}),
+    # rank profiles are capped at 3 entries, as n is at 3
+    st.fixed_dictionaries({"kind": st.just("generate-psd"), "seed": slot(st.integers(0, 2 ** 64)),
+                           "rank_profile": st.lists(slot(SMALL), max_size=3),
+                           "entry_bound": slot(st.integers(-1, 3))}),
+)
+
+
+@st.composite
+def documents(draw):
+    n = draw(slot(st.integers(0, 3)))
+    size = n if type(n) is int else 2
+    return {"schema": 1, "n": n, "matrices": {name: draw(matrices(size)) for name in "ab"},
+            "tasks": draw(st.lists(TASKS, max_size=3))}
+
+
+@settings(deadline=None, max_examples=100)
+@given(documents())
+def test_number_slots_never_crash_the_cli(tmp_path_factory, doc):
+    try:
+        _, ok = run_instance(doc)
+        expected = 0 if ok else 1
+    except (TypeError, ValueError):
+        expected = 2
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    err = StringIO()
+    with redirect_stdout(StringIO()), redirect_stderr(err):
+        code = main(["--input", str(path)])
+    assert code == expected
+    assert "Traceback" not in err.getvalue()

@@ -101,7 +101,7 @@ def test_matrix_from_json_clears_as_the_scalar_route(entries):
     assert got == outcome(oracle, entries)
 
 
-BAD_VALUES = [0.5, -2.0, 1e300, True, False, None, [], [1, 2], {"re": [1]}, Fraction(1, 2),
+BAD_VALUES = [0.5, -2.0, 1e300, True, False, None, [], [1, 2], {"re": [1]},
               "1.5", "1_0", " 1", "1 ", "1/", "/2", "", "+", "1/-2", "0x10", "1e3", "١",
               "1\n", "1/0", "-0/00", "1" * 5000, "-" + "9" * 4400, "1/" + "2" * 4400]
 
@@ -125,7 +125,9 @@ def test_rat_pair_keeps_the_spelled_pair():
     assert rat_pair("6/4") == (6, 4)
     assert rat_pair("-0/7") == (0, 7)
     assert rat_pair("+0012") == (12, 1)
-    for bad, error in ((0.5, TypeError), (True, TypeError), (Fraction(1, 2), ValueError),
+    # no JSON document holds a Fraction; the readers share as_rat's rule, which takes one
+    assert rat_pair(Fraction(1, 2)) == (1, 2)
+    for bad, error in ((0.5, TypeError), (True, TypeError), (None, TypeError),
                        ("1/0", ValueError), ("1" * 5000, ValueError), ("1_0", ValueError)):
         with pytest.raises(error):
             rat_pair(bad)
