@@ -147,13 +147,10 @@ def _task_generate_psd(ctx, task):
     seed = task.get("seed", ctx["seed"])
     if seed is None:
         raise TaskError("generate-psd needs a seed (task field or --seed)")
-    profile = task["rank_profile"]
-    if not isinstance(profile, list):
-        raise TaskError(f"rank_profile must be a list, got {profile!r}")
     spec = GeneratorSpec(
         seed=seed,
         n=_n(ctx),
-        rank_profile=profile,
+        rank_profile=task["rank_profile"],
         entry_bound=task.get("entry_bound", 2),
     )
     mats = generate_psd(spec)

@@ -57,6 +57,8 @@ class GeneratorSpec:
     def __post_init__(self):
         for what in ("seed", "n", "entry_bound"):
             as_int(getattr(self, what), what)
+        if not isinstance(self.rank_profile, (list, tuple)):
+            raise TypeError(f"rank_profile must be a list or tuple, got {self.rank_profile!r}")
         object.__setattr__(self, "rank_profile",
                            tuple(as_int(r, "rank_profile entry") for r in self.rank_profile))
         if self.n <= 0:

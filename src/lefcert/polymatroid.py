@@ -1,16 +1,24 @@
 """Polymatroid rank functions from PSD families and lattice-point support sets.
 
-The rank table is fully materialized (2^m entries): exhaustive axiom
-checking needs every value anyway, and m stays small at desk scale.
+A `RankFunction` holds its table as a dict keyed by frozenset, which is
+what callers read and write.  Each routine here reads that table once
+per call into a list rank[mask], where bit i - 1 of mask stands for
+element i, and then works on ints alone: the axiom check walks the
+subset masks in size-then-lex order, the lattice-point search keeps a
+running sum per mask, and hl_support's filter and multidegree_support's
+re-check read the sums of a vector over every mask.  The table has 2^m
+entries: exhaustive axiom checking needs every value anyway, and m stays
+small at desk scale.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from operator import le
 
-from .discriminant import _subset_ranks, subsets_size_lex
+from .discriminant import _subset_ranks
 from .linalg import InternalCheckError, _check_family
 from .rationals import as_int
 
@@ -26,8 +34,27 @@ __all__ = [
 ]
 
 
-def _all_subsets(m):
-    return [frozenset()] + [frozenset(c) for c in subsets_size_lex(m)]
+def _elements(mask):
+    """The elements, in increasing order, of the subset a mask stands for: bit i - 1 for i."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@lru_cache(maxsize=8)
+def _subsets(m):
+    """The subsets of [m] as frozensets, indexed by mask."""
+    return tuple(frozenset(_elements(mask)) for mask in range(1 << m))
+
+
+def _rank_list(m, values):
+    """A complete table of values on the subsets of [m], as a list indexed by mask."""
+    return [values[s] for s in _subsets(m)]
+
+
+@lru_cache(maxsize=8)
+def _walk(m):
+    """(A, the bits of [m] outside A) for every subset mask A, in size-then-lex order."""
+    masks = sorted(range(1 << m), key=lambda a: (len(_elements(a)), _elements(a)))
+    return tuple((a, tuple(1 << i for i in range(m) if not a >> i & 1)) for a in masks)
 
 
 @dataclass(frozen=True)
@@ -46,7 +73,10 @@ class RankFunction:
         for k, v in self.values.items():
             if type(v) is not int:  # the message is built only for a refused rank
                 as_int(v, f"rank of {sorted(k)}")
-            table[frozenset(k)] = v
+            subset = frozenset(k)
+            if subset in table:
+                raise ValueError(f"rank table names the subset {sorted(subset)} twice")
+            table[subset] = v
         # 2^m distinct subsets of [m] are all of them; the size is compared
         # first, so 2^m is never formed for an m past the table's size
         if (len(table) != 1 << min(m, len(table).bit_length())
@@ -113,30 +143,31 @@ def check_axioms(r: RankFunction) -> AxiomReport:
 
     Submodularity in its equivalent local form r(A+x) + r(A+y) >= r(A+x+y) + r(A)
     (Schrijver, Combinatorial Optimization, 44.1); a violation names (A+x, A+y).
+    Both walks take A in size-then-lex order and x < y in increasing order.
     """
-    subsets = _all_subsets(r.m)
-    violations = []
-    submodular = True
-    for a in subsets:
-        for x, y in combinations([x for x in range(1, r.m + 1) if x not in a], 2):
-            ax, ay = a | {x}, a | {y}
-            if r(ax | {y}) + r(a) > r(ax) + r(ay):
-                submodular = False
-                violations.append(("submodularity", tuple(sorted(ax)), tuple(sorted(ay))))
-    monotone = True
-    for a in subsets:
-        for x in range(1, r.m + 1):
-            if x not in a and r(a) > r(a | {x}):
-                monotone = False
-                violations.append(("monotonicity", tuple(sorted(a)), x))
-    normalized = r(frozenset()) == 0
-    loopless = all(r({i}) >= 1 for i in range(1, r.m + 1))
+    m = r.m
+    rank = _rank_list(m, r.values)
+    walk = _walk(m)
+    submodularity, monotonicity = [], []
+    for a, free in walk:
+        ra = rank[a]
+        for j, x in enumerate(free):
+            ax = a | x
+            rax = rank[ax]
+            if ra > rax:
+                monotonicity.append(("monotonicity", _elements(a), x.bit_length()))
+            for y in free[j + 1:]:
+                if rank[ax | y] + ra > rax + rank[a | y]:
+                    submodularity.append(("submodularity", _elements(ax), _elements(a | y)))
+    submodular, monotone = not submodularity, not monotonicity
+    normalized = rank[0] == 0
+    loopless = all(rank[1 << i] >= 1 for i in range(m))
     is_matroid = (
         submodular and monotone and normalized
-        and all(r(a) <= len(a) for a in subsets)
+        and all(rank[a] <= m - len(free) for a, free in walk)
     )
     return AxiomReport(submodular, monotone, normalized, loopless, is_matroid,
-                       tuple(violations))
+                       tuple(submodularity + monotonicity))
 
 
 def enumerate_points(r: RankFunction) -> DiscretePolymatroid:
@@ -157,40 +188,42 @@ def _lattice_points(r: RankFunction):
     """The lattice points of a polymatroid rank table r, in lexicographic order.
 
     Depth-first search over coordinates with subset-bound pruning; r is
-    not checked here.
+    not checked here.  sums[S] is the point's sum over the mask S of the
+    coordinates set so far.  Coordinate k (bit b) runs from the least
+    value the coordinates above it can still complete to r([m]) up to
+    min(r({k}), what is left of r([m])); setting it to v sets sums[S + b]
+    = sums[S] + v for every mask S below b, and a bound it breaks stays
+    broken for every larger v.  The full set needs no bound of its own:
+    its sum is at most r([m]) by the range of the last coordinate.
     """
     m = r.m
-    total = r.full_rank()
-    full = frozenset(range(1, m + 1))
-    points = []
+    rank = _rank_list(m, r.values)
+    full = (1 << m) - 1
+    total = rank[full]
+    sums = [0] * (1 << m)
     point = [0] * m
-    # constraints[k]: (0-based indices, r(S)) for each subset S whose maximum
-    # is k; the full set uses the sum condition instead
-    constraints = [[] for _ in range(m + 1)]
-    for subset in _all_subsets(m)[1:]:
-        if subset != full:
-            constraints[max(subset)].append(([i - 1 for i in subset], r(subset)))
+    points = []
 
-    def constraints_ok(k):
-        return all(sum(point[i] for i in idx) <= bound for idx, bound in constraints[k])
+    # per coordinate k: its bit, the bounds on the masks whose top bit it
+    # is, and the rank of the coordinates above it
+    levels = [(1 << k, rank[1 << k:2 << k], rank[full ^ ((2 << k) - 1)]) for k in range(m)]
 
     def dfs(k, acc):
-        if k > m:
-            if acc == total:
-                points.append(tuple(point))
+        if k == m:
+            points.append(tuple(point))
             return
-        remaining = frozenset(range(k + 1, m + 1))
-        cap_rest = r(remaining) if remaining else 0
-        hi = min(r({k}), total - acc)
-        for v in range(hi + 1):
-            if acc + v + cap_rest < total:
-                continue
-            point[k - 1] = v
-            if constraints_ok(k):
-                dfs(k + 1, acc + v)
-        point[k - 1] = 0
+        bit, bounds, cap_rest = levels[k]
+        lower = sums[:bit]
+        left = total - acc
+        for v in range(max(left - cap_rest, 0), min(bounds[0], left) + 1):
+            row = [s + v for s in lower]
+            if not all(map(le, row, bounds)):
+                break
+            sums[bit:2 * bit] = row
+            point[k] = v
+            dfs(k + 1, acc + v)
 
-    dfs(1, 0)
+    dfs(0, 0)
     return tuple(points)
 
 
@@ -203,15 +236,34 @@ def _compositions(total, parts):
             yield (head,) + tail
 
 
+def _subset_sums(vec):
+    """The sums of vec over every subset mask, each from the mask less its top bit."""
+    sums = [0]
+    for x in vec:
+        sums += [s + x for s in sums]
+    return sums
+
+
+def _fits(vec, need):
+    """vec(S) <= need[S] for every mask S inside supp(vec).
+
+    The masks inside supp(vec) are the subset sums of its bits, in the
+    order of the subset sums of its nonzero parts.
+    """
+    bits = [1 << i for i, x in enumerate(vec) if x]
+    parts = [x for x in vec if x]
+    return all(map(le, _subset_sums(parts), map(need.__getitem__, _subset_sums(bits))))
+
+
 def hl_support(mats, n: int):
     """Exponent vectors vec with sum m whose power product has HL, from one rank walk.
 
     The rank criterion of the repeated tuple: a position set with support
     S sums to sum_{i in S} c_i A_i, all c_i >= 1, of rank rank(A_S) for PSD
     members, and has up to vec(S) = sum_{i in S} vec_i positions.  So vec
-    is in the support iff rank(A_S) >= vec(S) + n - m for every nonempty S
-    inside supp(vec).  Where rank(A_S) - (n - m) is a polymatroid of full
-    rank m, its lattice points must be the support (Theorem A).
+    is in the support iff vec(S) <= need[S] = rank(A_S) - (n - m) for
+    every nonempty S inside supp(vec).  Where need is a polymatroid of
+    full rank m, its lattice points must be the support (Theorem A).
     """
     as_int(n, "n")
     mats = list(mats)
@@ -221,13 +273,13 @@ def hl_support(mats, n: int):
     if m > n:
         raise ValueError("more factors than the ambient dimension")
     _check_family(mats, n)
-    shift = n - m
-    ranks = dict(_subset_ranks(mats))
-    support = {vec for vec in _compositions(m, m)
-               if all(r >= sum(vec[i - 1] for i in subset) + shift
-                      for subset, r in ranks.items() if all(vec[i - 1] for i in subset))}
-    if min(ranks.values()) >= shift and ranks[tuple(range(1, m + 1))] - shift == m:
-        table = RankFunction(m, {(): 0, **{s: r - shift for s, r in ranks.items()}})
+    values = {frozenset(): 0}
+    for subset, rank in _subset_ranks(mats):
+        values[frozenset(subset)] = rank - (n - m)
+    need = _rank_list(m, values)
+    support = {vec for vec in _compositions(m, m) if _fits(vec, need)}
+    if min(need) >= 0 and need[-1] == m:
+        table = RankFunction(m, values)
         # the shifted table is not always submodular; the polymatroid
         # enumeration only applies when it is
         if check_axioms(table).is_polymatroid and set(_lattice_points(table)) != support:
@@ -245,12 +297,11 @@ def multidegree_support(r: RankFunction, dim_x: int):
     if r.full_rank() != as_int(dim_x, "dim"):
         raise ValueError(f"r([m]) = {r.full_rank()} does not match dim X = {dim_x}")
     poly = enumerate_points(r)
-    full = frozenset(range(1, r.m + 1))
+    rank = _rank_list(r.m, r.values)
     for vec in poly.points:
-        if sum(vec) != dim_x:
+        sums = _subset_sums(vec)
+        if sums[-1] != dim_x:
             raise InternalCheckError("point violates the total-degree equality")
-        for subset in _all_subsets(r.m):
-            if subset and subset != full:
-                if sum(vec[i - 1] for i in subset) > r(subset):
-                    raise InternalCheckError("point violates a defining inequality")
+        if not all(map(le, sums[1:-1], rank[1:-1])):
+            raise InternalCheckError("point violates a defining inequality")
     return set(poly.points)

@@ -148,7 +148,7 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise TypeError("only nonnegative integer powers")
         out = ONE
         base = self

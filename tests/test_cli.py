@@ -482,6 +482,13 @@ def test_float_rank_profile_entry_is_a_task_error(tmp_path, capsys):
     assert_task_error(tmp_path, capsys, doc, "rank_profile entry must be an integer")
 
 
+@pytest.mark.parametrize("profile", ["12", 5, {"1": 1}])
+def test_rank_profile_that_is_not_a_list_is_a_task_error(tmp_path, capsys, profile):
+    task = {"kind": "generate-psd", "seed": 3, "rank_profile": profile}
+    doc = {"schema": 1, "n": 2, "tasks": [task]}
+    assert_task_error(tmp_path, capsys, doc, f"rank_profile must be a list or tuple, got {profile!r}")
+
+
 def test_repeated_generated_name_is_a_task_error(tmp_path, capsys):
     # two matrices named a would leave later tasks only the second one
     task = {"kind": "generate-psd", "seed": 3, "rank_profile": [1, 2], "names": ["a", "a"]}

@@ -39,6 +39,12 @@ def test_spec_refuses_non_int_fields(field, value):
         GeneratorSpec(**fields)
 
 
+@pytest.mark.parametrize("profile", ["12", 5, None, {1: 1}, range(2)])
+def test_spec_refuses_a_profile_that_is_not_a_list_or_tuple(profile):
+    with pytest.raises(TypeError, match=r"^rank_profile must be a list or tuple, got "):
+        GeneratorSpec(seed=1, n=2, rank_profile=profile)
+
+
 def test_spec_keeps_an_int_profile_as_a_tuple():
     spec = GeneratorSpec(seed=1, n=3, rank_profile=[1, 3, 0])
     assert spec.rank_profile == (1, 3, 0)

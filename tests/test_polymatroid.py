@@ -1,3 +1,4 @@
+import re
 import warnings
 from contextlib import nullcontext
 from itertools import combinations, permutations
@@ -10,6 +11,7 @@ import lefcert.polymatroid as polymatroid_mod
 from lefcert.certify import HLInstance, criterion_hl
 from lefcert.linalg import HermitianMatrix, InternalCheckError
 from lefcert.polymatroid import (
+    AxiomReport,
     RankFunction,
     _compositions,
     check_axioms,
@@ -50,6 +52,18 @@ def test_rank_table_must_be_complete():
     bad = {frozenset(): 1, frozenset({1}): 1}
     with pytest.raises(ValueError):
         RankFunction(1, bad)
+
+
+@pytest.mark.parametrize("values, subset", [
+    ({(): 0, (1,): 1, (2,): 1, (1, 2): 2, (2, 1): 3}, [1, 2]),
+    ({(): 0, (1,): 1, (2,): 1, (1, 2): 2, frozenset({1, 2}): 2}, [1, 2]),
+    ({(): 0, frozenset(): 0, (1,): 1, (2,): 1, (1, 2): 2}, []),
+])
+def test_rank_table_refuses_two_keys_for_one_subset(values, subset):
+    # a later key would overwrite an earlier one; in the first table r({1, 2})
+    # would be 3 and the table not submodular
+    with pytest.raises(ValueError, match=re.escape(f"rank table names the subset {subset} twice")):
+        RankFunction(2, values)
 
 
 def test_rank_table_m_must_be_nonnegative():
@@ -363,6 +377,159 @@ def test_hl_support_symmetric_under_relabeling():
     for order in permutations(range(3)):
         permuted = hl_support([mats[i] for i in order], 3)
         assert permuted == {tuple(vec[i] for i in order) for vec in base}
+
+
+# ---- the mask index against frozenset oracles ----
+#
+# check_axioms, the lattice-point search and hl_support's filter written
+# subset by subset over frozensets.  The library's mask code must give the
+# same reports, in the same violation order, the same point tuples and the
+# same supports.
+
+def _all_subsets(m):
+    return [frozenset(c) for k in range(m + 1) for c in combinations(range(1, m + 1), k)]
+
+
+def _frozenset_axioms(r):
+    subsets = _all_subsets(r.m)
+    violations = []
+    submodular = True
+    for a in subsets:
+        for x, y in combinations([x for x in range(1, r.m + 1) if x not in a], 2):
+            ax, ay = a | {x}, a | {y}
+            if r(ax | {y}) + r(a) > r(ax) + r(ay):
+                submodular = False
+                violations.append(("submodularity", tuple(sorted(ax)), tuple(sorted(ay))))
+    monotone = True
+    for a in subsets:
+        for x in range(1, r.m + 1):
+            if x not in a and r(a) > r(a | {x}):
+                monotone = False
+                violations.append(("monotonicity", tuple(sorted(a)), x))
+    normalized = r(frozenset()) == 0
+    loopless = all(r({i}) >= 1 for i in range(1, r.m + 1))
+    is_matroid = (
+        submodular and monotone and normalized
+        and all(r(a) <= len(a) for a in subsets)
+    )
+    return AxiomReport(submodular, monotone, normalized, loopless, is_matroid,
+                       tuple(violations))
+
+
+def _frozenset_points(r):
+    m = r.m
+    total = r.full_rank()
+    full = frozenset(range(1, m + 1))
+    points = []
+    point = [0] * m
+    constraints = [[] for _ in range(m + 1)]
+    for subset in _all_subsets(m)[1:]:
+        if subset != full:
+            constraints[max(subset)].append(([i - 1 for i in subset], r(subset)))
+
+    def constraints_ok(k):
+        return all(sum(point[i] for i in idx) <= bound for idx, bound in constraints[k])
+
+    def dfs(k, acc):
+        if k > m:
+            if acc == total:
+                points.append(tuple(point))
+            return
+        remaining = frozenset(range(k + 1, m + 1))
+        cap_rest = r(remaining) if remaining else 0
+        hi = min(r({k}), total - acc)
+        for v in range(hi + 1):
+            if acc + v + cap_rest < total:
+                continue
+            point[k - 1] = v
+            if constraints_ok(k):
+                dfs(k + 1, acc + v)
+        point[k - 1] = 0
+
+    dfs(1, 0)
+    return tuple(points)
+
+
+def _frozenset_hl_filter(mats, n):
+    m = len(mats)
+    shift = n - m
+    ranks = {tuple(sorted(s)): r for s, r in rank_from_matrices(mats).values.items() if s}
+    return {vec for vec in _compositions(m, m)
+            if all(r >= sum(vec[i - 1] for i in subset) + shift
+                   for subset, r in ranks.items() if all(vec[i - 1] for i in subset))}
+
+
+def _oracle_tables():
+    """Seeded tables on m = 0..6: random values, coverage polymatroids, and coverage off by one.
+
+    A coverage table r(S) = w(union of the sets of S) is a polymatroid;
+    an empty set is a loop.  Random values mostly fail both submodularity
+    and monotonicity, and a coverage table with one value moved by one
+    fails a few of each.
+    """
+    rng = SplitMix64(0x3A5C)
+    tables = []
+    for k in range(420):
+        m, kind = k % 7, k // 7 % 3
+        subsets = _all_subsets(m)[1:]
+        if kind == 0:
+            values = {s: rng.integer(0, 4) for s in subsets}
+        else:
+            ground = range(m + 1)
+            weight = [rng.integer(1, 2) for _ in ground]
+            sets = [{g for g in ground if rng.integer(0, 2) == 0} for _ in range(m)]
+            values = {s: sum(weight[g] for g in set().union(*(sets[i - 1] for i in s)))
+                      for s in subsets}
+            if kind == 2 and subsets:
+                s = subsets[rng.below(len(subsets))]
+                values[s] = max(values[s] + (1 if rng.integer(0, 1) else -1), 0)
+        tables.append(RankFunction(m, {frozenset(): 0, **values}))
+    return tables
+
+
+def test_check_axioms_matches_the_frozenset_oracle():
+    kinds = dict.fromkeys(["non-submodular", "non-monotone", "both", "loops",
+                           "polymatroid", "matroid"], 0)
+    for r in _oracle_tables():
+        report = check_axioms(r)
+        assert report == _frozenset_axioms(r)
+        kinds["non-submodular"] += not report.submodular
+        kinds["non-monotone"] += not report.monotone
+        kinds["both"] += not (report.submodular or report.monotone)
+        kinds["loops"] += not report.loopless
+        kinds["polymatroid"] += report.is_polymatroid
+        kinds["matroid"] += report.is_matroid
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_lattice_points_match_the_frozenset_oracle():
+    multi = 0
+    for r in _oracle_tables():
+        points = polymatroid_mod._lattice_points(r)
+        assert points == _frozenset_points(r)
+        if check_axioms(r).is_polymatroid:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert multidegree_support(r, r.full_rank()) == set(points)
+        multi += len(points) >= 3
+    assert multi >= 50
+
+
+def test_hl_support_matches_the_frozenset_filter():
+    rng = SplitMix64(0x6E1)
+    pairs = ([(n, m) for n in range(1, 7) for m in range(1, n + 1) for _ in range(2)]
+             + [(7, 6), (8, 6), (7, 7), (8, 7)])
+    sizes, cases = set(), set()
+    for k, (n, m) in enumerate(pairs):
+        profile = tuple(rng.integer(0, 1) if rng.integer(0, 4) == 0 else rng.integer(1, n)
+                        for _ in range(m))
+        mats = generate_psd(GeneratorSpec(seed=k + 7100, n=n, rank_profile=profile))
+        support = hl_support(mats, n)
+        assert support == _frozenset_hl_filter(mats, n)
+        sizes.add(min(len(support), 2))
+        cases.add(_shifted_table_case(mats, n))
+    assert sizes == {0, 1, 2}
+    assert cases == {"polymatroid", "not-polymatroid", "deficient", "invalid"}
 
 
 # ---- multidegree support ----

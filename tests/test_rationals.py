@@ -232,3 +232,9 @@ def test_power():
     assert GR(2) ** 10 == GR(1024)
     with pytest.raises(TypeError):
         I ** -1
+
+
+@pytest.mark.parametrize("k", [True, False, 2.0, Fraction(2)])
+def test_power_refuses_a_non_int_exponent(k):
+    with pytest.raises(TypeError, match="only nonnegative integer powers"):
+        GR(2) ** k
