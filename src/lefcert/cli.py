@@ -2,12 +2,20 @@
 
 Exit status is 0 exactly when every verdict-bearing task holds and no
 task errored, so the tool doubles as an oracle in shell pipelines.
+
+An --output file is rewritten in place: it is opened without truncation,
+written, and then cut to the report's length, so rewriting a report that
+was just written does not wait for the disk to write the old one back.
+A target that is not a regular file (/dev/null, /dev/stdout, a pipe) is
+written without the cut.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from functools import cache
 
@@ -281,8 +289,11 @@ def main(argv=None) -> int:
         sys.stdout.write(text)
     else:
         try:
-            with open(args.output, "w", encoding="utf-8") as fh:
+            fd = os.open(args.output, os.O_WRONLY | os.O_CREAT, 0o666)
+            with open(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    fh.truncate()
         except OSError as exc:
             print(f"cannot write {args.output}: {exc}", file=sys.stderr)
             return 2

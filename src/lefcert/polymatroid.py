@@ -71,7 +71,16 @@ class RankFunction:
             raise ValueError(f"rank table m must be nonnegative, got {m}")
         table = {}
         for k, v in self.values.items():
-            if type(v) is not int:  # the message is built only for a refused rank
+            if type(k) is not frozenset:  # rank_from_matrices's keys are not copied
+                try:
+                    k = tuple(k)
+                except TypeError:
+                    raise TypeError(
+                        f"rank table key {k!r} is not a collection of elements") from None
+            for i in k:
+                if type(i) is not int:  # each message is built only on refusal
+                    as_int(i, "rank table key element")
+            if type(v) is not int:
                 as_int(v, f"rank of {sorted(k)}")
             subset = frozenset(k)
             if subset in table:

@@ -590,6 +590,63 @@ def test_unwritable_output_is_refused(tmp_path, target):
     assert_refused(run_console("--input", path, "--output", output), f"cannot write {output}")
 
 
+# ---- the report file is rewritten in place and cut to the report's length ----
+
+REPORT_DOC = {"schema": 1, "n": 2, "matrices": {"a": diag_json([1, 0])},
+              "tasks": [{"kind": "nd", "matrix": "a"}, {"kind": "psd-check", "matrix": "a"}]}
+
+
+def stdout_report(path):
+    """The bytes `--output -` writes for the instance at path."""
+    out = StringIO()
+    with redirect_stdout(out):
+        assert main(["--input", str(path), "--output", "-"]) == 0
+    return out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("tail", [1, 4096, 0, -1, None],
+                         ids=["longer-file", "much-longer-file", "same-length", "shorter-file",
+                              "empty-file"])
+def test_report_over_an_existing_file_leaves_no_tail(tmp_path, tail):
+    path = write_bytes(tmp_path, json.dumps(REPORT_DOC).encode("utf-8"))
+    expected = stdout_report(path)
+    out = tmp_path / "report.json"
+    out.write_bytes(b"" if tail is None else b"x" * (len(expected) + tail))
+    assert main(["--input", path, "--output", str(out)]) == 0
+    assert out.read_bytes() == expected
+
+
+def test_report_over_its_own_input_replaces_the_file(tmp_path):
+    doc = {**REPORT_DOC, "note": "x" * 1000}  # the input is longer than its report
+    path = write_bytes(tmp_path, json.dumps(doc).encode("utf-8"))
+    expected = stdout_report(path)
+    assert main(["--input", path, "--output", path]) == 0
+    assert Path(path).read_bytes() == expected
+
+
+def test_report_to_dev_null_and_to_a_pipe(tmp_path, capsys):
+    path = write_bytes(tmp_path, json.dumps(REPORT_DOC).encode("utf-8"))
+    assert main(["--input", path, "--output", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+    # the console's stdout is a pipe, which cannot be truncated
+    proc = run_console("--input", path, "--output", "/dev/stdout")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.encode("utf-8") == stdout_report(path)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=oct)
+def test_new_report_has_the_mode_open_gives(tmp_path, umask):
+    path = write_bytes(tmp_path, json.dumps(REPORT_DOC).encode("utf-8"))
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "by-open.json", "w", encoding="utf-8"):
+            pass
+        assert main(["--input", path, "--output", str(tmp_path / "report.json")]) == 0
+    finally:
+        os.umask(old)
+    assert (tmp_path / "report.json").stat().st_mode == (tmp_path / "by-open.json").stat().st_mode
+
+
 @pytest.mark.parametrize("data, needle", [
     (b'{"schema": 1, "tasks": [], "note": "\xff"}', "utf-8"),
     (b'{"schema": 1, "n": ' + b"7" * 4400 + b"}", "parse error"),

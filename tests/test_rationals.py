@@ -81,6 +81,8 @@ ENTRY_POINTS = [
      lambda x: GeneratorSpec(seed=1, n=2, rank_profile=(1, x))),
     ("RankFunction m", "rank table m", lambda x: RankFunction(x, {(): 0})),
     ("RankFunction rank", "rank of [1]", lambda x: RankFunction(1, {(): 0, (1,): x})),
+    ("RankFunction key element", "rank table key element",
+     lambda x: RankFunction(1, {(): 0, (x,): 1})),
     ("rank_function_from_json m", "rank table m",
      lambda x: rank_function_from_json({"m": x, "values": {"[]": 0}})),
     ("rank_from_matrices offset", "offset", lambda x: rank_from_matrices([I2], offset=x)),
@@ -125,6 +127,11 @@ def test_the_found_reproducers_are_refused():
     for n in (True, 2.0):
         with pytest.raises(TypeError, match="^n must be an integer"):
             HLInstance(n, 1, 0, (I2,))
+    for key in ((True,), (1.0,), (1, True), "1"):
+        with pytest.raises(TypeError, match="^rank table key element must be an integer, got "):
+            RankFunction(1, {(): 0, key: 1})
+    with pytest.raises(TypeError, match="^rank table key 1 is not a collection of elements$"):
+        RankFunction(1, {(): 0, 1: 1})
 
 
 digits = st.text("0123456789", min_size=1, max_size=6) | st.sampled_from(

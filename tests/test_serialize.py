@@ -4,9 +4,11 @@ The oracle reads every entry with complex_from_json, as a GaussianRational
 of Fractions, and clears the rows in HermitianMatrix.  The library reads
 each entry's parts as int pairs and builds the Z[i] rows directly; both
 must give the same _cleared rows, or raise the same exception.  A form or
-rank-table record that lacks a field is a ValueError.
+rank-table record that lacks a field is a ValueError, and every rank table
+that RankFunction accepts reads back equal from its JSON text.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from lefcert.linalg import HermitianMatrix
 from lefcert.exterior import PQForm
+from lefcert.polymatroid import RankFunction
 from lefcert.rationals import GR, GaussianRational, rat_pair
 from lefcert.serialize import (
     complex_from_json,
@@ -22,6 +25,7 @@ from lefcert.serialize import (
     form_to_json,
     matrix_from_json,
     rank_function_from_json,
+    rank_function_to_json,
 )
 
 
@@ -160,3 +164,33 @@ def test_form_record_missing_a_field_is_a_value_error(field):
 def test_rank_table_without_m_is_a_value_error():
     with pytest.raises(ValueError, match="^a rank table must be a JSON object with 'm' and 'values'$"):
         rank_function_from_json({"values": {}})
+
+
+# a subset element as a table's author might spell it: mostly the int
+# itself, sometimes a bool, float, Fraction or string in its place
+ELEMENT_SPELLINGS = st.sampled_from([lambda i: i] * 12 + [
+    lambda i: i == 1, lambda i: float(i), Fraction, str])
+
+
+@st.composite
+def rank_table_arguments(draw):
+    """(m, values) for RankFunction: every subset of [m] once, each key a tuple
+    in any order or a frozenset, its elements spelled by ELEMENT_SPELLINGS."""
+    m = draw(st.integers(0, 3))
+    values = {}
+    for mask in range(1 << m):
+        elements = [draw(ELEMENT_SPELLINGS)(i) for i in range(1, m + 1) if mask >> (i - 1) & 1]
+        key = draw(st.sampled_from([tuple, frozenset]))(draw(st.permutations(elements)))
+        values[key] = 0 if not mask else draw(st.integers(0, 3))
+    return m, values
+
+
+@settings(deadline=None)
+@given(rank_table_arguments())
+def test_every_accepted_rank_table_round_trips_through_json(args):
+    try:
+        table = RankFunction(*args)
+    except (TypeError, ValueError):
+        return
+    text = json.dumps(rank_function_to_json(table))
+    assert rank_function_from_json(json.loads(text)) == table
