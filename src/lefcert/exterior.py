@@ -21,14 +21,25 @@ are read from one cached table of rows per pair of bidegrees (_rows): the
 row of a left index lists the disjoint right positions, each with the
 position of the merged index and the sign, and is built on first read
 from the combinations of that index's complement, with _merge_sign as the
-one sign rule.  A wedge is one fold (_fold) over these rows whose pair
-loop (_wedge_rows) multiplies and adds ints, reduced by one gcd at the
-end; the check that omega annihilates a vector (_annihilates) runs the
-same loop.  The fold starts from the scalar 1, or from a given form, and
-reads every factor as Z[i] terms at basis positions (_positioned): a
-PQForm by its indices, a HermitianMatrix A as i A straight from the rows
-it holds.  So the library's Omega = (i A_1) ^ ... ^ (i A_k) never visits
-Q(i), and no (1,1)-form is built in between.
+one sign rule.  A wedge is one fold (_fold) over these rows, multiplying
+and adding ints, reduced by one gcd at the end.  The fold starts from the
+scalar 1, or from a given form.
+
+The library's Omega = (i A_1) ^ ... ^ (i A_k) is real, and so is every
+step of it: each i A is, and so is a product of real forms.  A real
+(l,l)-form has c_{J,I} = (-1)^l conj(c_{I,J}).  So when every factor is a
+HermitianMatrix and the start is the scalar 1 or a PQForm found real
+term by term, each step (_fold_real) computes only the targets (I', J')
+with pos(I') <= pos(J'), and writes the rest by that sign.  It reads
+i A as dense Z[i] parts straight from the rows the matrix holds, and a
+table per (n, l) kept on the (l,l) x (1,1) rows (_upper_rows) that
+lists only the disjoint pairs with an upper target.  The terms stay at
+basis positions until the last step.  So Omega never visits Q(i), and
+no (1,1)-form is built in between.  Every other fold, with any PQForm
+factor or a start that is not real, reads each factor as Z[i] terms at
+basis positions (_positioned) and runs the pair loop (_wedge_rows) over
+both halves; the check that omega annihilates a vector (_annihilates)
+runs the same loop.
 
 The operator matrix of Phi -> omega ^ Phi is read from the same rows
 (_operator_columns), each entry +c or -c for a term c of omega.  Its
@@ -264,14 +275,16 @@ class _Rows(dict):
     of Lambda^{p1+p2,q1+q2}, stored as t for the sign +1 and as ~t = -1 - t
     for -1.  The sign is the two merge signs times (-1)^(p2 q1), for moving
     dzbar_J past dz_{I2}.  A row is built from the combinations of the
-    complements of I and J only.
+    complements of I and J only.  A (l,l) x (1,1) table also keeps the
+    upper-triangle table that _upper_rows derives from it.
     """
 
-    __slots__ = ("n", "p2", "q2", "block", "right", "target")
+    __slots__ = ("n", "p2", "q2", "block", "right", "target", "upper")
 
     def __init__(self, n, p1, q1, p2, q2):
         super().__init__()
         self.n, self.p2, self.q2 = n, p2, q2
+        self.upper = None
         self.block = -1 if (p2 * q1) % 2 else 1
         # (index tuples and positions of I, of J, number of J) of each basis
         self.right = _index_positions(n, p2), _index_positions(n, q2), comb(n, q2)
@@ -348,36 +361,138 @@ def _positioned(f):
     """(p, q, den, terms): a fold factor's bidegree, denominator and (s, re, im) terms.
 
     Each term sits at the position s of its index in the basis of
-    Lambda^{p,q}.  A HermitianMatrix A is read as the (1,1)-form i A from
-    its cached rows L A: entry re + i im at (j, k) is the term (-im, re)
-    at position j n + k, over L.  The terms are yielded lazily.
+    Lambda^{p,q}.  A HermitianMatrix A is read as the (1,1)-form i A by
+    _matrix_vector.  The terms are yielded lazily.
     """
     if isinstance(f, HermitianMatrix):
-        re, im, den = f._cleared
-        n = f.n
-        return 1, 1, den, ((j * n + k, -y, x) for j, (xs, ys) in enumerate(zip(re, im))
-                           for k, (x, y) in enumerate(zip(xs, ys)) if x or y)
+        (re, im), den = _matrix_vector(f)
+        return 1, 1, den, ((s, x, y) for s, (x, y) in enumerate(zip(re, im)) if x or y)
     (_, pi), (_, pj) = _index_positions(f.n, f.p), _index_positions(f.n, f.q)
     width = comb(f.n, f.q)
     return f.p, f.q, f.den, ((pi[i] * width + pj[j], re, im)
                              for (i, j), (re, im) in f.terms.items())
 
 
+def _upper_rows(n, l):
+    """(table, mirror, size) for the wedge of a real (l,l)-form with i A on C^n, 0 < l < n.
+
+    Read from _rows(n, l, l, 1, 1) and kept on it.  table[u], for the
+    source position u in the basis of Lambda^{l,l}, is (plus, minus): the
+    (s, t) pairs of the row of u, s a position of Lambda^{1,1} and t one
+    of Lambda^{l+1,l+1}, whose target (I', J') has pos(I') <= pos(J'),
+    split by sign.  mirror lists (t, t') for pos(I') < pos(J'), t' the
+    position of (J', I'); size is the number of target positions.
+    """
+    rows = _rows(n, l, l, 1, 1)
+    if rows.upper is None:
+        width = comb(n, l + 1)
+        table = []
+        for key in basis_indices(n, l, l):
+            plus, minus = [], []
+            for s, t in rows[key].items():
+                if t < 0:
+                    if ~t // width <= ~t % width:
+                        minus.append((s, ~t))
+                elif t // width <= t % width:
+                    plus.append((s, t))
+            table.append((plus, minus))
+        mirror = [(a * width + b, b * width + a) for a in range(width) for b in range(a + 1, width)]
+        rows.upper = table, mirror, width * width
+    return rows.upper
+
+
+def _is_real(omega):
+    """Whether the PQForm omega is real: (l,l) with c_{J,I} = (-1)^l conj(c_{I,J}) for every term."""
+    if omega.p != omega.q:
+        return False
+    terms = omega.terms
+    sign = -1 if omega.p % 2 else 1
+    return all(terms.get((j, i)) == (sign * re, -sign * im) for (i, j), (re, im) in terms.items())
+
+
+def _fold_real(n, mats, l, src, den):
+    """Omega ^ i A_1 ^ ... ^ i A_k over Z[i] for a real (l,l)-form Omega and Hermitian A_m.
+
+    src lists Omega's nonzero terms as (u, re, im), u the position in the
+    basis of Lambda^{l,l}, over den.  Each A enters as the dense
+    coefficient vector of i A from _matrix_vector.  A product of real
+    forms is real, so a step to (l', l') = (l + 1, l + 1) computes only
+    the targets (I', J') with pos(I') <= pos(J'), from _upper_rows, and
+    writes each (J', I') below them as c_{J',I'} = (-1)^l' conj(c_{I',J'}).
+    From a scalar c the step is c i A, read from the vector directly.
+    Terms stay at positions until the one (I, J)-keyed dict at the end,
+    in basis order.  A zero factor or a degree beyond n ends the products
+    before any is taken.
+    """
+    top = l + len(mats)
+    if top > n:
+        return PQForm._from_terms(n, n, n, {}, 1)
+    rights = [_matrix_vector(a) for a in mats]
+    if not all(any(rr) or any(mm) for (rr, mm), _ in rights):
+        src = ()
+    for (rr, mm), d in rights:
+        if not src:
+            break
+        den *= d
+        if not l:
+            # a real scalar c has no imaginary part
+            (_, c, _), = src
+            src = [(s, c * x, c * y) for s, (x, y) in enumerate(zip(rr, mm)) if x or y]
+            l = 1
+            continue
+        table, mirror, size = _upper_rows(n, l)
+        re, im = [0] * size, [0] * size
+        for u, r1, m1 in src:
+            plus, minus = table[u]
+            for s, t in plus:
+                r2, m2 = rr[s], mm[s]
+                re[t] += r1 * r2 - m1 * m2
+                im[t] += r1 * m2 + m1 * r2
+            for s, t in minus:
+                r2, m2 = rr[s], mm[s]
+                re[t] -= r1 * r2 - m1 * m2
+                im[t] -= r1 * m2 + m1 * r2
+        l += 1
+        if l % 2:
+            for t, t2 in mirror:
+                re[t2], im[t2] = -re[t], im[t]
+        else:
+            for t, t2 in mirror:
+                re[t2], im[t2] = re[t], -im[t]
+        src = [(u, x, y) for u, (x, y) in enumerate(zip(re, im)) if x or y]
+    if not src:
+        return PQForm._from_terms(n, top, top, {}, 1)
+    keys = basis_indices(n, l, l)
+    return PQForm._from_terms(n, l, l, *_reduce({keys[u]: (x, y) for u, x, y in src}, den))
+
+
 def _fold(n, factors, omega=None):
     """omega ^ f_1 ^ ... ^ f_k over Z[i], for PQForm and HermitianMatrix factors on C^n.
 
-    The fold starts from the PQForm omega, or from the scalar 1, and reads
-    every factor through _positioned, so a matrix A enters as i A straight
-    from its cached rows.  Terms are multiplied in ints over the product
-    of the denominators, which is reduced by one gcd at the end.  A degree
+    The fold starts from the PQForm omega, or from the scalar 1.  When
+    every factor is a HermitianMatrix and the start is real (the scalar
+    1, or a PQForm that _is_real finds conjugate symmetric term by term),
+    every step is a real (l,l)-form times i A, and _fold_real computes
+    only the targets (I', J') with pos(I') <= pos(J'); the rest are
+    c_{J',I'} = (-1)^(l+1) conj(c_{I',J'}).  A fold with a PQForm factor,
+    or from a start that is not real, reads every factor through
+    _positioned, a matrix A as i A, and each step is one _wedge_rows over
+    both halves.  Terms are multiplied in ints over the product of the
+    denominators, which is reduced by one gcd at the end.  A degree
     beyond n gives the zero form of the clamped bidegree; every factor's
     ambient dimension is still checked.
     """
-    p, q, terms, den = (0, 0, {((), ()): (1, 0)}, 1) if omega is None else (
-        omega.p, omega.q, omega.terms, omega.den)
+    factors = tuple(factors)
     for f in factors:
         if f.n != n:
             raise ValueError("forms live on different ambient spaces")
+    if all(isinstance(f, HermitianMatrix) for f in factors) and (
+            omega is None or _is_real(omega)):
+        l, _, den, src = (0, 0, 1, [(0, 1, 0)]) if omega is None else _positioned(omega)
+        return _fold_real(n, factors, l, list(src), den)
+    p, q, terms, den = (0, 0, {((), ()): (1, 0)}, 1) if omega is None else (
+        omega.p, omega.q, omega.terms, omega.den)
+    for f in factors:
         fp, fq, d, right = _positioned(f)
         if p + fp > n or q + fq > n:
             p, q, terms = min(p + fp, n), min(q + fq, n), {}
@@ -400,12 +515,13 @@ def _annihilates(omega, p, q, vector):
 
 
 def _matrix_vector(a):
-    """((re, im), L): the coefficient vector of the (1,1)-form i A, times L, read by _positioned."""
-    _, _, den, terms = _positioned(a)
-    re, im = [0] * a.n ** 2, [0] * a.n ** 2
-    for s, x, y in terms:
-        re[s], im[s] = x, y
-    return (re, im), den
+    """((re, im), L): the coefficient vector of the (1,1)-form i A, times L.
+
+    It is read from the cached rows L A: entry x + i y at (j, k) is the
+    coefficient (-y, x) at the position j n + k.
+    """
+    re, im, den = a._cleared
+    return ([-y for ys in im for y in ys], [x for xs in re for x in xs]), den
 
 
 @lru_cache(maxsize=None)

@@ -88,15 +88,18 @@ def form_to_json(phi: PQForm) -> dict:
 
 
 def form_from_json(obj) -> PQForm:
-    """A form from its JSON record.
+    """A form from its JSON record; each (I, J) names one term, exactly once.
 
-    A malformed entry, such as a missing field, a non-int index or a float
-    coefficient, raises ValueError.
+    A malformed entry, such as a missing field, a non-int index, a float
+    coefficient or a second record for one (I, J), raises ValueError.
     """
     try:
-        coeffs = {
-            (tuple(t["I"]), tuple(t["J"])): complex_from_json(t["c"]) for t in obj["terms"]
-        }
+        coeffs = {}
+        for t in obj["terms"]:
+            key = tuple(t["I"]), tuple(t["J"])
+            if key in coeffs:
+                raise ValueError(f"form names the term I={list(key[0])}, J={list(key[1])} twice")
+            coeffs[key] = complex_from_json(t["c"])
         return PQForm(obj["n"], obj["p"], obj["q"], coeffs)
     except KeyError as exc:
         raise ValueError(f"form: missing field {exc}") from None

@@ -200,6 +200,28 @@ def test_criterion_04_wedge_discriminant_consistency():
             bad == 0 and dt < 60, f"{checked} tuples, {bad} mismatches, {dt:.1f}s")
 
 
+def test_criterion_04b_wedge_discriminant_consistency_at_n5_n6():
+    # member ranks drawn from [0, n]: zero members, rank-deficient ones, and D = 0 and D > 0
+    t0 = time.time()
+    checked = bad = with_zero = deficient = positive = 0
+    for seed in range(40):
+        n = 5 + seed % 2
+        mats = list(psd_tuple(seed + 33000, n, n))
+        value = intersection_number(mats)
+        if value != factorial(n) * mixed_discriminant(mats):
+            bad += 1
+        ranks = [a.rank() for a in mats]
+        with_zero += 0 in ranks
+        deficient += any(0 < r < n for r in ranks)
+        positive += value > 0
+        checked += 1
+    dt = time.time() - t0
+    _report("4b", "top-wedge route equals n! times inclusion-exclusion route at n = 5, 6",
+            bad == 0 and min(with_zero, deficient, positive, checked - positive) > 0 and dt < 5,
+            f"{checked} tuples, {with_zero} with a zero member, {deficient} rank-deficient, "
+            f"{positive} with D > 0, {bad} mismatches, {dt:.1f}s")
+
+
 def test_criterion_05_lorentzian_signature():
     t0 = time.time()
     checked = 0

@@ -838,6 +838,39 @@ def test_determinant_route_never_reads_the_rank_code(monkeypatch):
     assert routes() == expected
 
 
+def test_wedge_route_never_reads_the_rank_code(monkeypatch):
+    import lefcert.certify as certify_mod
+    from lefcert.discriminant import intersection_number
+
+    families = [psd_tuple(seed + 4100, 2 + seed % 5, 2 + seed % 5) for seed in range(15)]
+    families += [(D([1, 0]), D([0, 1])), (D([1, 0]), D([1, 0])),
+                 (HermitianMatrix.zero(3), Id(3), Id(3))]
+    instances = [HLInstance(len(forms), p, q, forms[:len(forms) - p - q])
+                 for forms in families for p, q in ((0, 0), (1, 0), (1, 1)) if p + q < len(forms)]
+
+    def routes():
+        return ([intersection_number(forms) for forms in families],
+                [inst.omega() for inst in instances])
+
+    expected = routes()
+    numbers = expected[0]
+    assert any(numbers) and not all(numbers)
+    assert any(a.rank() == 0 for forms in families for a in forms)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the wedge route read the rank code")
+
+    for module in (linalg_mod, certify_mod, discriminant_mod):
+        monkeypatch.setattr(module, "_inertia", forbidden)
+    monkeypatch.setattr(discriminant_mod, "_table", forbidden)
+    monkeypatch.setattr(linalg_mod, "_rank", forbidden)
+    monkeypatch.setattr(certify_mod, "_rank", forbidden)
+    monkeypatch.setattr(linalg_mod, "mat_rank", forbidden)
+    monkeypatch.setattr(HermitianMatrix, "rank", forbidden)
+    monkeypatch.setattr(HermitianMatrix, "_elimination", forbidden)
+    assert routes() == expected
+
+
 def test_rank_routes_never_read_the_general_elimination(monkeypatch):
     import lefcert.linalg as linalg_mod
 

@@ -514,14 +514,15 @@ def oracle_integer_terms(phi):
     return {k: (int(c.re * den), int(c.im * den)) for k, c in phi.coeffs.items()}, den
 
 
-def oracle_matrix_omega(mats, n):
-    """The Q(i) build of (i A_1) ^ ... ^ (i A_k) by the GaussianRational oracle fold."""
-    return oracle_wedge_many([oracle_matrix_form(a) for a in mats], n)
+def oracle_matrix_omega(mats, n, start=None):
+    """The Q(i) build of start ^ (i A_1) ^ ... ^ (i A_k) by the GaussianRational oracle fold."""
+    head = [] if start is None else [start]
+    return oracle_wedge_many(head + [oracle_matrix_form(a) for a in mats], n)
 
 
-def oracle_matrix_wedge(mats, n):
+def oracle_matrix_wedge(mats, n, start=None):
     """(terms, L, bidegree) of the Q(i) build."""
-    omega = oracle_matrix_omega(mats, n)
+    omega = oracle_matrix_omega(mats, n, start)
     return (*oracle_integer_terms(omega), (omega.p, omega.q))
 
 
@@ -549,6 +550,19 @@ def matrix_families():
         yield n, mats
     yield 3, [D([1, 1, 0])] * 3  # cancels to zero
     yield 2, random_psd_family(7, 2, 2)
+    rng = SplitMix64(0x5E6)
+    for n in (5, 6):
+        # complex PSD members of ranks 0 to n, and complex members over denominators up to 6
+        psd = random_psd_family(40 + n, n, n + 1)
+        rational = [rational_hermitian(rng, n) for _ in range(n)]
+        yield n, psd[:n]  # rank-deficient members and a zero one
+        yield n, rational
+        yield n, [psd[1]] * 2 + rational[2:]  # a repeated member
+        yield n, rational[:2] + [HermitianMatrix.zero(n)] + psd[3:n]  # a zero member
+        yield n, rational[:1]
+        yield n, [psd[0]]
+        yield n, psd[1:4]
+        yield n, rational + psd[-1:]  # n + 1 factors
 
 
 def test_matrix_wedge_equals_the_qi_build_term_for_term():
@@ -556,7 +570,9 @@ def test_matrix_wedge_equals_the_qi_build_term_for_term():
     for n, mats in matrix_families():
         omega = exterior._fold(n, mats)
         terms, den, bideg = oracle_matrix_wedge(mats, n)
-        assert omega.terms == terms and list(omega.terms) == list(terms)
+        # terms are listed in basis order; form_to_json sorts, so no report reads the order
+        assert omega.terms == terms
+        assert list(omega.terms) == [k for k in basis_indices(n, *bideg) if k in terms]
         assert omega.den == den and (omega.p, omega.q) == bideg and omega.n == n
         assert omega == oracle_matrix_omega(mats, n)
         kinds.add((not mats, not terms, den > 1))
@@ -567,11 +583,92 @@ def test_matrix_wedge_equals_the_qi_build_term_for_term():
 
 def test_matrix_wedge_continues_a_given_omega():
     for n, mats in matrix_families():
+        expected = oracle_matrix_wedge(mats, n)
         for k in range(len(mats) + 1):
             head = exterior._fold(n, mats[:k])
             whole = exterior._fold(n, mats[k:], head)
-            terms, den, bideg = oracle_matrix_wedge(mats, n)
-            assert (whole.terms, whole.den, (whole.p, whole.q)) == (terms, den, bideg)
+            assert (whole.terms, whole.den, (whole.p, whole.q)) == expected
+
+
+def starts(rng, n, k):
+    """(start, real) for k factors on C^n: real (l,l)-forms phi + conj(phi) and forms that are not."""
+    l = rng.integer(0, n - k) if k < n else 0
+    phi = random_rational_form(rng, n, l, l, density=3 if n < 5 else 1)
+    p = rng.integer(0, n)
+    yield phi + conjugate_form(phi), True
+    yield phi.scale(I) + conjugate_form(phi.scale(I)), True
+    yield phi, phi == conjugate_form(phi)
+    # i times a real form is real only when zero
+    yield (phi + conjugate_form(phi)).scale(I), (phi + conjugate_form(phi)).is_zero()
+    yield random_rational_form(rng, n, p, (p + 1) % (n + 1), density=1), False
+
+
+def test_matrix_wedge_continues_real_starts_and_starts_that_are_not():
+    rng = SplitMix64(0x57A7)
+    seen = set()
+    for n, mats in matrix_families():
+        if n > 4 and len(mats) < 2:
+            continue
+        for k in (rng.integer(0, len(mats)), len(mats)):
+            for start, real in starts(rng, n, len(mats[:k])):
+                assert exterior._is_real(start) == real == (conjugate_form(start) == start)
+                got = exterior._fold(n, mats[:k], start)
+                expected = oracle_matrix_wedge(mats[:k], n, start)
+                assert (got.terms, got.den, (got.p, got.q)) == expected
+                seen.add((real, start.is_zero(), not got.terms))
+    # real and other starts, zero starts, and zero and nonzero products
+    assert {(True, False, False), (True, False, True), (False, False, False),
+            (False, False, True), (True, True, True)} <= seen
+
+
+def test_real_starts_take_the_upper_triangle_step(monkeypatch):
+    rng = SplitMix64(0x0BE)
+    cases = []
+    for n, mats in matrix_families():
+        if n < 5:
+            cases += [(n, mats, start, real) for start, real in starts(rng, n, len(mats))]
+    expected = [exterior._fold(n, mats, start) for n, mats, start, _ in cases]
+
+    def forbidden(*args):
+        raise AssertionError("the wrong step")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exterior, "_wedge_rows", forbidden)
+        for n, mats in matrix_families():
+            exterior._fold(n, mats)
+        assert all(exterior._fold(n, mats, start) == e
+                   for (n, mats, start, real), e in zip(cases, expected) if real)
+    with monkeypatch.context() as patch:
+        patch.setattr(exterior, "_fold_real", forbidden)
+        assert all(exterior._fold(n, mats, start) == e
+                   for (n, mats, start, real), e in zip(cases, expected) if not real)
+        # PQForm factors keep the pair loop
+        assert wedge_many([oracle_matrix_form(D([1, 2])), oracle_matrix_form(D([3, 1]))]) == \
+            oracle_matrix_omega([D([1, 2]), D([3, 1])], 2)
+
+
+def test_a_step_computes_its_upper_triangle_and_mirrors_only_below_it(monkeypatch):
+    # taken as real, a start that is not real has a wrong mirror; the entries at
+    # and above the diagonal must still be the wedge's own, not the mirror's
+    monkeypatch.setattr(exterior, "_is_real", lambda omega: True)
+    rng = SplitMix64(0xD1A6)
+    seen = set()
+    for n in range(2, 7):
+        for l in range(1, n):
+            start = random_rational_form(rng, n, l, l, density=3 if n < 5 else 1)
+            a = rational_hermitian(rng, n)
+            got = exterior._fold(n, [a], start)
+            want = oracle_wedge(start, oracle_matrix_form(a))
+            _, pos = exterior._index_positions(n, l + 1)
+            upper = [(i, j) for i, j in basis_indices(n, l + 1, l + 1) if pos[i] <= pos[j]]
+            assert [got.coefficient(*k) for k in upper] == [want.coefficient(*k) for k in upper]
+            # a nonzero diagonal, so a mirror that wrote it would show
+            seen.add(any(want.coefficient(i, i) for i, _ in upper))
+            sign = (-1) ** (l + 1)
+            for i, j in upper:
+                if i != j:
+                    assert got.coefficient(j, i) == got.coefficient(i, j).conjugate() * sign
+    assert seen == {True}
 
 
 def test_matrix_wedge_rejects_a_mismatched_dimension():

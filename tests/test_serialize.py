@@ -4,11 +4,13 @@ The oracle reads every entry with complex_from_json, as a GaussianRational
 of Fractions, and clears the rows in HermitianMatrix.  The library reads
 each entry's parts as int pairs and builds the Z[i] rows directly; both
 must give the same _cleared rows, or raise the same exception.  A form or
-rank-table record that lacks a field is a ValueError, and every rank table
-that RankFunction accepts reads back equal from its JSON text.
+rank-table record that lacks a field is a ValueError, as is a form record
+that names one term twice, and every rank table that RankFunction accepts
+reads back equal from its JSON text.
 """
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -159,6 +161,22 @@ def test_form_record_missing_a_field_is_a_value_error(field):
     del (doc if field in doc else doc["terms"][0])[field]
     with pytest.raises(ValueError, match=f"^form: missing field '{field}'$"):
         form_from_json(doc)
+
+
+@pytest.mark.parametrize("n, p, q, first, second", [
+    (1, 1, 0, ([1], []), ([1], [])),
+    (3, 1, 1, ([2], [3]), ([2], [3])),
+    (3, 2, 1, ([1, 3], [2]), ([1, 3], [2])),
+])
+@pytest.mark.parametrize("coefficients", [(1, 5), (1, 1), (1, -1)])
+def test_form_record_with_a_repeated_term_is_a_value_error(n, p, q, first, second, coefficients):
+    terms = [{"I": i, "J": j, "c": c} for (i, j), c in zip((first, second), coefficients)]
+    doc = {"n": n, "p": p, "q": q, "terms": terms}
+    with pytest.raises(ValueError, match=re.escape(
+            f"form names the term I={first[0]}, J={first[1]} twice")):
+        form_from_json(doc)
+    doc["terms"] = terms[1:]
+    assert form_from_json(doc).coefficient(*second) == coefficients[1]
 
 
 def test_rank_table_without_m_is_a_value_error():
