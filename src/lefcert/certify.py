@@ -403,7 +403,7 @@ def products_preserve_hl(forms_a, forms_b, n: int) -> bool:
     """
     forms_a, forms_b = tuple(forms_a), tuple(forms_b)
     k, l = len(forms_a), len(forms_b)
-    if k + l > n:
+    if k + l > as_int(n, "n"):
         raise ValueError("too many factors for the ambient dimension")
 
     def crit(forms, total):

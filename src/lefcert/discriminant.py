@@ -6,17 +6,20 @@ top power of the standard form is n! times the volume element).
 
 The subset lattice A_I = sum_{i in I} A_i behind mixed discriminants, the
 rank criteria and the polymatroid rank table is one table per family,
-filled by one walk over Gaussian integers.  Every member's cached Z[i] rows
-(HermitianMatrix clears each matrix once) are lifted to the family's lcm
-denominator L, and each sum is an element-wise int sum.  Ranks are
-invariant under the scaling by L, and determinants are scaled back by L^n
-once, at the end.  Each A_I is Hermitian, so one Hermitian elimination
-(linalg._inertia) per A_I gives both its rank and its determinant; no
-subset walk runs the general Bareiss elimination.  A singleton is not
-eliminated again: its entry is the member's own cached inertia, with the
-determinant of L_i A_i scaled by (L / L_i)^n.  The table keeps each
-inertia for the last family walked, matched by the identity of its
-members.  So mixed_discriminant, panov_positivity, the rank tables and
+filled by one walk over Gaussian integers.  A subset I of [m] is a mask,
+bit i - 1 for element i, everywhere from the walk to the rank tables, and
+_masks is the package's one size-then-lex order of them, generated lazily;
+_elements turns a mask into its tuple only where one is reported.  Every
+member's cached Z[i] rows (HermitianMatrix clears each matrix once) are
+lifted to the family's lcm denominator L, and each sum is an element-wise
+int sum.  Ranks are invariant under the scaling by L, and determinants are
+scaled back by L^n once, at the end.  Each A_I is Hermitian, so one
+Hermitian elimination (linalg._inertia) per A_I gives both its rank and its
+determinant; no subset walk runs the general Bareiss elimination.  A
+singleton is not eliminated again: its entry is the member's own cached
+inertia, with the determinant of L_i A_i scaled by (L / L_i)^n.  The table
+keeps each inertia for the last family walked, matched by the identity of
+its members.  So mixed_discriminant, panov_positivity, the rank tables and
 criterion_hl, called in turn on the same matrices, eliminate each A_I once
 between them; criterion_hl ranks lazily, and a later walk goes on from
 where it stopped.  The failing-subset rule, rank(A_I) < |I| + shift, is
@@ -29,7 +32,7 @@ cached rows and reads it with volume_scalar.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, factorial
 from operator import add, is_
 
@@ -59,6 +62,21 @@ def _check_tuple(mats):
     return mats, n
 
 
+def _elements(mask):
+    """The elements, in increasing order, of the subset a mask stands for: bit i - 1 for i."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _masks(m):
+    """The nonempty subset masks of [m], smallest size first, then lexicographic, lazily.
+
+    The package's one subset order: a walk that stops early has made no
+    mask past where it stopped.
+    """
+    bits = [1 << i for i in range(m)]
+    return chain.from_iterable(map(sum, combinations(bits, size)) for size in range(1, m + 1))
+
+
 def _add(a, b):
     """The (re, im) rows of A + B from those of A and B."""
     (ar, ai), (br, bi) = a, b
@@ -69,12 +87,13 @@ def _add(a, b):
 class _SubsetTable:
     """The inertia of L * A_I for every nonempty I of one family, filled lazily.
 
-    results[k] is _inertia's (npos, nneg, nzero, det) of L * A_I for the
-    k-th subset in size-then-lex order; results always holds a prefix of
-    that order.  To extend it the table keeps the members' lifted rows and
-    the memoised sums A_I; both are dropped once every subset has its
-    result.  members holds the family's matrices themselves, so no id it
-    is matched by can be reused while the table lives.
+    results[k] is (mask, _inertia's (npos, nneg, nzero, det) of L * A_I)
+    for the k-th mask of _masks; results always holds a prefix of that
+    order.  To extend it the table keeps the members' lifted rows and the
+    sums A_I memoised by mask; both are dropped once a walk has reached the
+    last subset, and a later walk reads results alone.  members holds the
+    family's matrices themselves, so no id it is matched by can be reused
+    while the table lives.
     """
 
     __slots__ = ("members", "den", "lifted", "sums", "results")
@@ -85,19 +104,19 @@ class _SubsetTable:
         self.sums = {}
         self.results = []
 
-    def _sum(self, subset):
-        """The (re, im) rows of L * A_I, as A_{I minus max I} + A_{max I}.
+    def _sum(self, mask):
+        """The (re, im) rows of L * A_I, as A_{mask ^ top} + A_top for the top bit of mask.
 
         The smaller sum is memoised; a singleton's rows are the member's
         own.  The rows are shared with the memo and with the matrices'
         caches: eliminate a list copy.
         """
-        *head, last = subset
-        rows = self.lifted[last - 1]
-        return _add(self.sums[tuple(head)], rows) if head else rows
+        top = mask.bit_length() - 1
+        rest = mask ^ (1 << top)
+        return _add(self.sums[rest], self.lifted[top]) if rest else self.lifted[top]
 
     def walk(self):
-        """Yield (I, inertia of L * A_I) for every nonempty I in size-then-lex order, lazily.
+        """Yield (mask of I, inertia of L * A_I) for every nonempty I in the order of _masks, lazily.
 
         The package's one subset-lattice walk.  A subset is summed and
         eliminated only when no earlier walk of this table reached it; an
@@ -107,21 +126,22 @@ class _SubsetTable:
         (L / L_i)^n.
         """
         results = self.results
-        total = (1 << len(self.members)) - 1
-        for k, subset in enumerate(subsets_size_lex(len(self.members))):
+        if self.sums is None:  # complete: no mask is made again
+            yield from results
+            return
+        for k, mask in enumerate(_masks(len(self.members))):
             if k == len(results):
-                re, im = rows = self._sum(subset)
-                if len(subset) == 1:
-                    member = self.members[subset[0] - 1]
+                re, im = rows = self._sum(mask)
+                if mask & (mask - 1):
+                    inertia = _inertia(_copy_rows(re), _copy_rows(im))
+                else:
+                    member = self.members[mask.bit_length() - 1]
                     *signs, det = member._elimination()
                     inertia = (*signs, det * (self.den // member._cleared[2]) ** member.n)
-                else:
-                    inertia = _inertia(_copy_rows(re), _copy_rows(im))
-                self.sums[subset] = rows
-                results.append(inertia)
-                if len(results) == total:
-                    self.lifted = self.sums = None
-            yield subset, results[k]
+                self.sums[mask] = rows
+                results.append((mask, inertia))
+            yield results[k]
+        self.lifted = self.sums = None
 
 
 _last = None  # the _SubsetTable of the last family walked
@@ -143,21 +163,21 @@ def _table(mats):
 
 
 def _subset_ranks(mats):
-    """Yield (I, rank(A_I)) along the walk; nothing is summed or ranked ahead of the caller."""
-    for subset, (npos, nneg, _, _) in _table(mats).walk():
-        yield subset, npos + nneg
+    """Yield (mask of I, rank(A_I)) along the walk; nothing is summed or ranked ahead of the caller."""
+    for mask, (npos, nneg, _, _) in _table(mats).walk():
+        yield mask, npos + nneg
 
 
 def rank_deficient_subset(mats, shift=0):
     """First I in size-then-lex order with rank(A_I) < |I| + shift.
 
     Returns (I, deficit) or None; no sum is built and no rank computed
-    past the first failure.
+    past the first failure, and only the failing mask is read as a tuple.
     """
-    for subset, r in _subset_ranks(mats):
-        need = len(subset) + shift
+    for mask, r in _subset_ranks(mats):
+        need = mask.bit_count() + shift
         if r < need:
-            return subset, need - r
+            return _elements(mask), need - r
     return None
 
 
@@ -171,8 +191,8 @@ def _discriminant(mats):
     n = len(mats)
     table = _table(mats)
     total = 0  # the empty subset adds det(0) = 0
-    for subset, (_, _, _, det) in table.walk():
-        total += -det if (n - len(subset)) % 2 else det
+    for mask, (_, _, _, det) in table.walk():
+        total += -det if (n - mask.bit_count()) % 2 else det
     return Rat(total, factorial(n) * table.den ** n)
 
 
@@ -195,9 +215,8 @@ def intersection_number(mats):
 
 
 def subsets_size_lex(m):
-    """Nonempty subsets of [m] (1-based), smallest size first, then lexicographic."""
-    for size in range(1, m + 1):
-        yield from combinations(range(1, m + 1), size)
+    """Nonempty subsets of [m] (1-based) as tuples, in the order of _masks."""
+    return map(_elements, _masks(m))
 
 
 @dataclass(frozen=True)

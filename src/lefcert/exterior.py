@@ -193,7 +193,8 @@ class PQForm:
 
     @classmethod
     def basis_element(cls, n, i, j, coeff=ONE):
-        return cls(n, len(tuple(i)), len(tuple(j)), {(tuple(i), tuple(j)): coeff})
+        i, j = tuple(i), tuple(j)
+        return cls(n, len(i), len(j), {(i, j): coeff})
 
     def is_zero(self):
         return not self.terms
@@ -350,11 +351,19 @@ def wedge(phi: PQForm, psi: PQForm) -> PQForm:
 
 
 def wedge_many(forms, n=None) -> PQForm:
-    """Left fold of wedge; the empty product is the scalar 1 in Lambda^{0,0}."""
+    """Left fold of wedge; the empty product is the scalar 1 in Lambda^{0,0}.
+
+    n, when given, is read through as_int, must be nonnegative and is the
+    ambient dimension every form must live on; None takes it from the forms.
+    """
     forms = list(forms)
-    if not forms and n is None:
-        raise ValueError("ambient dimension required for an empty product")
-    return _fold(forms[0].n if forms else n, forms)
+    if n is None:
+        if not forms:
+            raise ValueError("ambient dimension required for an empty product")
+        n = forms[0].n
+    elif as_int(n, "n") < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    return _fold(n, forms)
 
 
 def _positioned(f):

@@ -1,14 +1,17 @@
 """Polymatroid rank functions from PSD families and lattice-point support sets.
 
 A `RankFunction` holds its table as a dict keyed by frozenset, which is
-what callers read and write.  Each routine here reads that table once
-per call into a list rank[mask], where bit i - 1 of mask stands for
-element i, and then works on ints alone: the axiom check walks the
-subset masks in size-then-lex order, the lattice-point search keeps a
-running sum per mask, and hl_support's filter and multidegree_support's
-re-check read the sums of a vector over every mask.  The table has 2^m
-entries: exhaustive axiom checking needs every value anyway, and m stays
-small at desk scale.
+what callers read and write; it is the one place that refuses a subset
+named twice.  Each routine here works on a list rank[mask], where bit
+i - 1 of mask stands for element i, and on ints alone.  rank_from_matrices
+and hl_support fill that list straight from the subset walk of
+`discriminant`, which yields masks, and build the frozenset table once
+from it; the other routines read a table once per call into the list.
+The axiom check walks the masks in the order of discriminant._masks, the
+lattice-point search keeps a running sum per mask, and hl_support's filter
+and multidegree_support's re-check read the sums of a vector over every
+mask.  The table has 2^m entries: exhaustive axiom checking needs every
+value anyway, and m stays small at desk scale.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import le
 
-from .discriminant import _subset_ranks
+from .discriminant import _elements, _masks, _subset_ranks
 from .linalg import InternalCheckError, _check_family
 from .rationals import as_int
 
@@ -34,11 +37,6 @@ __all__ = [
 ]
 
 
-def _elements(mask):
-    """The elements, in increasing order, of the subset a mask stands for: bit i - 1 for i."""
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 @lru_cache(maxsize=8)
 def _subsets(m):
     """The subsets of [m] as frozensets, indexed by mask."""
@@ -52,9 +50,34 @@ def _rank_list(m, values):
 
 @lru_cache(maxsize=8)
 def _walk(m):
-    """(A, the bits of [m] outside A) for every subset mask A, in size-then-lex order."""
-    masks = sorted(range(1 << m), key=lambda a: (len(_elements(a)), _elements(a)))
-    return tuple((a, tuple(1 << i for i in range(m) if not a >> i & 1)) for a in masks)
+    """(A, the bits of [m] outside A) for every subset mask A: the empty one, then those of _masks."""
+    return tuple((a, tuple(1 << i for i in range(m) if not a >> i & 1)) for a in (0, *_masks(m)))
+
+
+def _read_ranks(items):
+    """{frozenset: rank} from (collection of elements, rank) pairs; refuses a subset named twice.
+
+    Every table a RankFunction holds is read here, so a subset spelled two
+    ways, (1, 2) and (2, 1) or two JSON keys, is refused in one place.
+    """
+    table = {}
+    for k, v in items:
+        if type(k) is not frozenset:  # the library's own frozenset keys are not copied
+            try:
+                k = tuple(k)
+            except TypeError:
+                raise TypeError(
+                    f"rank table key {k!r} is not a collection of elements") from None
+        for i in k:
+            if type(i) is not int:  # each message is built only on refusal
+                as_int(i, "rank table key element")
+        if type(v) is not int:
+            as_int(v, f"rank of {sorted(k)}")
+        subset = frozenset(k)
+        if subset in table:
+            raise ValueError(f"rank table names the subset {sorted(subset)} twice")
+        table[subset] = v
+    return table
 
 
 @dataclass(frozen=True)
@@ -69,23 +92,7 @@ class RankFunction:
         m = as_int(self.m, "rank table m")
         if m < 0:
             raise ValueError(f"rank table m must be nonnegative, got {m}")
-        table = {}
-        for k, v in self.values.items():
-            if type(k) is not frozenset:  # rank_from_matrices's keys are not copied
-                try:
-                    k = tuple(k)
-                except TypeError:
-                    raise TypeError(
-                        f"rank table key {k!r} is not a collection of elements") from None
-            for i in k:
-                if type(i) is not int:  # each message is built only on refusal
-                    as_int(i, "rank table key element")
-            if type(v) is not int:
-                as_int(v, f"rank of {sorted(k)}")
-            subset = frozenset(k)
-            if subset in table:
-                raise ValueError(f"rank table names the subset {sorted(subset)} twice")
-            table[subset] = v
+        table = _read_ranks(self.values.items())
         # 2^m distinct subsets of [m] are all of them; the size is compared
         # first, so 2^m is never formed for an m past the table's size
         if (len(table) != 1 << min(m, len(table).bit_length())
@@ -138,13 +145,14 @@ def rank_from_matrices(mats, offset: int = 0) -> RankFunction:
     if not mats:
         raise ValueError("empty matrix family")
     _check_family(mats, mats[0].n)
-    values = {frozenset(): 0}
-    for subset, rank in _subset_ranks(mats):
-        r = rank - offset
+    m = len(mats)
+    rank = [0] * (1 << m)
+    for mask, r in _subset_ranks(mats):
+        r -= offset
         if r < 0:
-            raise ValueError(f"rank(A_I) - offset is negative for I={subset}")
-        values[frozenset(subset)] = r
-    return RankFunction(len(mats), values, provenance="matrix-family")
+            raise ValueError(f"rank(A_I) - offset is negative for I={_elements(mask)}")
+        rank[mask] = r
+    return RankFunction(m, dict(zip(_subsets(m), rank)), provenance="matrix-family")
 
 
 def check_axioms(r: RankFunction) -> AxiomReport:
@@ -282,13 +290,12 @@ def hl_support(mats, n: int):
     if m > n:
         raise ValueError("more factors than the ambient dimension")
     _check_family(mats, n)
-    values = {frozenset(): 0}
-    for subset, rank in _subset_ranks(mats):
-        values[frozenset(subset)] = rank - (n - m)
-    need = _rank_list(m, values)
+    need = [0] * (1 << m)
+    for mask, rank in _subset_ranks(mats):
+        need[mask] = rank - (n - m)
     support = {vec for vec in _compositions(m, m) if _fits(vec, need)}
     if min(need) >= 0 and need[-1] == m:
-        table = RankFunction(m, values)
+        table = RankFunction(m, dict(zip(_subsets(m), need)))
         # the shifted table is not always submodular; the polymatroid
         # enumeration only applies when it is
         if check_axioms(table).is_polymatroid and set(_lattice_points(table)) != support:

@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 
 from .certify import Certificate
+from .discriminant import _elements, _masks
 from .exterior import PQForm
 from .linalg import HermitianMatrix, _gaussian_integer_rows
-from .polymatroid import RankFunction
+from .polymatroid import RankFunction, _rank_list, _read_ranks
 from .rationals import GaussianRational, as_int, as_rat, rat_pair
 
 __all__ = [
@@ -107,43 +108,36 @@ def form_from_json(obj) -> PQForm:
         raise ValueError(f"form: {exc}") from None
 
 
-def _subset_key(subset) -> str:
-    return json.dumps(sorted(subset))
-
-
 def rank_function_to_json(r: RankFunction) -> dict:
-    return {
-        "m": r.m,
-        "values": {_subset_key(k): v for k, v in sorted(r.values.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))},
-        "provenance": r.provenance,
-    }
+    """A rank table's JSON record, its keys in the order of discriminant._masks after "[]"."""
+    rank = _rank_list(r.m, r.values)
+    values = {json.dumps(_elements(mask)): rank[mask] for mask in (0, *_masks(r.m))}
+    return {"m": r.m, "values": values, "provenance": r.provenance}
 
 
 def _subset_from_key(key, m):
-    """The subset a rank-table key names: a JSON list of distinct ints in [1, m]."""
+    """The elements a rank-table key names: a JSON list of distinct ints in [1, m]."""
     items = json.loads(key)
     if (not isinstance(items, list) or any(type(i) is not int or not 1 <= i <= m for i in items)
             or len(set(items)) != len(items)):
         raise ValueError(f"rank table key {key!r} is not a list of distinct integers in [1, {m}]")
-    return frozenset(items)
+    return tuple(items)
 
 
 def rank_function_from_json(obj) -> RankFunction:
     """A rank table from its JSON record; each key names one subset, exactly once.
 
+    Each key is parsed to the tuple of elements it lists, and the
+    (tuple, rank) pairs go to RankFunction's own reader, which refuses a
+    subset named twice: "[1,2]" and "[2,1]", or "[1,2]" and "[1, 2]".
     An m or a rank that is not an int is a TypeError, as `RankFunction`
     raises it; any other malformed record is a ValueError.
     """
     if not isinstance(obj, dict) or "m" not in obj or not isinstance(obj.get("values"), dict):
         raise ValueError("a rank table must be a JSON object with 'm' and 'values'")
     m = as_int(obj["m"], "rank table m")
-    values = {}
-    for key, v in obj["values"].items():
-        subset = _subset_from_key(key, m)
-        if subset in values:
-            raise ValueError(f"rank table names the subset {sorted(subset)} twice")
-        values[subset] = v
-    return RankFunction(m, values, obj.get("provenance", "user-table"))
+    pairs = [(_subset_from_key(key, m), v) for key, v in obj["values"].items()]
+    return RankFunction(m, _read_ranks(pairs), obj.get("provenance", "user-table"))
 
 
 def certificate_to_json(cert: Certificate) -> dict:

@@ -1,7 +1,7 @@
 import pytest
 
 from lefcert import GeneratorSpec, HermitianMatrix, generate_psd
-from lefcert.discriminant import _SubsetTable, subsets_size_lex
+from lefcert.discriminant import _elements, _masks, _SubsetTable
 from lefcert.generate import SplitMix64
 
 _acceptance_lines = []
@@ -68,9 +68,9 @@ def subset_sums(mats):
     A fresh table, so no memoised family is read or replaced; nothing is eliminated.
     """
     table = _SubsetTable(mats)
-    for subset in subsets_size_lex(len(table.members)):
-        table.sums[subset] = rows = table._sum(subset)
-        yield subset, HermitianMatrix._from_integer_rows(*rows, table.den)
+    for mask in _masks(len(table.members)):
+        table.sums[mask] = rows = table._sum(mask)
+        yield _elements(mask), HermitianMatrix._from_integer_rows(*rows, table.den)
 
 
 def non_real_diagonal():

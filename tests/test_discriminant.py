@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
@@ -433,10 +433,10 @@ def test_a_singleton_entry_is_a_fresh_inertia_over_the_family_denominator():
     assert len({a._cleared[2] for a in mats}) == 4  # four different denominators
     den, lifted = _lift(mats)
     results = dict(discriminant_mod._SubsetTable(mats).walk())
-    for i, (re, im) in enumerate(lifted, 1):
-        assert results[(i,)] == _inertia(_copy_rows(re), _copy_rows(im))
+    for i, (re, im) in enumerate(lifted):
+        assert results[1 << i] == _inertia(_copy_rows(re), _copy_rows(im))
     # the scaling by (L / L_i)^3 is seen: nonzero dets of both signs, and a zero one
-    assert {results[(i,)][3] > 0 for i in (1, 2, 4)} == {True, False} and results[(3,)][3] == 0
+    assert {results[1 << i][3] > 0 for i in (0, 1, 3)} == {True, False} and results[1 << 2][3] == 0
     assert all(den > a._cleared[2] for a in mats)
 
 
@@ -500,6 +500,30 @@ def test_subsets_size_lex_order():
         (1, 2), (1, 3), (2, 3),
         (1, 2, 3),
     ]
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_the_one_order_lists_every_nonempty_mask_once(m):
+    masks = list(discriminant_mod._masks(m))
+    assert sorted(masks) == list(range(1, 1 << m))
+    assert [discriminant_mod._elements(a) for a in masks] == [
+        c for size in range(1, m + 1) for c in combinations(range(1, m + 1), size)]
+
+
+def test_a_first_failure_stops_the_order_among_the_singletons(monkeypatch):
+    # twenty zero members: I = (1,) fails, and no mask of size 2 or more is made
+    made = []
+    combos = discriminant_mod.combinations
+
+    def recording(bits, size):
+        for c in combos(bits, size):
+            made.append(c)
+            yield c
+
+    monkeypatch.setattr(discriminant_mod, "combinations", recording)
+    monkeypatch.setattr(discriminant_mod, "_last", None)
+    assert rank_deficient_subset([HermitianMatrix.zero(1)] * 20) == ((1,), 1)
+    assert made and all(len(c) == 1 for c in made)
 
 
 # ---- reverse Khovanskii-Teissier ----

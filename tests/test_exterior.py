@@ -262,6 +262,20 @@ def test_wedge_many_conventions():
         wedge_many([])
     phi = PQForm.basis_element(3, (1, 2), (3,))
     assert wedge_many([phi]) == phi
+    assert wedge_many([phi], n=3) == phi and wedge_many([], n=0) == PQForm.scalar(0, 1)
+
+
+def test_wedge_many_refuses_a_negative_or_disagreeing_n():
+    with pytest.raises(ValueError, match="^n must be nonnegative, got -1$"):
+        wedge_many([], n=-1)
+    phi = form_from_matrix(HermitianMatrix.identity(3))
+    for n in (2, 5):
+        with pytest.raises(ValueError, match="^forms live on different ambient spaces$"):
+            wedge_many([phi], n=n)
+
+
+def test_basis_element_reads_each_index_once():
+    assert PQForm.basis_element(3, iter((1,)), iter((2,))) == PQForm.basis_element(3, (1,), (2,))
 
 
 def test_omega_power_is_factorial_volume():

@@ -151,6 +151,64 @@ def test_the_psd_family_check_is_written_once():
     }
 
 
+def test_the_subset_order_is_generated_once():
+    # discriminant._masks is the one size-then-lex order of the subset
+    # lattice; every other reader takes it from there, and no module sorts
+    # subsets into it again
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert callers(sources, "_masks") == {
+        "discriminant._SubsetTable.walk",
+        "discriminant.subsets_size_lex",
+        "polymatroid._walk",
+        "serialize.rank_function_to_json",
+    }
+    assert callers({"discriminant": sources["discriminant"]}, "combinations") == {
+        "discriminant._masks"}
+    sorts_by_key = [node for source in sources.values() for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("sorted", "sort")
+                    and any(k.arg == "key" for k in node.keywords)]
+    assert sorts_by_key == []
+
+
+def holders(sources, text):
+    """{'module.qualname'} of every function or method in `sources` whose own
+    body holds a string constant containing `text`."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Constant) and isinstance(child.value, str) \
+                    and text in child.value:
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), [module])
+    return found
+
+
+def test_detector_finds_every_holder():
+    source = ('def f(x):\n    raise ValueError(f"names the subset {x} twice")\n\n'
+              'class R:\n    def g(self):\n        return "it names the subset"\n\n'
+              'def h():\n    return "names a subset"\n')
+    assert holders({"a": source}, "names the subset") == {"a.f", "a.R.g"}
+
+
+def test_a_subset_named_twice_is_refused_in_one_place():
+    # RankFunction reads every table through _read_ranks, which alone refuses
+    # a subset named twice; the JSON reader hands it the parsed pairs
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert holders(sources, "names the subset") == {"polymatroid._read_ranks"}
+    assert callers(sources, "_read_ranks") == {
+        "polymatroid.RankFunction.__post_init__",
+        "serialize.rank_function_from_json",
+    }
+
+
 # the entry points that take rows from outside the library; every other
 # path reads the Z[i] rows a HermitianMatrix cleared at construction
 CLEARING_ENTRY_POINTS = {

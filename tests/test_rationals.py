@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lefcert.certify import HLInstance, lorentzian_signature
-from lefcert.exterior import PQForm
+from lefcert.certify import HLInstance, lorentzian_signature, products_preserve_hl
+from lefcert.exterior import PQForm, wedge_many
 from lefcert.generate import GeneratorSpec
 from lefcert.linalg import HermitianMatrix, is_m_positive
 from lefcert.polymatroid import RankFunction, hl_support, multidegree_support, rank_from_matrices
@@ -90,12 +90,14 @@ ENTRY_POINTS = [
     ("is_m_positive m", "m", lambda x: is_m_positive(I2, I2, x)),
     ("lorentzian_signature n", "n", lambda x: lorentzian_signature([], n=x)),
     ("hl_support n", "n", lambda x: hl_support([I2], x)),
+    ("wedge_many n", "n", lambda x: wedge_many([], n=x)),
+    ("products_preserve_hl n", "n", lambda x: products_preserve_hl([], [], x)),
 ]
 
 REFUSED = [(name, rule, call, value) for name, rule, call in ENTRY_POINTS
            for value in (True, 2.0, "1/0", None)
-           # lorentzian_signature reads n=None as "take n from the forms"
-           if not (value is None and name == "lorentzian_signature n")]
+           # lorentzian_signature and wedge_many read n=None as "take n from the forms"
+           if not (value is None and name in ("lorentzian_signature n", "wedge_many n"))]
 
 
 def raised(call, value):

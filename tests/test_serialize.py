@@ -179,6 +179,24 @@ def test_form_record_with_a_repeated_term_is_a_value_error(n, p, q, first, secon
     assert form_from_json(doc).coefficient(*second) == coefficients[1]
 
 
+@pytest.mark.parametrize("first, second", [("[1,2]", "[2,1]"), ("[1,2]", "[1, 2]"), ("[2,1]", "[2, 1]")])
+def test_two_keys_for_one_subset_are_refused_by_rank_function(first, second):
+    # each key is read to its own tuple; RankFunction's reader, not the JSON
+    # reader's dict, sees both spellings and refuses the second
+    values = {"[]": 0, "[1]": 1, "[2]": 1, first: 2, second: 2}
+    with pytest.raises(ValueError, match=re.escape("rank table names the subset [1, 2] twice")):
+        rank_function_from_json({"m": 2, "values": values})
+    del values[second]
+    assert rank_function_from_json({"m": 2, "values": values}).full_rank() == 2
+
+
+def test_a_rank_table_is_written_in_size_then_lex_order():
+    table = RankFunction(3, {frozenset(k): len(k) for k in
+                             [(), (2, 3), (1,), (1, 2, 3), (3,), (1, 3), (2,), (1, 2)]})
+    assert list(rank_function_to_json(table)["values"]) == [
+        "[]", "[1]", "[2]", "[3]", "[1, 2]", "[1, 3]", "[2, 3]", "[1, 2, 3]"]
+
+
 def test_rank_table_without_m_is_a_value_error():
     with pytest.raises(ValueError, match="^a rank table must be a JSON object with 'm' and 'values'$"):
         rank_function_from_json({"values": {}})
