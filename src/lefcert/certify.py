@@ -56,6 +56,8 @@ from .linalg import (
     HermitianMatrix,
     InternalCheckError,
     _check_family,
+    _copy_rows,
+    _det_residue,
     _first_kernel_vector,
     _hermitian_failure,
     _inertia,
@@ -282,8 +284,11 @@ def lefschetz_decomposition(inst: HLInstance):
     dim_lower = len(basis_indices(n, p - 1, q - 1)) if (p >= 1 and q >= 1) else 0
     if len(prim_basis) != dim_pq - dim_lower:
         raise InternalCheckError("primitive dimension identity violated")
+    # dim_pq vectors span exactly when their square matrix has full rank; a
+    # nonzero residue mod p proves that, and only a zero one needs the exact rank
     stacked = image_vectors + prim_vectors
-    if _rank([list(vr) for vr, _ in stacked], [list(vi) for _, vi in stacked], dim_pq) != dim_pq:
+    sre, sim = [vr for vr, _ in stacked], [vi for _, vi in stacked]
+    if not _det_residue(sre, sim)[0] and _rank(_copy_rows(sre), _copy_rows(sim), dim_pq) != dim_pq:
         raise InternalCheckError("decomposition does not span Lambda^{p,q}")
     # Q-orthogonality of the two summands, both argument orders: each
     # image x primitive block of the pairing must be the zero matrix
@@ -403,7 +408,9 @@ def products_preserve_hl(forms_a, forms_b, n: int) -> bool:
     """
     forms_a, forms_b = tuple(forms_a), tuple(forms_b)
     k, l = len(forms_a), len(forms_b)
-    if k + l > as_int(n, "n"):
+    if as_int(n, "n") < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if k + l > n:
         raise ValueError("too many factors for the ambient dimension")
 
     def crit(forms, total):

@@ -150,8 +150,12 @@ class PQForm:
         self._set(n, p, q, {k: (a, b) for k, a, b in zip(clean, re, im) if a or b}, den)
 
     def _set(self, n, p, q, terms, den):
-        for name, value in zip(PQForm.__slots__, (n, p, q, terms, den, None)):
-            object.__setattr__(self, name, value)
+        _set_n(self, n)
+        _set_p(self, p)
+        _set_q(self, q)
+        _set_terms(self, terms)
+        _set_den(self, den)
+        _set_coeffs(self, None)
         return self
 
     @classmethod
@@ -253,6 +257,11 @@ class PQForm:
 
     def __repr__(self):
         return f"PQForm(n={self.n}, p={self.p}, q={self.q}, terms={len(self.terms)})"
+
+
+# the slots' own setters, past the __setattr__ that refuses every write
+_set_n, _set_p, _set_q, _set_terms, _set_den, _set_coeffs = (
+    PQForm.__dict__[name].__set__ for name in PQForm.__slots__)
 
 
 def form_from_matrix(a: HermitianMatrix) -> PQForm:

@@ -42,14 +42,16 @@ kernel vector of the whole matrix; only when a row rejects it, because p
 divided a minor, does the whole matrix follow.
 
 A HermitianMatrix holds only its reduced Z[i] rows, cleared once from
-outside input by the one lift (`serialize` passes it a task file's JSON
-pairs), where the Hermitian check reads them; one built from rows
-the library holds (a Gram, a subset sum, B B^H) is not cleared.  The
-methods, the pencil of is_m_positive, `discriminant`'s subset lattice and
-`exterior`'s wedges read those rows.  `rows` is a Q(i) view built on
-first read, and `+` and `scale` work on it, as the oracle of the integer
-subset walk.  Every entry point that takes a family of PSD members checks
-it with _check_family, which names the first bad member by its position.
+outside input by the one lift, or by `serialize`, which lifts the (p, q)
+ints it reads from a task file in bulk and hands the rows to
+_from_integer_rows; the Hermitian check reads them there.  One built
+from rows the library holds (a Gram, a subset sum, B B^H) is not
+cleared.  The methods, the pencil of is_m_positive, `discriminant`'s
+subset lattice and `exterior`'s wedges read those rows.  `rows` is a Q(i)
+view built on first read, and `+` and `scale` work on it, as the oracle
+of the integer subset walk.  Every entry point that takes a family of
+PSD members checks it with _check_family, which names the first bad
+member by its position.
 
 No eigenvalue is ever computed.
 """

@@ -19,7 +19,7 @@ Rat = Fraction
 __all__ = ["Rat", "as_rat", "as_int", "rat_pair", "GaussianRational", "GR", "ZERO", "ONE", "I",
            "cpq_constant"]
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def as_rat(x):
@@ -63,7 +63,7 @@ def rat_pair(s):
     """
     if type(s) is int:
         return s, 1
-    if type(s) is str and _RATIONAL.fullmatch(s):
+    if isinstance(s, str) and _RATIONAL.fullmatch(s):
         num, _, den = s.partition("/")
         try:
             q = int(den) if den else 1
@@ -72,6 +72,37 @@ def rat_pair(s):
         except ValueError:
             pass
     return as_rat(s).as_integer_ratio()
+
+
+# a "," joined list of rationals; "," is outside the grammar of one
+_RATIONALS = re.compile(f"{_RATIONAL.pattern}(?:,{_RATIONAL.pattern})*")
+
+
+def _rat_pairs(values):
+    """(ps, qs): the (p, q) that `rat_pair` reads from each of the values, as two lists.
+
+    When every value is a "p/q" string they are read in bulk: one match of
+    their ","-joined text, whose counts of "," and "/" show that each value
+    is one "p/q" chunk, then one split and one int() map.  Any other value,
+    a zero denominator or a part past int()'s length limit sends the whole
+    sequence through `rat_pair`, one value at a time, which raises its
+    error at the first value it refuses.
+    """
+    k = len(values)
+    try:
+        text = ",".join(values)  # a TypeError unless every value is a str
+        if text.count(",") == k - 1 and text.count("/") == k and _RATIONALS.fullmatch(text):
+            chunks = text.replace("/", ",").split(",")
+            ps, dens = list(map(int, chunks[::2])), chunks[1::2]
+            if dens.count("1") == k:
+                return ps, [1] * k
+            qs = list(map(int, dens))
+            if 0 not in qs:
+                return ps, qs
+    except (TypeError, ValueError):
+        pass
+    pairs = [rat_pair(s) for s in values]
+    return [p for p, _ in pairs], [q for _, q in pairs]
 
 
 class GaussianRational:

@@ -4,18 +4,25 @@ Rationals travel as "p/q" strings with q > 0, complex values as
 {"re": "p/q", "im": "r/s"}, (p,q)-forms as lists of
 {"I": [...], "J": [...], "c": {...}} records, rank tables as
 {"m": ..., "values": {"[1,3]": ...}}.  Round trips are bit-exact.
+
+A matrix written that way is read in one pass: its parts are checked
+against the rational grammar together, split once and read by one int()
+map, then lifted to Z[i] rows.  Any other spelling an entry may have (an
+int, a bare string, a record without a part) and every malformed value
+are read one at a time by `rationals.rat_pair`, with its errors.
 """
 
 from __future__ import annotations
 
 import json
+from math import lcm
 
 from .certify import Certificate
 from .discriminant import _elements, _masks
 from .exterior import PQForm
-from .linalg import HermitianMatrix, _gaussian_integer_rows
+from .linalg import HermitianMatrix
 from .polymatroid import RankFunction, _rank_list, _read_ranks
-from .rationals import GaussianRational, as_int, as_rat, rat_pair
+from .rationals import GaussianRational, _rat_pairs, as_int, as_rat
 
 __all__ = [
     "rat_to_str",
@@ -53,27 +60,37 @@ def matrix_to_json(m: HermitianMatrix) -> dict:
     }
 
 
-def _complex_pairs(obj):
-    """The (p, q) pairs of an entry's real and imaginary parts, as `complex_from_json` reads it."""
-    if not isinstance(obj, dict):
-        return rat_pair(obj), (0, 1)
-    return rat_pair(obj.get("re", 0)), rat_pair(obj.get("im", 0))
-
-
 def matrix_from_json(obj) -> HermitianMatrix:
     """A matrix from its JSON record, read straight into Z[i] rows.
 
-    Each entry's parts become (p, q) int pairs, which the one lift of
-    `linalg` takes to the lcm L of all q; `_from_integer_rows` divides out
-    the one gcd they share with L.  No scalar object is built per entry.
+    The real and imaginary parts of the entries, in row-major order, are
+    read by one call of `rationals._rat_pairs` into (p, q) ints, in bulk
+    when each part is spelled "p/q" as `matrix_to_json` writes it.  The
+    p are lifted to the lcm L of all q and cut into rows, and
+    `_from_integer_rows` divides out the one gcd they share with L, then
+    checks that the rows are square and Hermitian.  A refused part raises
+    before any shape error.  No scalar object is built per entry.
     """
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("a matrix must be a JSON object with 'entries'")
     rows = obj["entries"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise TypeError("entries must be a list of rows, each a JSON array")
-    mat = HermitianMatrix._from_integer_rows(
-        *_gaussian_integer_rows(rows, _complex_pairs, square=True))
+    parts = []
+    for row in rows:
+        for x in row:
+            parts += (x.get("re", 0), x.get("im", 0)) if isinstance(x, dict) else (x, 0)
+    ps, qs = _rat_pairs(parts)
+    den = lcm(*set(qs))
+    if den != 1:
+        ps = [p * (den // q) for p, q in zip(ps, qs)]
+    re, im, start = [], [], 0
+    for row in rows:
+        end = start + 2 * len(row)
+        re.append(ps[start:end:2])
+        im.append(ps[start + 1:end:2])
+        start = end
+    mat = HermitianMatrix._from_integer_rows(re, im, den)
     n = obj.get("n", mat.n)
     if type(n) is not int or n != mat.n:
         raise ValueError("matrix dimension field disagrees with entries")

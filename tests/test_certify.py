@@ -557,6 +557,54 @@ def test_lefschetz_orthogonality_product_catches_a_non_primitive_vector(monkeypa
         lefschetz_decomposition(inst)
 
 
+def _span_ranks(monkeypatch):
+    """The exact ranks lefschetz_decomposition takes of its stacked vectors, recorded."""
+    import lefcert.certify as certify_mod
+
+    ranks, exact = [], certify_mod._rank
+
+    def recording(re, im, ncols):
+        ranks.append(exact(re, im, ncols))
+        return ranks[-1]
+
+    monkeypatch.setattr(certify_mod, "_rank", recording)
+    return ranks
+
+
+def test_lefschetz_span_is_decided_by_a_nonzero_residue_alone(monkeypatch):
+    ranks = _span_ranks(monkeypatch)
+    _, _, dims = lefschetz_decomposition(HLInstance(3, 1, 1, (Id(3),), eta=Id(3)))
+    assert dims == (1, 8)
+    assert ranks == []
+
+
+def test_lefschetz_span_takes_the_exact_rank_on_a_zero_residue(monkeypatch):
+    import lefcert.certify as certify_mod
+
+    ranks = _span_ranks(monkeypatch)
+    monkeypatch.setattr(certify_mod, "_det_residue", lambda re, im: (0, 0, []))
+    _, _, dims = lefschetz_decomposition(HLInstance(3, 1, 1, (Id(3),), eta=Id(3)))
+    assert dims == (1, 8)
+    assert ranks == [9]
+
+
+def test_lefschetz_dependent_stack_does_not_span(monkeypatch):
+    """A primitive vector repeated in place of another keeps the dimensions
+    and the orthogonality but not the span: its residue is zero, and the
+    exact rank must refuse it, not read a zero residue as full rank."""
+    import lefcert.certify as certify_mod
+
+    build = certify_mod._primitive_space
+
+    def repeated(inst):
+        omega, basis, vectors, d = build(inst)
+        return omega, basis, [vectors[0]] + vectors[:-1], d
+
+    monkeypatch.setattr(certify_mod, "_primitive_space", repeated)
+    with pytest.raises(InternalCheckError, match="decomposition does not span"):
+        lefschetz_decomposition(HLInstance(3, 1, 1, (Id(3),), eta=Id(3)))
+
+
 # ---- Lorentzian signatures ----
 
 def test_lorentzian_examples():

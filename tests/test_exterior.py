@@ -943,3 +943,12 @@ def test_coeffs_is_a_read_only_view():
         phi.coeffs[((2,), (1,))] = ONE
     assert phi.coeffs == {((1,), (2,)): GR(Fraction(1, 2), 3)}
     assert phi.terms == {((1,), (2,)): (1, 6)} and phi.den == 2
+
+
+def test_a_form_sets_every_slot_once_and_refuses_writes():
+    form = PQForm._from_terms(2, 1, 0, {((1,), ()): (3, -1)}, 2)
+    assert (form.n, form.p, form.q, form.terms, form.den) == (2, 1, 0, {((1,), ()): (3, -1)}, 2)
+    assert form.coefficient((1,), ()) == GR("3/2", "-1/2")
+    for name in PQForm.__slots__:
+        with pytest.raises(AttributeError, match="^PQForm is immutable$"):
+            setattr(form, name, None)

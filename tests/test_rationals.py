@@ -114,6 +114,19 @@ def test_every_entry_point_refuses_as_the_one_rule(name, rule, call, value):
     assert raised(call, value) == expected
 
 
+# the entry points that take an ambient dimension n and refuse a negative
+# one first, before any check that reads n, in one wording
+NEGATIVE_N = [
+    ("wedge_many n", lambda x: wedge_many([], n=x)),
+    ("products_preserve_hl n", lambda x: products_preserve_hl([], [], x)),
+]
+
+
+@pytest.mark.parametrize("name, call", NEGATIVE_N, ids=[name for name, _ in NEGATIVE_N])
+def test_a_negative_n_is_refused_naming_it(name, call):
+    assert raised(call, -1) == (ValueError, "n must be nonnegative, got -1")
+
+
 @pytest.mark.parametrize("value", [True, 2.0])
 def test_form_from_json_refuses_a_non_int_n_naming_it(value):
     record = {"n": value, "p": 0, "q": 0, "terms": []}

@@ -2,8 +2,9 @@
 
 The oracle reads every entry with complex_from_json, as a GaussianRational
 of Fractions, and clears the rows in HermitianMatrix.  The library reads
-each entry's parts as int pairs and builds the Z[i] rows directly; both
-must give the same _cleared rows, or raise the same exception.  A form or
+each entry's parts as int pairs, in bulk when every part is a "p/q"
+string, and builds the Z[i] rows directly; both must give the same
+_cleared rows, or raise the same exception.  A form or
 rank-table record that lacks a field is a ValueError, as is a form record
 that names one term twice, and every rank table that RankFunction accepts
 reads back equal from its JSON text.
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 from lefcert.linalg import HermitianMatrix
 from lefcert.exterior import PQForm
 from lefcert.polymatroid import RankFunction
-from lefcert.rationals import GR, GaussianRational, rat_pair
+import lefcert.rationals as rationals_mod
+from lefcert.rationals import GR, GaussianRational, _rat_pairs, rat_pair
 from lefcert.serialize import (
     complex_from_json,
     form_from_json,
@@ -230,3 +232,115 @@ def test_every_accepted_rank_table_round_trips_through_json(args):
         return
     text = json.dumps(rank_function_to_json(table))
     assert rank_function_from_json(json.loads(text)) == table
+
+
+# ---- the bulk read of canonical records ----
+
+@st.composite
+def canonical_spellings(draw, value):
+    """A "p/q" spelling of the rational value as `matrix_to_json` might write
+    it, or a hand might: signed, zero-padded, possibly unreduced."""
+    if not value and draw(st.booleans()):
+        return "-0/7"
+    k = draw(st.sampled_from([1, 1, 2, 6, 10 ** LONG // value.denominator]))
+    num, den = abs(value.numerator) * k, value.denominator * k
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "+", "-"] if not num else ["", "+"]))
+    zeros = draw(st.sampled_from(["", "0", "000"]))
+    return f"{sign}{zeros}{num}/{draw(st.sampled_from(['', '0']))}{den}"
+
+
+@st.composite
+def canonical_entries(draw, max_n=4):
+    """Hermitian entries, each a {"re": "p/q", "im": "r/s"} record with both parts."""
+    n = draw(st.integers(0, max_n))
+    rows = [[None] * n for _ in range(n)]
+    for j in range(n):
+        rows[j][j] = {"re": draw(canonical_spellings(draw(values))),
+                      "im": draw(canonical_spellings(Fraction(0)))}
+        for k in range(j + 1, n):
+            re, im = draw(values), draw(values)
+            rows[j][k] = {"re": draw(canonical_spellings(re)), "im": draw(canonical_spellings(im))}
+            rows[k][j] = {"re": draw(canonical_spellings(re)), "im": draw(canonical_spellings(-im))}
+    return rows
+
+
+@settings(deadline=None)
+@given(canonical_entries())
+def test_canonical_records_clear_as_the_scalar_route(entries):
+    got = outcome(library, entries)
+    assert got[0] == "ok"
+    assert got == outcome(oracle, entries)
+
+
+# values that come close to the "," joined "p/q" list the bulk read checks:
+# a separator inside a value, a second "/", a stray space, newline, digit
+# or underscore, a zero denominator, and a part past int()'s length limit
+SEPARATOR_ATTACKS = ["1/2/3", "1/2,3/4", "1/2,", ",1/2", "1/1\n", " 1/1", "１/1", "1_0/1",
+                     "0/0", "-0/00", "1" * 4301 + "/1"]
+
+
+@settings(deadline=None)
+@given(canonical_entries(max_n=3).filter(bool), st.data())
+def test_canonical_records_raise_as_the_scalar_route(entries, data):
+    n = len(entries)
+    for _ in range(data.draw(st.integers(1, 3))):
+        j, k = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        bad = data.draw(st.sampled_from(BAD_VALUES + SEPARATOR_ATTACKS))
+        entries[j][k] = {**entries[j][k], data.draw(st.sampled_from(["re", "im"])): bad}
+    got = outcome(library, entries)
+    assert got[0] != "ok"
+    assert got == outcome(oracle, entries)
+
+
+def per_value(values):
+    """The scalar oracle of _rat_pairs: rat_pair on each value, in order."""
+    pairs = [rat_pair(s) for s in values]
+    return [p for p, _ in pairs], [q for _, q in pairs]
+
+
+def read(reader, values):
+    try:
+        return "ok", reader(values)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("values", [
+    [], ["6/4"], ["-0/7", "+0012/01", "-3/1"], ["4/1", "1/1", "0/1"], ["1" * 4300 + "/1", "2/3"],
+    ["1/2", "4"], ["4", "1/2"], ["1/2", 4], [Fraction(1, 2), "1/2"]])
+def test_rat_pairs_reads_as_rat_pair(values):
+    got = read(_rat_pairs, values)
+    assert got[0] == "ok"
+    assert got == read(per_value, values)
+
+
+@pytest.mark.parametrize("attack", SEPARATOR_ATTACKS + ["1/2/3,4"])
+@pytest.mark.parametrize("before, after", [((), ()), (("1/2",), ()), ((), ("4",)), (("1/2",), ("4/1",))])
+def test_rat_pairs_refuses_a_separator_attack_as_rat_pair(attack, before, after):
+    values = [*before, attack, *after]
+    got = read(_rat_pairs, values)
+    assert got[0] != "ok"
+    assert got == read(per_value, values)
+
+
+def test_a_canonical_record_is_read_without_a_per_value_call(monkeypatch):
+    canonical = [[{"re": "6/4", "im": "0/1"}, {"re": "-1/1", "im": "+02/3"}],
+                 [{"re": "-1/1", "im": "-2/3"}, {"re": "007/1", "im": "-0/7"}]]
+    others = [[[{"re": 3, "im": "0/1"}, {"re": "0/1", "im": "0/1"}],
+               [{"re": "0/1", "im": "0/1"}, {"re": "1/1", "im": "0/1"}]],
+              [[{"re": "3", "im": "0/1"}, {"re": "0/1", "im": "0/1"}],
+               [{"re": "0/1", "im": "0/1"}, {"re": "1/1", "im": "0/1"}]]]
+    expected = [oracle(entries)._cleared for entries in [canonical, *others]]
+    calls, exact = [], rationals_mod.rat_pair
+
+    def counted(s):
+        calls.append(s)
+        return exact(s)
+
+    monkeypatch.setattr(rationals_mod, "rat_pair", counted)
+    assert library(canonical)._cleared == expected[0]
+    assert calls == []
+    for entries, cleared in zip(others, expected[1:]):
+        assert library(entries)._cleared == cleared
+        assert calls == [v for row in entries for x in row for v in (x["re"], x["im"])]
+        calls.clear()
